@@ -1,11 +1,11 @@
 """Multistart shooting for periodic and Neumann solutions.
 
-The search screens a grid of initial states with a fast vectorized
-fixed-step integrator (steps split at weight breakpoints), then polishes
-promising starts with damped Newton iterations on the displacement map of
-the accurate adaptive integrator.  Accepted solutions are classified by
-the binary code of their hump maxima and cross-checked by an independent
-verification pass.
+The search screens a grid of initial states in one pass of a fast
+vectorized fixed-step integrator (steps split at weight breakpoints); the
+local minima of the displacement on that grid go straight to damped
+multiple-shooting Newton on the accurate adaptive integrator.  Accepted
+solutions are classified by the binary code of their hump maxima and
+cross-checked by an independent verification pass.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy import optimize as _sopt
 from .errors import (DegreeUndefinedError, DivergenceError, DomainError,
                      SolverError, UnclassifiableError)
 from .integrator import (BLOWUP_NORM, State, Trajectory, flow, integrate,
-                         max_on_interval, min_on_interval)
+                         max_on_interval)
 from .nonlinearity import g_eval
 from .weight import k_fold_pattern
 
@@ -83,14 +83,6 @@ class SolutionRecord:
 # fast vectorized screening integrator
 
 
-def _forcing_vec(p, t, u):
-    amu = p.a_mu_at(t)
-    pos = np.maximum(u, 0.0)
-    with np.errstate(all="ignore"):
-        gval = g_eval(p.g, np.where(np.isfinite(pos), pos, 0.0))
-        return np.where(u >= 0.0, amu * gval, -u)
-
-
 def screen_flow(p, states, t0, t1, steps_per_unit=1200):
     """Terminal states of a batch of initial states via fixed-step RK4.
 
@@ -103,7 +95,7 @@ def screen_flow(p, states, t0, t1, steps_per_unit=1200):
 
     def deriv(t, u, y):
         du = y
-        dy = -p.c * y - _forcing_vec(p, t, u)
+        dy = -p.c * y - p.forcing(t, u)
         return du, dy
 
     with np.errstate(all="ignore"):
@@ -145,11 +137,6 @@ def _displacement(p, s, k, sc):
     return np.array([img.u - s[0], img.y - s[1]])
 
 
-def _period_map(p, s, sc):
-    img = poincare_map(p, State(float(s[0]), float(s[1])), 1, sc=sc)
-    return np.array([img.u, img.y])
-
-
 _GROWTH_CAP = 7.0
 
 
@@ -187,12 +174,6 @@ def _segment_nodes(p, k, amp=1.0, traj=None):
         n = max(1, int(math.ceil((hi - lo) * rate / _GROWTH_CAP)))
         nodes.extend(np.linspace(lo, hi, n + 1)[1:].tolist())
     return nodes
-
-
-def _flow_seg(p, s, ta, tb, sc):
-    img = flow(p, State(float(s[0]), float(s[1])), (ta, tb),
-               rtol=sc.rtol, atol=sc.atol)
-    return np.array([img.u, img.y])
 
 
 def _batch_flow(p, Z, t0s, lens, sc):
@@ -407,33 +388,6 @@ def _dedup(records, sc, scale):
     return kept
 
 
-def _local_refine(p, center, span_u, span_y, k, sc, rounds=5):
-    """Shrink toward a displacement zero with nested screening grids.
-
-    Around ``center`` a 9x9 grid spanning +-span is screened with the fast
-    integrator; the minimizer becomes the next center and the spans halve.
-    This walks coarse grid candidates into the Newton basin cheaply.
-    """
-    t0 = p.pattern.start if p.pattern is not None else 0.0
-    c = np.asarray(center, dtype=float)
-    for _ in range(rounds):
-        us = np.clip(c[0] + np.linspace(-span_u, span_u, 9), 1e-10, None)
-        ys = c[1] + np.linspace(-span_y, span_y, 9)
-        uu, yy = np.meshgrid(us, ys, indexing="ij")
-        starts = np.column_stack([uu.ravel(), yy.ravel()])
-        finals = screen_flow(p, starts, t0, t0 + k * p.period,
-                             steps_per_unit=sc.screen_steps)
-        mags = np.hypot(*(finals - starts).T)
-        mags = np.where(np.isfinite(mags), mags, np.inf)
-        best = int(np.argmin(mags))
-        if not np.isfinite(mags[best]):
-            return c
-        c = starts[best]
-        span_u /= 4.0
-        span_y /= 4.0
-    return c
-
-
 def _grid_candidates(mags, shape):
     """Indices of local minima of |D| on the screening grid."""
     m = mags.reshape(shape)
@@ -516,12 +470,10 @@ def find_periodic_solutions(p, k, sc=None, seeds=(), base=None, screen=True):
         seen = set(cand_idx)
         cand_idx.extend(i for i in extra if i not in seen)
         cand_idx.sort(key=lambda i: mags[i])
-        du = np.median(np.diff(u_grid)) if len(u_grid) > 1 else 0.1
-        dy = y_grid[1] - y_grid[0] if len(y_grid) > 1 else 0.1
-        points = [_local_refine(p, starts[i], du, dy, k, sc, rounds=3)
-                  for i in cand_idx[:sc.max_candidates]]
-        # refined candidates pile up near attracting roots; keep one per
-        # cluster
+        points = [starts[i] for i in cand_idx[:sc.max_candidates]]
+        # at small u the geometric grid is finer than the cluster radius,
+        # so neighbouring candidates there would polish to the same orbit;
+        # keep one per cluster
         unique_pts = []
         for q in points:
             if all(np.hypot(*(q - o)) > 1e-4 * (1.0 + sc.u_max)

@@ -2,13 +2,15 @@
 configurations (heavier end-to-end runs live in the acceptance suite)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from indefinite_bvp import shooting
 from indefinite_bvp.errors import DomainError, UnclassifiableError
 from indefinite_bvp.integrator import State
-from indefinite_bvp.presets import fig1, fig2
+from indefinite_bvp.presets import fig1, fig2, multiplicity_m3
 from indefinite_bvp.shooting import (SearchConfig, _segment_nodes,
                                      adaptive_levels, classify_code,
                                      find_neumann_solutions,
@@ -130,3 +132,40 @@ def test_seed_polish(fig2_k1):
     assert len(out) >= 1
     best = max(out, key=lambda r: r.sup_norm)
     assert best.initial.u == pytest.approx(rec.initial.u, abs=1e-7)
+
+
+def test_fig2_with_friction_single_orbit():
+    # off the presets: c != 0 leaves exactly one positive T-periodic orbit
+    pre = fig2()
+    p = replace(pre.problem, c=-0.7)
+    recs = find_periodic_solutions(p, 1, pre.search)
+    assert len(recs) == 1
+    rec = recs[0]
+    assert rec.positive
+    assert rec.initial.u == pytest.approx(0.1024291, abs=1e-6)
+    assert rec.initial.y == pytest.approx(0.4138256, abs=1e-6)
+
+
+def test_m3_base_search():
+    pre = multiplicity_m3()
+    recs = find_periodic_solutions(pre.problem, 1, pre.search)
+    assert len(recs) == 1
+    assert recs[0].initial.u == pytest.approx(0.025258, abs=1e-6)
+    assert recs[0].initial.y == pytest.approx(0.0567934, abs=1e-6)
+
+
+def test_search_screens_the_grid_once(monkeypatch):
+    # grid minima go straight to Newton: no nested re-screening
+    calls = []
+    original = shooting.screen_flow
+
+    def counting(p, states, *args, **kwargs):
+        calls.append(len(states))
+        return original(p, states, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "screen_flow", counting)
+    pre = fig2()
+    sc = replace(pre.search, max_candidates=4)
+    recs = find_periodic_solutions(pre.problem, 1, sc)
+    assert recs
+    assert calls == [sc.u_count * sc.y_count]
