@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
 from scipy import integrate as _sint
 from scipy import optimize as _sopt
 
@@ -19,7 +18,7 @@ from .nonlinearity import eta as _eta
 from .nonlinearity import gamma_min as _gamma_min
 from .nonlinearity import gamma_ratio as _gamma_ratio
 from .nonlinearity import limit_estimates
-from .weight import integrate_weight, negative_part
+from .weight import integrate_weight
 
 ETA_SAFETY = 0.5
 MU_R_SAFETY = 1.01

@@ -33,11 +33,11 @@ from .nonlinearity import NonlinearitySpec
 from .presets import get_preset, list_presets
 from .radial import (AnnulusProblem, check_q_integral, find_radial_solutions,
                      solution_to_radial)
-from .shooting import (SearchConfig, adaptive_levels, classify_code,
-                       find_neumann_solutions, find_periodic_solutions,
-                       verify_solution)
-from .subharmonic import (CodeTarget, enumerate_class_representatives,
-                          find_coded_solution, minimal_period_multiple)
+from .shooting import (SearchConfig, find_neumann_solutions,
+                       find_periodic_solutions, verify_solution)
+from .subharmonic import (CodeTarget, classify_records, coded_records,
+                          enumerate_class_representatives,
+                          find_coded_solution)
 from .weight import WeightSpec
 
 EXIT_OK = 0
@@ -159,11 +159,16 @@ def _search_from_config(cp, default=None):
     if "search" not in cp:
         return base
     sec = cp["search"]
-    fields = {}
-    for f in dataclasses.fields(SearchConfig):
-        if f.name in sec:
-            cast = int if f.type == "int" else float
-            fields[f.name] = cast(sec[f.name])
+    types = {f.name: f.type for f in dataclasses.fields(SearchConfig)}
+    unknown = sorted(set(sec) - set(types))
+    if unknown:
+        raise ConfigurationError("unknown [search] key(s): %s"
+                                 % ", ".join(unknown))
+    try:
+        fields = {key: (int if types[key] == "int" else float)(sec[key])
+                  for key in sec}
+    except ValueError as exc:
+        raise ConfigurationError("bad [search] value: %s" % exc)
     return dataclasses.replace(base, **fields)
 
 
@@ -212,22 +217,6 @@ def _base_report(resolved, command):
     return {"version": _version(), "command": command, "config": resolved}
 
 
-def _classified(recs, p, levels=None):
-    if recs and levels is None:
-        levels = adaptive_levels(recs, p)
-    out = []
-    for rec in recs:
-        if p.pattern is not None and levels is not None:
-            try:
-                classify_code(rec, p, *levels)
-            except UnclassifiableError:
-                rec.unclassifiable = True
-        if rec.boundary == "periodic":
-            minimal_period_multiple(rec, p)
-        out.append(rec)
-    return out, levels
-
-
 def _write_trajectories(recs, prefix):
     for i, rec in enumerate(recs):
         rec.trajectory.to_csv("%s_%d.csv" % (prefix, i))
@@ -250,7 +239,7 @@ def cmd_solve(args):
     cp = load_config(args.config)
     p, sc, resolved = problem_from_config(cp, args.mu)
     recs = find_periodic_solutions(p, args.k, sc)
-    recs, levels = _classified(recs, p)
+    levels = classify_records(recs, p)
     report = _base_report(resolved, "solve")
     report["k"] = args.k
     report["levels"] = {"r": levels[0], "R": levels[1]} if levels else None
@@ -265,7 +254,7 @@ def cmd_neumann(args):
     cp = load_config(args.config)
     p, sc, resolved = problem_from_config(cp, args.mu)
     recs = find_neumann_solutions(p, sc)
-    recs, levels = _classified(recs, p)
+    levels = classify_records(recs, p)
     report = _base_report(resolved, "neumann")
     report["levels"] = {"r": levels[0], "R": levels[1]} if levels else None
     report["solutions"] = [_record_dict(r) for r in recs]
@@ -301,12 +290,11 @@ def cmd_subharmonic(args):
             "record": _record_dict(rec) if rec else None,
         }]
     else:
-        targets = enumerate_class_representatives(p.pattern.m, args.k)
+        # one search serves every class representative
+        coded = coded_records(p, args.k, sc)
         rows = []
-        for tgt in targets:
-            rec = find_coded_solution(p, tgt, sc)
-            if rec is not None:
-                minimal_period_multiple(rec, p)
+        for tgt in enumerate_class_representatives(p.pattern.m, args.k):
+            rec = next((r for r in coded if tgt.matches(r.code)), None)
             rows.append({"word": tgt.word_string,
                          "found": rec is not None,
                          "record": _record_dict(rec) if rec else None})
@@ -370,13 +358,11 @@ def cmd_report(args):
         recs = find_neumann_solutions(p, sc)
     else:
         recs = find_periodic_solutions(p, preset.k, sc)
-    recs, levels = _classified(recs, p)
-    for rec in recs:
-        rep = verify_solution(rec, p, sc=sc)
-        rec._verified = rep.passed
+    levels = classify_records(recs, p)
+    verified = [verify_solution(rec, p, sc=sc).passed for rec in recs]
     report["levels"] = {"r": levels[0], "R": levels[1]} if levels else None
-    report["solutions"] = [dict(_record_dict(r), verified=r._verified)
-                           for r in recs]
+    report["solutions"] = [dict(_record_dict(r), verified=v)
+                           for r, v in zip(recs, verified)]
     _emit(report, args)
     return EXIT_OK
 

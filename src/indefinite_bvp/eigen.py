@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import BracketingError, ConfigurationError, HypothesisError

@@ -9,7 +9,7 @@ u < 0, so that nontrivial fixed points of the period map are positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize as _sopt
@@ -17,8 +17,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, DivergenceError, DomainError
 from .nonlinearity import NonlinearitySpec, g_eval
-from .weight import (SignPattern, WeightSpec, a_mu, detect_sign_pattern,
-                     evaluate)
+from .weight import SignPattern, WeightSpec, a_mu, detect_sign_pattern
 
 BLOWUP_NORM = 1e8
 DEFAULT_RTOL = 1e-10
@@ -98,20 +97,12 @@ class ProblemSpec:
         return np.array([y, -self.c * y - self.forcing(t, u)])
 
 
-def extended_field(p, t, s):
-    """State derivative (u', y') of the extended planar system."""
-    du, dy = p.rhs(t, s.as_array())
-    return State(float(du), float(dy))
-
-
 class Trajectory:
     """Dense numerical solution over [t0, t1] with breakpoint-aligned steps.
 
     ``segments`` holds one scipy dense-output interpolant per smooth piece
     of the weight, so evaluation anywhere in the span is available.
     """
-
-    interpolation_order = 7  # DOP853 dense output
 
     def __init__(self, times, states, segments, breakpoints_hit):
         self.times = np.asarray(times, dtype=float)
@@ -141,9 +132,6 @@ class Trajectory:
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
-
-    def u(self, t):
-        return self.eval(t)[..., 0] if not np.isscalar(t) else self.eval(t)[0]
 
     def sample(self, n=512):
         """(t, u, y) on a uniform grid of n points joined with the nodes."""
@@ -250,23 +238,3 @@ def max_on_interval(traj, lo, hi):
             best_t, best_u = float(res.x), float(-res.fun)
     return best_t, best_u
 
-
-def min_on_interval(traj, lo, hi):
-    """(tmin, umin) of u over [lo, hi]."""
-    t0, t1 = traj.span
-    lo = max(lo, t0)
-    hi = min(hi, t1)
-    nodes = traj.times[(traj.times >= lo) & (traj.times <= hi)]
-    ts = np.union1d(np.linspace(lo, hi, 257), nodes)
-    us = traj.eval(ts)[:, 0]
-    k = int(np.argmin(us))
-    left = ts[max(k - 1, 0)]
-    right = ts[min(k + 1, len(ts) - 1)]
-    best_t, best_u = ts[k], us[k]
-    if right > left:
-        res = _sopt.minimize_scalar(lambda t: float(traj.eval(t)[0]),
-                                    bounds=(left, right), method="bounded",
-                                    options={"xatol": 1e-12})
-        if res.fun < best_u:
-            best_t, best_u = float(res.x), float(res.fun)
-    return best_t, best_u

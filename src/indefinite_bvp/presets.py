@@ -9,7 +9,7 @@ inactive for s >= 0 and therefore omitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .integrator import ProblemSpec

@@ -10,17 +10,15 @@ a(t) = r(t)^{2(N-1)} Q(r(t)) and v(t) = U(r(t)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sint
-from scipy import optimize as _sopt
 
 from .errors import ConfigurationError, DomainError, PatternError
 from .integrator import ProblemSpec
 from .nonlinearity import NonlinearitySpec
-from .weight import WeightSpec, detect_sign_pattern
+from .weight import WeightSpec
 
 _GRID_NODES = 8192
 

@@ -35,7 +35,6 @@ class SearchConfig:
     y_min: float = -5.0
     y_max: float = 5.0
     y_count: int = 32
-    y_scale: float = 1.0
     dedup_tol: float = 1e-6
     newton_max_iter: int = 30
     residual_tol: float = 1e-8
@@ -56,7 +55,12 @@ class SearchConfig:
 
 @dataclass
 class SolutionRecord:
-    """A solution found by shooting."""
+    """A solution found by shooting.
+
+    ``node_states`` (shape (n, 2)) are the states at the matching times
+    ``nodes[:-1]``; ``nodes`` has n + 1 entries spanning the whole window.
+    A Neumann record is a single segment [0, T].
+    """
 
     initial: State
     k: int
@@ -65,12 +69,12 @@ class SolutionRecord:
     positive: bool
     sup_norm: float
     boundary: str
+    node_states: np.ndarray
+    nodes: list
     code: tuple = None
     min_period_multiple: int = None
     neg_below_r: bool = None
     unclassifiable: bool = False
-    node_states: object = None    # multiple-shooting states, one per segment
-    nodes: object = None          # matching times the node states live on
 
     @property
     def code_string(self):
@@ -146,7 +150,7 @@ def _g_slope(g, amp):
     return max(1.0, (g_eval(g, amp + eps) - g_eval(g, amp)) / eps)
 
 
-def _segment_nodes(p, k, amp=1.0, traj=None):
+def _segment_nodes(p, k, traj):
     """Matching times for multiple shooting over [t0, t0 + kT].
 
     Every weight breakpoint is a node, and each smooth piece is further
@@ -154,8 +158,8 @@ def _segment_nodes(p, k, amp=1.0, traj=None):
     times the segment length stays below a fixed cap; without this the
     flow across a negativity interval at large mu expands beyond double
     precision and Newton cannot converge.  The amplitude entering g' is
-    the maximum of |u| over the piece along ``traj`` when given (deep
-    troughs then stay cheap), else the uniform scale ``amp``.
+    the maximum of |u| over the piece along ``traj``, so deep troughs
+    stay cheap.
     """
     t0 = p.pattern.start if p.pattern is not None else 0.0
     t1 = t0 + k * p.period
@@ -164,12 +168,8 @@ def _segment_nodes(p, k, amp=1.0, traj=None):
     for lo, hi in zip(base[:-1], base[1:]):
         ts = np.linspace(lo, hi, 33)
         amax = float(np.max(np.abs(p.a_mu_at(ts))))
-        if traj is not None:
-            lo_s, hi_s = traj.span
-            a_loc = float(np.max(np.abs(
-                traj.eval(np.clip(ts, lo_s, hi_s))[:, 0])))
-        else:
-            a_loc = amp
+        a_loc = float(np.max(np.abs(
+            traj.eval(np.clip(ts, *traj.span))[:, 0])))
         rate = math.sqrt(max(amax * _g_slope(p.g, a_loc), 1.0))
         n = max(1, int(math.ceil((hi - lo) * rate / _GROWTH_CAP)))
         nodes.extend(np.linspace(lo, hi, n + 1)[1:].tolist())
@@ -231,19 +231,17 @@ def _orbit_seed(p, s0, k, sc):
     return traj.eval(np.array(nodes[:-1])), nodes
 
 
-def _newton_polish(p, z0, k, sc, nodes=None):
+def _newton_polish(p, z0, nodes, sc):
     """Damped multiple-shooting Newton with matching at every breakpoint.
 
     The unknowns are the states z_j at the matching nodes; the residual is
     F_j = flow(z_j over segment j) - z_{j+1 mod n}.  Fine segmentation
     keeps every segment flow mildly expanding even when the full period
     map is violently stretching (large mu).  ``nodes`` must be the grid
-    the seed was built on; it defaults to the unit-amplitude grid.
-    Returns (node states of shape (n, 2) with the first row at the
-    pattern start, largest per-segment matching defect) or None.
+    the seed was built on.  Returns (node states of shape (n, 2) with the
+    first row at the pattern start, largest per-segment matching defect)
+    or None.
     """
-    if nodes is None:
-        nodes = _segment_nodes(p, k)
     n = len(nodes) - 1
     z = np.asarray(z0, dtype=float).reshape(n, 2).copy()
     t0s = np.asarray(nodes[:-1])
@@ -346,23 +344,19 @@ def _stitched_trajectory(p, z, nodes, sc):
         times.extend(traj.times[drop:])
         states.extend(traj.states[drop:])
         segments.extend(traj.segments)
-    return Trajectory(times, states, segments, list(nodes[1:-1]))
+    return Trajectory(times, states, segments,
+                      p.breakpoints_between(nodes[0], nodes[-1]))
 
 
-def _make_record(p, s, k, residual, sc, boundary, z=None, nodes=None):
-    t0 = p.pattern.start if p.pattern is not None else 0.0
-    if z is not None:
-        traj = _stitched_trajectory(p, z, nodes, sc)
-    else:
-        traj = integrate(p, s, t0, t0 + k * p.period,
-                         rtol=sc.rtol, atol=sc.atol)
+def _make_record(p, z, nodes, k, residual, sc, boundary):
+    traj = _stitched_trajectory(p, z, nodes, sc)
     n = max(1024, 256 * k)
     sup = traj.sup_norm(n)
     positive = traj.min_u(n) > 0.0
-    return SolutionRecord(initial=s, k=k, trajectory=traj, residual=residual,
+    return SolutionRecord(initial=State(float(z[0, 0]), float(z[0, 1])),
+                          k=k, trajectory=traj, residual=residual,
                           positive=positive, sup_norm=sup, boundary=boundary,
-                          node_states=z, nodes=None if z is None
-                          else list(nodes))
+                          node_states=z, nodes=list(nodes))
 
 
 def _dedup(records, sc, scale):
@@ -443,21 +437,20 @@ def find_periodic_solutions(p, k, sc=None, seeds=(), base=None, screen=True):
     """Positive kT-periodic solutions by multistart damped multiple
     shooting on the period map, sorted by initial displacement.
 
-    ``seeds`` adds explicit initial states or node-state arrays; ``base``
-    supplies known 1-periodic records for the coded subharmonic seeding
-    (found by a k=1 search when omitted); ``screen=False`` skips the grid
-    screening stage and polishes only the supplied and coded seeds, which
-    is the right mode after continuation to extreme parameter values.
+    ``seeds`` adds explicit initial states; ``base`` supplies known
+    1-periodic records for the coded subharmonic seeding (found by a k=1
+    search when omitted); ``screen=False`` skips the grid screening stage
+    and polishes only the supplied and coded seeds, which is the right
+    mode after continuation to extreme parameter values.
     """
     if p.boundary != "periodic":
         raise DomainError("problem is not in periodic mode")
     sc = sc or SearchConfig()
     t0 = p.pattern.start
-    orbit_seeds = []
+    points = []
     if screen:
         u_grid = np.geomspace(sc.u_min, sc.u_max, sc.u_count)
-        y_grid = np.linspace(sc.y_min * sc.y_scale, sc.y_max * sc.y_scale,
-                             sc.y_count)
+        y_grid = np.linspace(sc.y_min, sc.y_max, sc.y_count)
         uu, yy = np.meshgrid(u_grid, y_grid, indexing="ij")
         starts = np.column_stack([uu.ravel(), yy.ravel()])
         finals = screen_flow(p, starts, t0, t0 + k * p.period,
@@ -470,40 +463,26 @@ def find_periodic_solutions(p, k, sc=None, seeds=(), base=None, screen=True):
         seen = set(cand_idx)
         cand_idx.extend(i for i in extra if i not in seen)
         cand_idx.sort(key=lambda i: mags[i])
-        points = [starts[i] for i in cand_idx[:sc.max_candidates]]
         # at small u the geometric grid is finer than the cluster radius,
         # so neighbouring candidates there would polish to the same orbit;
         # keep one per cluster
-        unique_pts = []
-        for q in points:
+        for q in (starts[i] for i in cand_idx[:sc.max_candidates]):
             if all(np.hypot(*(q - o)) > 1e-4 * (1.0 + sc.u_max)
-                   for o in unique_pts):
-                unique_pts.append(q)
-        orbit_seeds.extend(
-            zn for zn in (_orbit_seed(p, q, k, sc) for q in unique_pts)
-            if zn is not None)
-    default_nodes = _segment_nodes(p, k)
-    for s in seeds:
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 1:
-            zn = _orbit_seed(p, s, k, sc)
-            if zn is not None:
-                orbit_seeds.append(zn)
-        else:
-            orbit_seeds.append((s.reshape(len(default_nodes) - 1, 2),
-                                default_nodes))
+                   for o in points):
+                points.append(q)
+    points.extend(seeds)
+    orbit_seeds = [zn for zn in (_orbit_seed(p, q, k, sc) for q in points)
+                   if zn is not None]
     orbit_seeds.extend(_coded_orbit_seeds(p, k, sc, base=base))
 
     found = []
     for z0, nodes in orbit_seeds:
-        polished = _newton_polish(p, z0, k, sc, nodes=nodes)
+        polished = _newton_polish(p, z0, nodes, sc)
         if polished is None:
             continue
         z, defect = polished
-        s = State(float(z[0, 0]), float(z[0, 1]))
         try:
-            rec = _make_record(p, s, k, defect, sc, "periodic",
-                               z=z, nodes=nodes)
+            rec = _make_record(p, z, nodes, k, defect, sc, "periodic")
         except DivergenceError:
             continue
         if rec.residual > sc.residual_tol:
@@ -544,8 +523,8 @@ def find_neumann_solutions(p, sc=None):
             continue
         if residual > sc.residual_tol:
             continue
-        rec = _make_record(p, State(float(u_root), 0.0), 1, residual, sc,
-                           "neumann")
+        rec = _make_record(p, np.array([[u_root, 0.0]]), [0.0, T], 1,
+                           residual, sc, "neumann")
         if not rec.positive:
             continue
         found.append(rec)
@@ -611,11 +590,6 @@ def track_in_mu(p, rec, mu_target, sc=None, max_steps=200):
         raise DomainError("continuation tracks periodic records")
     k = rec.k
     z, nodes_cur = rec.node_states, rec.nodes
-    if z is None:
-        zn = _orbit_seed(p, np.array([rec.initial.u, rec.initial.y]), k, sc)
-        if zn is None:
-            return None
-        z, nodes_cur = zn
     mu = p.mu
     if mu_target == mu:
         return rec
@@ -643,7 +617,7 @@ def track_in_mu(p, rec, mu_target, sc=None, max_steps=200):
                 z_seed = z_c + (z_c - traj_prev.eval(ts)) * s_ratio
             else:
                 z_seed = z_c
-            polished = _newton_polish(q, z_seed, k, sc, nodes=nodes_try)
+            polished = _newton_polish(q, z_seed, nodes_try, sc)
         except DivergenceError:
             polished = None
         if polished is not None:
@@ -664,9 +638,7 @@ def track_in_mu(p, rec, mu_target, sc=None, max_steps=200):
         else:
             factor = max(factor ** 1.5, 0.25)
         if mu == mu_target:
-            s = State(float(z[0, 0]), float(z[0, 1]))
-            out = _make_record(q, s, k, defect, sc, "periodic",
-                               z=z, nodes=nodes_try)
+            out = _make_record(q, z, nodes_try, k, defect, sc, "periodic")
             return out if out.positive else None
     return None
 
@@ -815,16 +787,11 @@ def verify_solution(rec, p, r_star=None, sc=None):
     sup = float(np.max(np.abs(us)))
 
     # residual
-    if rec.boundary == "periodic" and rec.node_states is not None:
-        nodes = rec.nodes if rec.nodes is not None \
-            else _segment_nodes(p, rec.k)
-        z = rec.node_states
+    if rec.boundary == "periodic":
+        z, nodes = rec.node_states, rec.nodes
         fz = _batch_flow(p, z, np.asarray(nodes[:-1]), np.diff(nodes), sc)
         res = float(np.max(np.linalg.norm(
             fz - np.roll(z, -1, axis=0), axis=1)))
-    elif rec.boundary == "periodic":
-        end = traj.eval(t1)
-        res = math.hypot(end[0] - rec.initial.u, end[1] - rec.initial.y)
     else:
         res = abs(float(traj.eval(t0)[1])) + abs(float(traj.eval(t1)[1]))
     rep.checks["residual"] = res < 10 * sc.residual_tol
@@ -868,13 +835,7 @@ def verify_solution(rec, p, r_star=None, sc=None):
     tight_sc = replace(sc, rtol=max(sc.rtol / 100, 1e-13),
                        atol=max(sc.atol / 100, 1e-15))
     try:
-        if rec.node_states is not None:
-            nodes = rec.nodes if rec.nodes is not None \
-                else _segment_nodes(p, rec.k)
-            tight = _stitched_trajectory(p, rec.node_states, nodes, tight_sc)
-        else:
-            tight = integrate(p, rec.initial, t0, t1,
-                              rtol=tight_sc.rtol, atol=tight_sc.atol)
+        tight = _stitched_trajectory(p, rec.node_states, rec.nodes, tight_sc)
         du = tight.eval(ts)[:, 0] - us
         drift = float(np.max(np.abs(du)))
         rep.checks["reintegration"] = drift < 1e-6

@@ -10,15 +10,13 @@ words of length k over an alphabet of size 2^m.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UnclassifiableError
-from .lyndon import Word, lyndon_words
-from .shooting import (SearchConfig, adaptive_levels, classify_code,
-                       find_periodic_solutions)
+from .lyndon import lyndon_words
+from .shooting import adaptive_levels, classify_code, find_periodic_solutions
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,14 @@ class CodeTarget:
         w = list(self.word)
         return [tuple(w[j * m:] + w[:j * m]) for j in range(self.k)]
 
+    def matches(self, code):
+        """Whether a record's code realizes this target; a canonical
+        target accepts every block rotation, since rotations are time
+        translates of one orbit."""
+        code = tuple(code)
+        return code == tuple(self.word) or \
+            (self.canonical and code in self.block_rotations())
+
 
 def _blocks_to_bits(symbols, m):
     bits = []
@@ -114,46 +120,48 @@ def minimal_period_multiple(rec, p, tol=None):
     return k
 
 
-def _coded_records(p, k, sc, levels=None):
-    """k-periodic records with codes and minimal periods attached."""
-    recs = find_periodic_solutions(p, k, sc)
+def classify_records(recs, p, levels=None):
+    """Classify records in place: a code for each, and the minimal period
+    multiple for each periodic one.
+
+    The levels (r, R) are inferred from ``recs`` when not given.  A record
+    whose hump maximum sits on a level is flagged ``unclassifiable`` and
+    keeps ``code`` None.  Returns the levels (None when there are no
+    records and none were given).
+    """
     if not recs:
-        return [], []
+        return levels
     if levels is None:
         levels = adaptive_levels(recs, p)
-    r, R = levels
-    coded, boundary = [], []
     for rec in recs:
         try:
-            classify_code(rec, p, r, R)
+            classify_code(rec, p, *levels)
         except UnclassifiableError:
             rec.unclassifiable = True
-            boundary.append(rec)
-            continue
-        minimal_period_multiple(rec, p)
-        coded.append(rec)
-    return coded, boundary
+        if rec.boundary == "periodic":
+            minimal_period_multiple(rec, p)
+    return levels
+
+
+def coded_records(p, k, sc=None, levels=None):
+    """Classified kT-periodic records of one search, unclassifiable ones
+    left out."""
+    recs = find_periodic_solutions(p, k, sc)
+    classify_records(recs, p, levels)
+    return [rec for rec in recs if not rec.unclassifiable]
 
 
 def find_coded_solution(p, tgt, sc=None, levels=None):
     """Record realizing the target word among the k-periodic solutions.
 
     Searches the fixed points of the k-th iterate of the period map,
-    classifies their codes and returns the one matching ``tgt.word``
-    (None when absent).  When ``tgt`` is canonical any rotation-equivalent
-    code is accepted, since rotations are time translates of one orbit.
+    classifies their codes and returns the first one that ``tgt.matches``
+    (None when absent).
     """
     if tgt.m != p.pattern.m:
         raise DomainError("target word does not match the weight pattern")
-    sc = sc or SearchConfig()
-    coded, _ = _coded_records(p, tgt.k, sc, levels=levels)
-    accepted = {tuple(tgt.word)}
-    if tgt.canonical:
-        accepted.update(tgt.block_rotations())
-    for rec in coded:
-        if tuple(rec.code) in accepted:
-            return rec
-    return None
+    return next((rec for rec in coded_records(p, tgt.k, sc, levels)
+                 if tgt.matches(rec.code)), None)
 
 
 def coded_orbit_segment(p, word, horizon, sc=None, levels=None):
@@ -172,12 +180,8 @@ def coded_orbit_segment(p, word, horizon, sc=None, levels=None):
         raise DomainError("word length must be a multiple of m")
     reps = 2 * int(horizon) + 1
     k = (len(word) // m) * reps
-    sc = sc or SearchConfig()
     if k == 1:
-        coded, _ = _coded_records(p, 1, sc, levels=levels)
-        for rec in coded:
-            if tuple(rec.code) == word:
-                return rec
-        return None
+        return next((rec for rec in coded_records(p, 1, sc, levels)
+                     if rec.code == word), None)
     return find_coded_solution(p, CodeTarget(k, word * reps), sc,
                                levels=levels)

@@ -9,7 +9,7 @@ separated by intervals of negativity [tau_i, sigma_{i+1}].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sint
@@ -176,11 +176,15 @@ class SignPattern:
 
     @property
     def period(self):
+        # a Neumann pattern spans [0, T] even when the weight starts with
+        # a negativity interval (sigma_1 > 0)
+        if self.mode == "neumann":
+            return self.sigma[-1]
         return self.sigma[-1] - self.sigma[0]
 
     @property
     def start(self):
-        return self.sigma[0]
+        return 0.0 if self.mode == "neumann" else self.sigma[0]
 
     def pos_intervals(self):
         return [(self.sigma[i], self.tau[i]) for i in range(self.m)]
@@ -317,7 +321,6 @@ def detect_sign_pattern(w, tol=1e-9, samples=4096, periodic=True,
     # boundaries between consecutive runs, refined by bisection
     boundaries = []  # time of the transition before run j
     for j in range(len(runs)):
-        i_prev = runs[j - 1][2] - 1 if j > 0 else runs[-1][2] - 1 - samples
         lo = sample_time(runs[j][1] - 1)
         hi = sample_time(runs[j][1])
         boundaries.append(_refine_zero(w, lo, hi, refine_tol))

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from indefinite_bvp import shooting
 from indefinite_bvp.cli import (main, parse_nonlinearity, parse_weight,
                                 problem_from_config, load_config,
                                 _split_args)
@@ -144,3 +145,52 @@ def test_eigen_command(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert len(rep["hump_eigenvalues"]) == 2
     assert rep["ginf_threshold"] > 0
+
+
+def test_unknown_search_key_exit(tmp_path, capsys):
+    # a misspelt [search] key must not silently run with the defaults
+    path = write_config(tmp_path, """
+[problem]
+preset = fig2
+
+[search]
+u_cout = 8
+""")
+    assert main(["bounds", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "u_cout" in err["message"]
+    # so must a value that is not a number of the field's type
+    path = write_config(tmp_path, "[problem]\npreset = fig2\n"
+                        "[search]\nu_count = 8.5\n", name="bad.ini")
+    assert main(["bounds", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+
+
+def test_report_fig1(capsys):
+    assert main(["report", "--preset", "fig1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    sols = rep["solutions"]
+    assert {s["code"] for s in sols} == {"01", "10", "11"}
+    assert all(s["verified"] for s in sols)
+
+
+def test_subharmonic_searches_once(tmp_path, capsys, monkeypatch):
+    # every class representative is matched against one k = 2 search;
+    # the k = 1 screen is the search that seeds the coded orbits
+    periods = []
+    original = shooting.screen_flow
+
+    def counting(p, states, t0, t1, *args, **kwargs):
+        periods.append(round((t1 - t0) / p.period))
+        return original(p, states, t0, t1, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "screen_flow", counting)
+    path = write_config(tmp_path, "[problem]\npreset = fig2\n")
+    assert main(["subharmonic", "--config", path, "--k", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [t["word"] for t in rep["targets"]] == ["01"]
+    assert rep["targets"][0]["found"]
+    assert rep["targets"][0]["record"]["code"] == "01"
+    assert sorted(periods) == [1, 2]

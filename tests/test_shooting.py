@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from indefinite_bvp import shooting
+from indefinite_bvp.bounds import compute_mu_sharp
 from indefinite_bvp.errors import DomainError, UnclassifiableError
-from indefinite_bvp.integrator import State
+from indefinite_bvp.integrator import ProblemSpec, State, flow, integrate
+from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.presets import fig1, fig2, multiplicity_m3
 from indefinite_bvp.shooting import (SearchConfig, _segment_nodes,
                                      adaptive_levels, classify_code,
                                      find_neumann_solutions,
                                      find_periodic_solutions, poincare_map,
                                      verify_solution, winding_number)
+from indefinite_bvp.weight import WeightSpec
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +53,8 @@ def test_mode_mismatch():
 def test_segment_nodes_cover_breakpoints():
     pre = fig2()
     p = pre.problem
-    nodes = _segment_nodes(p, 2)
+    traj = integrate(p, State(0.1, 0.4), 0.0, 2.0)
+    nodes = _segment_nodes(p, 2, traj=traj)
     assert nodes[0] == 0.0
     assert nodes[-1] == pytest.approx(2.0)
     assert np.all(np.diff(nodes) > 0)
@@ -75,6 +79,36 @@ def test_fig1_three_solutions(fig1_recs):
     levels = adaptive_levels(recs, p)
     codes = {classify_code(rec, p, *levels) for rec in recs}
     assert codes == {(1, 0), (0, 1), (1, 1)}
+
+
+def test_neumann_weight_starting_negative():
+    # the Neumann window is [0, T] even when the weight opens with a
+    # negativity interval: search, record and bounds all cover [0, 1]
+    w = WeightSpec.from_expression("-sin(3*pi*t)", 1.0)
+    p = ProblemSpec.build(w, 7.0, 0.0, NonlinearitySpec.arctan_scaled(100),
+                          boundary="neumann")
+    assert p.pattern.start == 0.0 and p.period == 1.0
+    recs = find_neumann_solutions(p)
+    assert len(recs) == 1
+    rec = recs[0]
+    assert rec.initial.u == pytest.approx(0.0647394, abs=1e-6)
+    assert rec.trajectory.span == (0.0, 1.0)
+    assert abs(flow(p, rec.initial, (0.0, 1.0)).y) < 1e-9
+    assert verify_solution(rec, p).passed
+    assert compute_mu_sharp(p) == pytest.approx(0.5, rel=1e-9)
+
+
+def test_records_carry_their_nodes(fig1_recs, fig2_k1):
+    # every record holds its matching grid; a Neumann record is one segment
+    _, recs = fig1_recs
+    for rec in recs:
+        assert rec.nodes == [0.0, 1.0]
+        assert rec.node_states.tolist() == [[rec.initial.u, 0.0]]
+    p, _, recs2 = fig2_k1
+    for rec in recs2:
+        assert rec.nodes[0] == 0.0 and rec.nodes[-1] == pytest.approx(1.0)
+        assert rec.node_states.shape == (len(rec.nodes) - 1, 2)
+        assert rec.node_states[0].tolist() == [rec.initial.u, rec.initial.y]
 
 
 def test_classify_unclassifiable_margin(fig1_recs):
