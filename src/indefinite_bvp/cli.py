@@ -230,7 +230,9 @@ def cmd_bounds(args):
     cp = load_config(args.config)
     p, search, resolved = problem_from_config(cp, args.mu)
     report = _base_report(resolved, "bounds")
-    report["bounds"] = compute_mu_star(p, search_config=None).to_dict()
+    # without a [search] section R* comes from the coarse default sweep
+    sc = search if "search" in cp else None
+    report["bounds"] = compute_mu_star(p, search_config=sc).to_dict()
     _emit(report, args)
     return EXIT_OK
 

@@ -10,10 +10,14 @@ Grammar (``^`` is right-associative)::
 
 Identifiers are the free variable (``t`` or ``s``), the constant ``pi``,
 or one of the supported functions.
+
+The parsed tree is compiled once into a Python function of the free
+variable, so an evaluation is one call with no per-node dispatch.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 
 import numpy as np
@@ -40,6 +44,61 @@ _FUNCTIONS = {
 }
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}
+
+_BINOPS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
+# np.divide keeps evaluation total on scalars (1/0 -> inf).  np.power, not
+# ``**``: on scalars ``**`` calls the C library's pow, which can differ in
+# the last bit from numpy's vectorised loop, and a scalar evaluation must
+# match the same point of an array evaluation.
+_CALLS = {"/": "_divide", "^": "_power"}
+
+
+def _constant(x, value):
+    """A variable-free expression takes the shape of its argument."""
+    return value if np.isscalar(x) else np.full(np.shape(x), value,
+                                                dtype=float)
+
+
+_NAMESPACE = {"__builtins__": {}, "_divide": np.divide,
+              "_power": np.power, "_constant": _constant}
+_NAMESPACE.update(("_f_" + name, fn) for name, (_, fn) in _FUNCTIONS.items())
+
+
+def _name(ident):
+    return ast.Name(id=ident, ctx=ast.Load())
+
+
+def _lower(node):
+    """Python ``ast`` of one parsed node: the generated code holds only
+    node tags, float constants and the names of ``_NAMESPACE``, never
+    text from the expression source."""
+    tag = node[0]
+    if tag == "const":
+        return ast.Constant(value=node[1])
+    if tag == "var":
+        return _name("x")
+    if tag == "neg":
+        return ast.UnaryOp(op=ast.USub(), operand=_lower(node[1]))
+    if tag == "call":
+        return ast.Call(func=_name("_f_" + node[1]),
+                        args=[_lower(a) for a in node[2]], keywords=[])
+    left, right = _lower(node[1]), _lower(node[2])
+    if tag in _BINOPS:
+        return ast.BinOp(left=left, op=_BINOPS[tag](), right=right)
+    return ast.Call(func=_name(_CALLS[tag]), args=[left, right], keywords=[])
+
+
+def _compile(tree, constant):
+    """The parsed ``tree`` as a function of one argument ``x``."""
+    body = _lower(tree)
+    if constant:
+        body = ast.Call(func=_name("_constant"), args=[_name("x"), body],
+                        keywords=[])
+    args = ast.arguments(posonlyargs=[], args=[ast.arg(arg="x")],
+                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    lam = ast.fix_missing_locations(
+        ast.Expression(body=ast.Lambda(args=args, body=body)))
+    return eval(compile(lam, "<expression>", "eval"), dict(_NAMESPACE))
 
 
 def _tokenize(src):
@@ -72,7 +131,7 @@ class Expression:
         self._tokens = _tokenize(src)
         self._pos = 0
         self._variables = set()
-        self._ast = self._parse_expr()
+        tree = self._parse_expr()
         if self._peek()[0] != "end":
             kind, value, start = self._peek()
             raise ConfigurationError(
@@ -84,6 +143,7 @@ class Expression:
                 % sorted(self._variables)
             )
         self.variable = next(iter(self._variables)) if self._variables else None
+        self._fn = _compile(tree, constant=self.variable is None)
 
     # -- parsing ---------------------------------------------------------
 
@@ -173,35 +233,11 @@ class Expression:
 
     def __call__(self, x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self._eval(self._ast, x)
+            return self._fn(x)
 
-    def _eval(self, node, x):
-        tag = node[0]
-        if tag == "const":
-            return node[1] if np.isscalar(x) else np.full_like(
-                np.asarray(x, dtype=float), node[1]
-            )
-        if tag == "var":
-            return x
-        if tag == "neg":
-            return -self._eval(node[1], x)
-        if tag == "call":
-            fn = _FUNCTIONS[node[1]][1]
-            return fn(*[self._eval(a, x) for a in node[2]])
-        a = self._eval(node[1], x)
-        b = self._eval(node[2], x)
-        if tag == "+":
-            return a + b
-        if tag == "-":
-            return a - b
-        if tag == "*":
-            return a * b
-        if tag == "/":
-            # np.divide keeps evaluation total on scalars (1/0 -> inf)
-            return np.divide(a, b)
-        if tag == "^":
-            return a ** b
-        raise AssertionError("unreachable node %r" % (node,))
+    def __reduce__(self):
+        # the compiled function does not pickle; the source rebuilds it
+        return (Expression, (self.source,))
 
     def __repr__(self):
         return "Expression(%r)" % self.source

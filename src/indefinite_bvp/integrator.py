@@ -16,8 +16,9 @@ from scipy import optimize as _sopt
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, DivergenceError, DomainError
-from .nonlinearity import NonlinearitySpec, g_eval
-from .weight import SignPattern, WeightSpec, a_mu, detect_sign_pattern
+from .nonlinearity import NonlinearitySpec, g_scalar, g_unchecked
+from .weight import (SignPattern, WeightSpec, a_mu, a_mu_scalar,
+                     detect_sign_pattern)
 
 BLOWUP_NORM = 1e8
 DEFAULT_RTOL = 1e-10
@@ -42,7 +43,11 @@ class State:
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full 1D problem: weight, sign pattern, mu, friction c, nonlinearity
-    and boundary mode ("periodic" or "neumann")."""
+    and boundary mode ("periodic" or "neumann").
+
+    The scalar a_mu and g that :meth:`rhs` calls are built once, at
+    construction.
+    """
 
     weight: WeightSpec
     pattern: SignPattern
@@ -56,6 +61,13 @@ class ProblemSpec:
             raise DomainError("mu must be positive")
         if self.boundary not in ("periodic", "neumann"):
             raise ConfigurationError("boundary must be periodic or neumann")
+        object.__setattr__(self, "_a_mu", a_mu_scalar(self.weight, self.mu))
+        object.__setattr__(self, "_g", g_scalar(self.g))
+
+    def __reduce__(self):
+        # the compiled closures do not pickle; the fields rebuild them
+        return (type(self), (self.weight, self.pattern, self.mu, self.c,
+                             self.g, self.boundary))
 
     @classmethod
     def build(cls, weight, mu, c, g, boundary="periodic", tol=1e-9,
@@ -88,13 +100,16 @@ class ProblemSpec:
         u_arr = np.asarray(u, dtype=float)
         pos = np.maximum(u_arr, 0.0)
         out = np.where(u_arr >= 0.0,
-                       self.a_mu_at(t) * g_eval(self.g, pos),
+                       self.a_mu_at(t) * g_unchecked(self.g, pos),
                        -u_arr)
         return float(out) if out.ndim == 0 else out
 
     def rhs(self, t, state):
+        """Planar field at a float t: the scalar branch of :meth:`forcing`,
+        with the same bits."""
         u, y = state
-        return np.array([y, -self.c * y - self.forcing(t, u)])
+        f = -u if u < 0.0 else self._a_mu(t) * self._g(u)
+        return np.array([y, -self.c * y - f])
 
 
 class Trajectory:

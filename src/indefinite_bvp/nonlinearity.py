@@ -74,16 +74,39 @@ def g_eval(g, s):
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
         raise DomainError("g is defined for s >= 0 only")
+    return g_unchecked(g, s_arr)
+
+
+def _kernel(g):
+    """g on s >= 0 as one callable, without the g(0) = 0 rule."""
     if g.kind == "power":
-        out = s_arr ** g.params[0]
-    elif g.kind == "arctan_scaled":
-        out = g.params[0] * s_arr * np.arctan(s_arr)
-    elif g.kind == "clamped_expression":
-        out = np.maximum(np.asarray(g.fn(s_arr), dtype=float), 0.0)
-    else:
-        out = np.asarray(g.fn(s_arr), dtype=float)
-    out = np.where(s_arr == 0.0, 0.0, out)
+        p = g.params[0]
+        return lambda s: np.power(s, p)
+    if g.kind == "arctan_scaled":
+        nu = g.params[0]
+        return lambda s: nu * s * np.arctan(s)
+    fn = g.fn
+    if g.kind == "clamped_expression":
+        return lambda s: np.maximum(fn(s), 0.0)
+    if g.kind == "expression":
+        return fn
+    # a user callable sees an ndarray, as it always has
+    return lambda s: np.asarray(fn(np.asarray(s, dtype=float)), dtype=float)
+
+
+def g_unchecked(g, s):
+    """:func:`g_eval` without the domain check, for callers that have
+    clamped their argument to s >= 0."""
+    s_arr = np.asarray(s, dtype=float)
+    out = np.where(s_arr == 0.0, 0.0, _kernel(g)(s_arr))
     return float(out) if out.ndim == 0 else out
+
+
+def g_scalar(g):
+    """Compiled s -> g(s) for a float s >= 0 that the caller has clamped,
+    with the same bits as :func:`g_unchecked` at that point."""
+    raw = _kernel(g)
+    return lambda s: 0.0 if s == 0.0 else raw(s)
 
 
 def _ratio(g, s):

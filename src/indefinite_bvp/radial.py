@@ -139,7 +139,8 @@ def direct_radial_integration(ap, U0, rtol=1e-10, atol=1e-12, dense_n=1024):
     U'(R1) = 0 and returns samples (r, U).  Used to cross-check the 1D
     reduction; the extended field matches the 1D solver's convention.
     """
-    from .nonlinearity import g_eval
+    from .nonlinearity import g_scalar
+    g = g_scalar(ap.g)
 
     def qmu(r):
         q = float(ap.q_at(r))
@@ -147,7 +148,7 @@ def direct_radial_integration(ap, U0, rtol=1e-10, atol=1e-12, dense_n=1024):
 
     def rhs(r, z):
         U, V = z
-        force = qmu(r) * g_eval(ap.g, max(U, 0.0)) if U >= 0 else -U
+        force = qmu(r) * g(U) if U >= 0 else -U
         return [V, -(ap.N - 1) / r * V - force]
 
     from scipy.integrate import solve_ivp

@@ -140,6 +140,28 @@ def a_mu(w, mu, t):
     return np.maximum(a, 0.0) - mu * np.maximum(-a, 0.0)
 
 
+def a_mu_scalar(w, mu):
+    """Compiled t -> a+(t) - mu * a-(t) for a float t, with the same bits
+    as :func:`a_mu` at that point.
+
+    The two-part form is a for a > 0, 0.0 for a = +-0.0, and
+    0.0 - mu * (-a) = mu * a exactly for a < 0; ``a + 0.0`` and
+    ``mu * a`` give the same bits.
+    """
+    if not mu > 0:
+        raise DomainError("mu must be positive")
+    T = w.period
+    fn = w.fn
+
+    def a_mu_at(t):
+        # x // 1.0 is np.floor(x) down to the sign of zero, so this is
+        # evaluate's periodic reduction
+        a = float(fn(t - T * ((t / T) // 1.0)))
+        return mu * a if a < 0.0 else a + 0.0
+
+    return a_mu_at
+
+
 @dataclass(frozen=True)
 class SignPattern:
     """Partition points sigma_1 < tau_1 < ... < tau_m < sigma_{m+1}.

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from indefinite_bvp import shooting
+from indefinite_bvp import bounds, shooting
 from indefinite_bvp.cli import (main, parse_nonlinearity, parse_weight,
                                 problem_from_config, load_config,
                                 _split_args)
@@ -194,3 +194,25 @@ def test_subharmonic_searches_once(tmp_path, capsys, monkeypatch):
     assert rep["targets"][0]["found"]
     assert rep["targets"][0]["record"]["code"] == "01"
     assert sorted(periods) == [1, 2]
+
+
+def test_bounds_reads_search_section(tmp_path, capsys, monkeypatch):
+    # R* comes from the config's [search] settings when it has them and
+    # from the coarse default sweep (search_config None) when it has none
+    seen = []
+
+    def spy(p, r=None, search_config=None):
+        seen.append(search_config)
+        return 50.0
+
+    monkeypatch.setattr(bounds, "estimate_R_star", spy)
+    path = write_config(tmp_path, "[problem]\npreset = fig2\n"
+                        "[search]\nu_count = 7\n")
+    assert main(["bounds", "--config", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["bounds"]["R_star"] == 50.0
+    assert seen[0].u_count == 7
+    path = write_config(tmp_path, "[problem]\npreset = fig2\n",
+                        name="plain.ini")
+    assert main(["bounds", "--config", path]) == 0
+    assert seen[1] is None

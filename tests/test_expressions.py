@@ -1,6 +1,7 @@
 """Recursive-descent expression parser: grammar, errors, evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indefinite_bvp.errors import ConfigurationError
-from indefinite_bvp.expressions import Expression, parse_expression
+from indefinite_bvp.expressions import (_FUNCTIONS, Expression,
+                                        parse_expression)
 
 
 def test_fig_nonlinearity_text():
@@ -53,7 +55,38 @@ def test_vectorized_evaluation():
 
 def test_division_guarded():
     e = parse_expression("1/t")
-    assert math.isinf(e(0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isinf(e(0.0))
+        assert np.isinf(e(np.array([0.0, 2.0]))[0])
+
+
+def test_constant_takes_argument_shape():
+    out = parse_expression("3.5")(np.zeros(4))
+    assert isinstance(out, np.ndarray) and out.shape == (4,)
+    assert np.all(out == 3.5)
+    assert parse_expression("3.5")(1.0) == 3.5
+
+
+@pytest.mark.parametrize("src", sorted(
+    "%s(%s)" % (name, ", ".join(["t", "2*t - 1"][:arity]))
+    for name, (arity, _) in _FUNCTIONS.items()) + ["abs(t)^2.7", "t^3"])
+def test_scalar_matches_array_element(src):
+    # a float argument gives the bits of the same point of an array
+    e = parse_expression(src)
+    ts = np.linspace(-3.7, 5.3, 101)
+    vec = e(ts)
+    for i, t in enumerate(ts):
+        assert np.float64(e(float(t))).tobytes() == vec[i].tobytes(), t
+
+
+@pytest.mark.parametrize("src", ["__import__('os')", "t.real",
+                                 "t.__class__", "(lambda: 1)()",
+                                 "exec(t)", "[t]"])
+def test_code_injection_rejected_at_parse(src):
+    # only the whitelisted grammar reaches the code generator
+    with pytest.raises(ConfigurationError):
+        parse_expression(src)
 
 
 def test_variable_tracking():

@@ -1,6 +1,7 @@
-"""Static hygiene of the package sources: every imported name is used.
+"""Static hygiene of the package sources: every imported name is used,
+and the expression compiler is the only place that runs generated code.
 
-No linter ships with the toolchain, so this AST scan keeps unused
+No linter ships with the toolchain, so these AST scans keep unused
 imports from creeping back into the library modules.
 """
 
@@ -39,3 +40,29 @@ def test_scan_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda f: f.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+DYNAMIC_CODE = {"eval", "exec", "compile"}
+
+
+def dynamic_code_calls(source):
+    """Names of the dynamic-code builtins the module calls."""
+    return sorted(node.func.id for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in DYNAMIC_CODE)
+
+
+def test_scan_flags_dynamic_code():
+    src = "import re\nx = eval('1')\nre.compile('a')\nexec(x)\n"
+    assert dynamic_code_calls(src) == ["eval", "exec"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda f: f.name)
+def test_dynamic_code_only_in_expressions(path):
+    # expressions.py compiles parsed trees; nothing else runs generated code
+    calls = dynamic_code_calls(path.read_text(encoding="utf-8"))
+    if path.name == "expressions.py":
+        assert calls == ["compile", "eval"]
+    else:
+        assert calls == []

@@ -2,9 +2,12 @@
 guard and dense trajectory evaluation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indefinite_bvp.errors import DivergenceError, DomainError
 from indefinite_bvp.integrator import (ProblemSpec, State, flow, integrate,
@@ -134,3 +137,61 @@ def test_build_aligns_pattern():
     # after alignment the pattern starts at 0 on a positivity interval
     assert p.pattern.start == 0.0
     assert p.a_mu_at(1e-3) > 0.0
+
+
+# every weight and g kind, for the scalar/vector agreement of the forcing
+WEIGHTS = {
+    "sine": WeightSpec.sine(TWO_PI, period=1.0),
+    "sin_pm": WeightSpec.sin_pm(3 * math.pi, 1.0, 7.0, period=1.0),
+    "table": WeightSpec.from_table([0.0, 0.3, 0.45, 1.0], [2.0, -1.5, 0.5]),
+    "expression": WeightSpec.from_expression(
+        "sin(2*pi*t)^3 + 0.3*cos(4*pi*t) - 1/(t + 2)", 1.0),
+    "shifted": WeightSpec.sin_pm(TWO_PI, 1.0, 3.0, period=1.0).shifted(0.3),
+    # -0.0 at whole t
+    "callable": WeightSpec.from_callable(
+        lambda t: -np.sin(TWO_PI * t) * (1.2 + np.cos(TWO_PI * t)), 1.0),
+}
+GS = {
+    "power": NonlinearitySpec.power(2.5),
+    "arctan_scaled": NonlinearitySpec.arctan_scaled(100.0),
+    "expression": NonlinearitySpec.from_expression("s^1.5*atan(s) + exp(s)-1"),
+    "clamped_expression": NonlinearitySpec.from_expression("s*s - 0.5*s",
+                                                           clamp=True),
+    "callable": NonlinearitySpec.from_callable(lambda s: s ** 2.2 + s),
+}
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+points = st.tuples(
+    st.floats(-7.0, 7.0),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, -1e-300),
+              st.floats(1e-300, 3.0)))
+
+
+@given(st.sampled_from(sorted(WEIGHTS)), st.sampled_from(sorted(GS)),
+       st.lists(points, min_size=1, max_size=6), st.floats(-3.0, 3.0),
+       st.floats(0.5, 20.0), st.floats(-1.0, 1.0))
+@settings(max_examples=400, deadline=None)
+@example("callable", "power", [(2.0, 0.5), (-0.0, 0.0)], 0.0, 7.0, 0.0)
+def test_scalar_rhs_matches_vector_forcing(wname, gname, pts, y, mu, c):
+    # the scalar branch of rhs is the extended forcing, bit for bit, at
+    # every point of a batch, for u < 0, u = 0, u > 0 and any t
+    p = ProblemSpec(WEIGHTS[wname], None, mu, c, GS[gname])
+    t_vec = np.array([t for t, _ in pts])
+    u_vec = np.array([u for _, u in pts])
+    f_vec = p.forcing(t_vec, u_vec)
+    for j, (t, u) in enumerate(pts):
+        du, dy = p.rhs(t, np.array([u, y]))
+        assert bits(du) == bits(y)
+        assert bits(dy) == bits(-c * y - f_vec[j]), (t, u)
+
+
+def test_expression_problem_pickles():
+    # the compiled evaluators are rebuilt from the expression sources
+    p = ProblemSpec(WEIGHTS["expression"], None, 7.0, 0.2, GS["expression"])
+    q = pickle.loads(pickle.dumps(p))
+    state = np.array([0.4, -0.1])
+    assert q.rhs(0.3, state).tobytes() == p.rhs(0.3, state).tobytes()

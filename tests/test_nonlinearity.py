@@ -41,6 +41,20 @@ def test_negative_argument_rejected():
         g_eval(g, -1.0)
 
 
+@pytest.mark.parametrize("g", [
+    NonlinearitySpec.power(2),
+    NonlinearitySpec.arctan_scaled(100.0),
+    NonlinearitySpec.from_expression("100*s*atan(s)"),
+    NonlinearitySpec.from_expression("s*s - 0.5*s", clamp=True),
+    NonlinearitySpec.from_callable(lambda s: s ** 3)], ids=lambda g: g.kind)
+def test_domain_check_every_kind(g):
+    # the unchecked evaluator serves the RHS; the public one still checks
+    with pytest.raises(DomainError):
+        g_eval(g, -1e-3)
+    with pytest.raises(DomainError):
+        g_eval(g, np.array([0.1, -0.1]))
+
+
 def test_power_functionals_closed_form():
     g = NonlinearitySpec.power(3)
     r = 0.8
