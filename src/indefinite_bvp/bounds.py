@@ -107,7 +107,8 @@ def compute_K(p):
         K.append(norm * math.exp(abs(p.c) * (hi - lo)))
     K0 = 0.0
     for i, (lo, hi) in enumerate(pat.pos_intervals()):
-        nlo, nhi = pat.neg_intervals()[i]
+        # hump i pairs with the negativity interval that follows it
+        nlo, nhi = pat.tau[i], pat.sigma[i + 1]
         len_pos = hi - lo
         len_neg = nhi - nlo
         K0 = max(K0, K[i] * (len_pos + math.exp(abs(p.c) * len_neg) * len_neg))

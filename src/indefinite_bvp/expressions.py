@@ -232,7 +232,7 @@ class Expression:
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, x):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with quiet_fp():
             return self._fn(x)
 
     def __reduce__(self):
@@ -241,6 +241,20 @@ class Expression:
 
     def __repr__(self):
         return "Expression(%r)" % self.source
+
+
+def quiet_fp():
+    """Context in which expressions evaluate: division by zero, invalid
+    operations and overflow give inf/nan without a warning."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+def unguarded(fn):
+    """The compiled function of an :class:`Expression` without the
+    :func:`quiet_fp` guard of ``__call__``; any other callable as is.
+    For per-RHS callables whose integration loop runs inside one
+    :func:`quiet_fp`."""
+    return fn._fn if isinstance(fn, Expression) else fn
 
 
 def parse_expression(src):

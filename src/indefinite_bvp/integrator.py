@@ -16,6 +16,7 @@ from scipy import optimize as _sopt
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, DivergenceError, DomainError
+from .expressions import quiet_fp
 from .nonlinearity import NonlinearitySpec, g_scalar, g_unchecked
 from .weight import (SignPattern, WeightSpec, a_mu, a_mu_scalar,
                      detect_sign_pattern)
@@ -198,20 +199,22 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     states = [y0.copy()]
     segments = []
     y_cur = y0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(p.rhs, (lo, hi), y_cur, method=method,
-                        rtol=rtol, atol=atol, dense_output=True,
-                        events=guard)
-        if sol.status == 1 or not sol.success:
-            t_last = float(sol.t[-1])
-            raise DivergenceError(
-                "trajectory escaped the guard region near t=%.6g" % t_last,
-                last_time=t_last,
-                last_state=tuple(sol.y[:, -1]))
-        segments.append((lo, hi, sol.sol))
-        times.extend(sol.t[1:])
-        states.extend(sol.y[:, 1:].T)
-        y_cur = sol.y[:, -1]
+    # p.rhs calls expressions unguarded: one guard for the whole flow
+    with quiet_fp():
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            sol = solve_ivp(p.rhs, (lo, hi), y_cur, method=method,
+                            rtol=rtol, atol=atol, dense_output=True,
+                            events=guard)
+            if sol.status == 1 or not sol.success:
+                t_last = float(sol.t[-1])
+                raise DivergenceError(
+                    "trajectory escaped the guard region near t=%.6g"
+                    % t_last, last_time=t_last,
+                    last_state=tuple(sol.y[:, -1]))
+            segments.append((lo, hi, sol.sol))
+            times.extend(sol.t[1:])
+            states.extend(sol.y[:, 1:].T)
+            y_cur = sol.y[:, -1]
     if not dense:
         return np.asarray(y_cur)
     # drop accidental duplicate nodes at the joints

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import optimize as _sopt
 
 from .errors import ConfigurationError, DomainError, HypothesisError
-from .expressions import Expression
+from .expressions import Expression, unguarded
 
 _GRID = 4096
 _REFINE_ROUNDS = 3
@@ -77,15 +77,19 @@ def g_eval(g, s):
     return g_unchecked(g, s_arr)
 
 
-def _kernel(g):
-    """g on s >= 0 as one callable, without the g(0) = 0 rule."""
+def _kernel(g, guarded=True):
+    """g on s >= 0 as one callable, without the g(0) = 0 rule.
+
+    ``guarded=False`` calls an expression without its floating-point
+    guard (see :func:`expressions.unguarded`).
+    """
     if g.kind == "power":
         p = g.params[0]
         return lambda s: np.power(s, p)
     if g.kind == "arctan_scaled":
         nu = g.params[0]
         return lambda s: nu * s * np.arctan(s)
-    fn = g.fn
+    fn = g.fn if guarded else unguarded(g.fn)
     if g.kind == "clamped_expression":
         return lambda s: np.maximum(fn(s), 0.0)
     if g.kind == "expression":
@@ -104,8 +108,10 @@ def g_unchecked(g, s):
 
 def g_scalar(g):
     """Compiled s -> g(s) for a float s >= 0 that the caller has clamped,
-    with the same bits as :func:`g_unchecked` at that point."""
-    raw = _kernel(g)
+    with the same bits as :func:`g_unchecked` at that point.  An
+    expression g is called without its floating-point guard, so the
+    caller runs inside :func:`expressions.quiet_fp`."""
+    raw = _kernel(g, guarded=False)
     return lambda s: 0.0 if s == 0.0 else raw(s)
 
 

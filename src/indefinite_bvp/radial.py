@@ -16,6 +16,7 @@ import numpy as np
 from scipy import integrate as _sint
 
 from .errors import ConfigurationError, DomainError, PatternError
+from .expressions import quiet_fp
 from .integrator import ProblemSpec
 from .nonlinearity import NonlinearitySpec
 from .weight import WeightSpec
@@ -156,16 +157,18 @@ def direct_radial_integration(ap, U0, rtol=1e-10, atol=1e-12, dense_n=1024):
                  {r for r in ap.kink_hints if ap.R1 < r < ap.R2})
     rs_all, us_all = [], []
     z = [float(U0), 0.0]
-    for a, b in zip(pts[:-1], pts[1:]):
-        sol = solve_ivp(rhs, (a, b), z, method="DOP853", rtol=rtol,
-                        atol=atol, dense_output=True)
-        if not sol.success:
-            raise DomainError("radial reference integration failed")
-        rs = np.linspace(a, b, max(16, int(dense_n * (b - a) /
-                                           (ap.R2 - ap.R1))))
-        rs_all.append(rs)
-        us_all.append(sol.sol(rs)[0])
-        z = sol.y[:, -1]
+    # g is an unguarded scalar callable: one guard for the whole flow
+    with quiet_fp():
+        for a, b in zip(pts[:-1], pts[1:]):
+            sol = solve_ivp(rhs, (a, b), z, method="DOP853", rtol=rtol,
+                            atol=atol, dense_output=True)
+            if not sol.success:
+                raise DomainError("radial reference integration failed")
+            rs = np.linspace(a, b, max(16, int(dense_n * (b - a) /
+                                               (ap.R2 - ap.R1))))
+            rs_all.append(rs)
+            us_all.append(sol.sol(rs)[0])
+            z = sol.y[:, -1]
     return np.concatenate(rs_all), np.concatenate(us_all)
 
 

@@ -238,44 +238,48 @@ def _newton_polish(p, z0, nodes, sc):
     F_j = flow(z_j over segment j) - z_{j+1 mod n}.  Fine segmentation
     keeps every segment flow mildly expanding even when the full period
     map is violently stretching (large mu).  ``nodes`` must be the grid
-    the seed was built on.  Returns (node states of shape (n, 2) with the
-    first row at the pattern start, largest per-segment matching defect)
-    or None.
+    the seed was built on.
+
+    Every evaluation is one batched flow of 3n rows: each z_j together
+    with z_j + h e_u and z_j + h e_y, h = ``fd_step`` * (1 + |z_j|).  All
+    rows share one adaptive step sequence, so the difference quotients
+    differentiate the same discrete map that gives F (internal numerical
+    differentiation, Bock 1981) and carry O(h) error instead of the
+    integrator's tol/h noise.  Each line-search trial therefore also
+    brings the Jacobian for the next step, and Newton converges
+    quadratically near a root without g' or variational equations.
+
+    Returns (node states of shape (n, 2) with the first row at the pattern
+    start, largest per-segment matching defect) or None.
     """
     n = len(nodes) - 1
     z = np.asarray(z0, dtype=float).reshape(n, 2).copy()
-    t0s = np.asarray(nodes[:-1])
-    lens = np.diff(nodes)
+    t0s = np.repeat(np.asarray(nodes[:-1], dtype=float), 3)
+    lens = np.repeat(np.diff(nodes), 3)
+    seg = np.arange(n)
+    nxt = (seg + 1) % n
 
-    def residual(z):
-        fz = _batch_flow(p, z, t0s, lens, sc)
-        return fz, fz - np.roll(z, -1, axis=0)
-
-    def assemble(z, fz):
-        hs = sc.fd_step * (1.0 + np.abs(z))        # (n, 2)
-        pert = np.repeat(z, 2, axis=0)             # rows (j,0), (j,1)
-        pert[0::2, 0] += hs[:, 0]
-        pert[1::2, 1] += hs[:, 1]
-        fp = _batch_flow(p, pert, np.repeat(t0s, 2), np.repeat(lens, 2), sc)
-        jac = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            jac[2 * j:2 * j + 2, 2 * j] = \
-                (fp[2 * j] - fz[j]) / hs[j, 0]
-            jac[2 * j:2 * j + 2, 2 * j + 1] = \
-                (fp[2 * j + 1] - fz[j]) / hs[j, 1]
-            nxt = (j + 1) % n
-            jac[2 * j:2 * j + 2, 2 * nxt:2 * nxt + 2] -= np.eye(2)
-        return jac
+    def evaluate(z):
+        hs = sc.fd_step * (1.0 + np.abs(z))         # (n, 2)
+        rows = np.repeat(z, 3, axis=0)              # z_j, +h e_u, +h e_y
+        rows[1::3, 0] += hs[:, 0]
+        rows[2::3, 1] += hs[:, 1]
+        out = _batch_flow(p, rows, t0s, lens, sc).reshape(n, 3, 2)
+        fz = out[:, 0]
+        # dfz[j, c] is column c of segment j's flow derivative
+        dfz = (out[:, 1:] - fz[:, None, :]) / hs[:, :, None]
+        jac = np.zeros((n, 2, n, 2))
+        jac[seg, :, seg, :] = dfz.transpose(0, 2, 1)
+        jac[seg, :, nxt, :] -= np.eye(2)
+        return fz - z[nxt], jac.reshape(2 * n, 2 * n)
 
     try:
-        fz, f = residual(z)
+        f, jac = evaluate(z)
     except DivergenceError:
         return None
     bound = 100.0 * (1.0 + float(np.max(np.abs(z))))
     best = math.inf
     stall = 0
-    jac = None
-    jac_age = 0
     for _ in range(sc.newton_max_iter):
         nf = float(np.linalg.norm(f))
         # converged when every segment defect is small; the summed norm
@@ -292,18 +296,13 @@ def _newton_polish(p, z0, nodes, sc):
             if stall >= 10:
                 return None
         try:
-            # the Jacobian is frozen across full steps; damped or stalled
-            # progress triggers a fresh assembly
-            if jac is None or jac_age >= 4:
-                jac = assemble(z, fz)
-                jac_age = 0
             step = np.linalg.solve(jac, -f.ravel()).reshape(n, 2)
-        except (DivergenceError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return None
         lam = 1.0
         for _ in range(12):
             try:
-                fz_new, f_new = residual(z + lam * step)
+                f_new, jac_new = evaluate(z + lam * step)
             except DivergenceError:
                 lam *= 0.5
                 continue
@@ -311,15 +310,9 @@ def _newton_polish(p, z0, nodes, sc):
                 break
             lam *= 0.5
         else:
-            if jac_age > 0:
-                jac = None
-                continue
             return None
         z = z + lam * step
-        fz, f = fz_new, f_new
-        jac_age += 1
-        if lam < 0.5:
-            jac = None
+        f, jac = f_new, jac_new
     defect = float(np.max(np.linalg.norm(f, axis=1)))
     if defect < sc.residual_tol:
         return z, defect

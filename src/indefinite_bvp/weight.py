@@ -16,7 +16,7 @@ from scipy import integrate as _sint
 from scipy import optimize as _sopt
 
 from .errors import ConfigurationError, DomainError, PatternError
-from .expressions import Expression
+from .expressions import Expression, unguarded
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,14 @@ def a_mu_scalar(w, mu):
 
     The two-part form is a for a > 0, 0.0 for a = +-0.0, and
     0.0 - mu * (-a) = mu * a exactly for a < 0; ``a + 0.0`` and
-    ``mu * a`` give the same bits.
+    ``mu * a`` give the same bits.  An expression weight is called
+    without its floating-point guard, so the caller runs inside
+    :func:`expressions.quiet_fp`.
     """
     if not mu > 0:
         raise DomainError("mu must be positive")
     T = w.period
-    fn = w.fn
+    fn = unguarded(w.fn)
 
     def a_mu_at(t):
         # x // 1.0 is np.floor(x) down to the sign of zero, so this is
@@ -212,12 +214,17 @@ class SignPattern:
         return [(self.sigma[i], self.tau[i]) for i in range(self.m)]
 
     def neg_intervals(self):
-        """Negativity interval following each positivity interval.
+        """Negativity intervals of the window, in order.
 
-        In periodic mode these tile the rest of the period.  In neumann
-        mode the last one may be degenerate (tau_m == T).
+        In periodic mode there is one after each positivity interval, and
+        they tile the rest of the period.  In neumann mode a weight that
+        starts negative adds the leading [0, sigma_1], and the last
+        interval may be degenerate (tau_m == T).
         """
-        return [(self.tau[i], self.sigma[i + 1]) for i in range(self.m)]
+        lead = [(0.0, self.sigma[0])] \
+            if self.mode == "neumann" and self.sigma[0] > 0 else []
+        return lead + [(self.tau[i], self.sigma[i + 1])
+                       for i in range(self.m)]
 
     def breakpoints(self):
         pts = set(self.sigma) | set(self.tau)

@@ -31,6 +31,18 @@ def test_compute_K_closed_form(p):
     assert K0 == pytest.approx(2.0 / math.pi, rel=1e-10)
 
 
+def test_compute_K_pairs_following_interval():
+    # -sin(2 pi t) on [0, 1] in Neumann mode: the hump [1/2, 1] is
+    # followed by a degenerate interval, not by the leading [0, 1/2]
+    w = WeightSpec.from_expression("-sin(2*pi*t)", 1.0)
+    q = ProblemSpec.build(w, 7.0, 0.0, NonlinearitySpec.power(2),
+                          boundary="neumann")
+    assert len(q.pattern.neg_intervals()) == 2
+    K, K0 = compute_K(q)
+    assert K[0] == pytest.approx(1.0 / math.pi, rel=1e-9)
+    assert K0 == pytest.approx(2.0 * K[0] * 0.5, rel=1e-9)
+
+
 def test_friction_inflates_K():
     w = WeightSpec.sine(2 * math.pi, period=1.0)
     q = ProblemSpec.build(w, 7.0, 1.0, NonlinearitySpec.power(2))

@@ -3,6 +3,7 @@ guard and dense trajectory evaluation."""
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -195,3 +196,15 @@ def test_expression_problem_pickles():
     q = pickle.loads(pickle.dumps(p))
     state = np.array([0.4, -0.1])
     assert q.rhs(0.3, state).tobytes() == p.rhs(0.3, state).tobytes()
+
+
+def test_expression_weight_integrates_without_warnings():
+    # the scalar RHS calls an expression without its guard; integrate's
+    # one guard keeps the division by zero at t = 0 quiet
+    w = WeightSpec.from_expression("sin(2*pi*t) + 1/(1 + 1/t)", 1.0)
+    p = ProblemSpec(w, None, 7.0, 0.0, NonlinearitySpec.power(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(p, State(0.1, 0.0), 0.0, 0.5)
+    assert np.all(np.isfinite(traj.states))
+    assert traj.states[-1, 0] != 0.1

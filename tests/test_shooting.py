@@ -34,6 +34,12 @@ def fig2_k1():
         find_periodic_solutions(pre.problem, 1, pre.search)
 
 
+@pytest.fixture(scope="module")
+def fig2_k2(fig2_k1):
+    p, sc, base = fig2_k1
+    return find_periodic_solutions(p, 2, sc, base=base)
+
+
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(u_count=0)
@@ -203,3 +209,62 @@ def test_search_screens_the_grid_once(monkeypatch):
     recs = find_periodic_solutions(pre.problem, 1, sc)
     assert recs
     assert calls == [sc.u_count * sc.y_count]
+
+
+def test_newton_reconverges_quadratically(fig2_k1, fig2_k2, monkeypatch):
+    # residual and difference-quotient Jacobian come from one batched flow
+    # per evaluation, so a 1% perturbation of a converged orbit is undone
+    # in three full Newton steps: four flows in all
+    p, sc, k1 = fig2_k1
+    assert len(fig2_k2) == 3
+    calls = []
+    original = shooting._batch_flow
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "_batch_flow", counting)
+    for rec in k1 + fig2_k2:
+        calls.clear()
+        out = shooting._newton_polish(p, 1.01 * rec.node_states, rec.nodes,
+                                      sc)
+        assert out is not None
+        z, defect = out
+        assert defect < sc.residual_tol
+        assert len(calls) <= 4, (rec.k, len(calls))
+        assert np.max(np.abs(z - rec.node_states)) < 1e-8
+
+
+def test_jacobian_blocks_match_loop(fig2_k1, fig2_k2, monkeypatch):
+    # the vectorised cyclic block Jacobian has the entries of the
+    # block-by-block loop over the same flow rows
+    p, sc, _ = fig2_k1
+    rec = max(fig2_k2, key=lambda r: len(r.nodes))
+    n = len(rec.nodes) - 1
+    seen = {}
+    flow, solve = shooting._batch_flow, np.linalg.solve
+
+    def recording(*args):
+        out = flow(*args)
+        seen.setdefault("out", out.copy())
+        return out
+
+    def capture(a, b):
+        seen.setdefault("jac", a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(shooting, "_batch_flow", recording)
+    monkeypatch.setattr(np.linalg, "solve", capture)
+    z = 1.01 * rec.node_states
+    shooting._newton_polish(p, z, rec.nodes, sc)
+    out = seen["out"]
+    hs = sc.fd_step * (1.0 + np.abs(z))
+    ref = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        ref[2 * j:2 * j + 2, 2 * j] = (out[3 * j + 1] - out[3 * j]) / hs[j, 0]
+        ref[2 * j:2 * j + 2, 2 * j + 1] = \
+            (out[3 * j + 2] - out[3 * j]) / hs[j, 1]
+        nxt = (j + 1) % n
+        ref[2 * j:2 * j + 2, 2 * nxt:2 * nxt + 2] -= np.eye(2)
+    assert seen["jac"].tobytes() == ref.tobytes()

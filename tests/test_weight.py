@@ -45,6 +45,17 @@ def test_sin_pm_neumann_pattern():
     assert hi - lo == pytest.approx(0.0, abs=1e-9)
 
 
+def test_neumann_leading_negativity_interval():
+    # a Neumann weight that starts negative keeps [0, sigma_1]
+    w = WeightSpec.from_expression("-sin(3*pi*t)", 1.0)
+    pat = detect_sign_pattern(w, periodic=False)
+    assert pat.pos_intervals() == [pytest.approx((1 / 3, 2 / 3), abs=1e-9)]
+    neg = pat.neg_intervals()
+    assert len(neg) == 2
+    assert neg[0] == pytest.approx((0.0, 1 / 3), abs=1e-9)
+    assert neg[1] == pytest.approx((2 / 3, 1.0), abs=1e-9)
+
+
 def test_sin_pm_values():
     w = WeightSpec.sin_pm(3 * math.pi, nu=1.0, mu=7.0, period=1.0)
     assert evaluate(w, 1.0 / 6.0) == pytest.approx(1.0)
