@@ -120,11 +120,10 @@ class Trajectory:
     of the weight, so evaluation anywhere in the span is available.
     """
 
-    def __init__(self, times, states, segments, breakpoints_hit):
+    def __init__(self, times, states, segments):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
         self.segments = segments  # list of (lo, hi, OdeSolution)
-        self.breakpoints_hit = list(breakpoints_hit)
         if np.any(np.diff(self.times) <= 0):
             # duplicate joints are dropped by the builder; keep the guard
             raise DomainError("trajectory times must be strictly increasing")
@@ -173,12 +172,13 @@ class Trajectory:
 
 
 def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-              dense=True, method="DOP853"):
-    """Integrate the extended planar system over [t0, t1].
+              dense=True):
+    """Integrate the extended planar system over [t0, t1] with DOP853.
 
     Integration restarts exactly at every weight breakpoint in (t0, t1);
     no accepted step interior contains a sign change of the weight.
     Raises DivergenceError if |u| + |y| exceeds the blow-up guard.
+    ``dense=False`` builds no interpolant and returns the terminal state.
     """
     if not t0 < t1:
         raise DomainError("need t0 < t1")
@@ -202,8 +202,8 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     # p.rhs calls expressions unguarded: one guard for the whole flow
     with quiet_fp():
         for lo, hi in zip(edges[:-1], edges[1:]):
-            sol = solve_ivp(p.rhs, (lo, hi), y_cur, method=method,
-                            rtol=rtol, atol=atol, dense_output=True,
+            sol = solve_ivp(p.rhs, (lo, hi), y_cur, method="DOP853",
+                            rtol=rtol, atol=atol, dense_output=dense,
                             events=guard)
             if sol.status == 1 or not sol.success:
                 t_last = float(sol.t[-1])
@@ -221,7 +221,7 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     times = np.asarray(times)
     states = np.asarray(states)
     keep = np.concatenate(([True], np.diff(times) > 0))
-    return Trajectory(times[keep], states[keep], segments, breaks)
+    return Trajectory(times[keep], states[keep], segments)
 
 
 def flow(p, s0, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):

@@ -2,7 +2,7 @@
 
 The search screens a grid of initial states in one pass of a fast
 vectorized fixed-step integrator (steps split at weight breakpoints); the
-local minima of the displacement on that grid go straight to damped
+grid points with the smallest displacement go straight to damped
 multiple-shooting Newton on the accurate adaptive integrator.  Accepted
 solutions are classified by the binary code of their hump maxima and
 cross-checked by an independent verification pass.
@@ -38,13 +38,11 @@ class SearchConfig:
     dedup_tol: float = 1e-6
     newton_max_iter: int = 30
     residual_tol: float = 1e-8
-    fd_step: float = 1e-7
     rtol: float = 1e-10
     atol: float = 1e-12
     screen_steps: int = 1200      # fixed steps per unit time in the screen
     max_candidates: int = 60
     trivial_tol: float = 1e-3     # sup-norm below which a root is trivial
-    small_scale: float = 0.05     # shrink factor for coded orbit seeds
 
     def __post_init__(self):
         if self.u_count <= 0 or self.y_count <= 0:
@@ -126,22 +124,18 @@ def screen_flow(p, states, t0, t1, steps_per_unit=1200):
 # accurate maps
 
 
-def poincare_map(p, s0, k=1, rtol=None, atol=None, sc=None):
+def poincare_map(p, s0, k=1, sc=None):
     """State at time k*T starting from s0 at the pattern origin."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    rtol = rtol if rtol is not None else (sc.rtol if sc else 1e-10)
-    atol = atol if atol is not None else (sc.atol if sc else 1e-12)
+    sc = sc or SearchConfig()
     t0 = p.pattern.start if p.pattern is not None else 0.0
-    return flow(p, s0, (t0, t0 + k * p.period), rtol=rtol, atol=atol)
-
-
-def _displacement(p, s, k, sc):
-    img = poincare_map(p, State(s[0], s[1]), k, sc=sc)
-    return np.array([img.u - s[0], img.y - s[1]])
+    return flow(p, s0, (t0, t0 + k * p.period), rtol=sc.rtol, atol=sc.atol)
 
 
 _GROWTH_CAP = 7.0
+_FD_STEP = 1e-7         # relative difference-quotient step in Newton
+_SMALL_SCALE = 0.05     # shrink factor for coded orbit seeds
 
 
 def _g_slope(g, amp):
@@ -241,7 +235,7 @@ def _newton_polish(p, z0, nodes, sc):
     the seed was built on.
 
     Every evaluation is one batched flow of 3n rows: each z_j together
-    with z_j + h e_u and z_j + h e_y, h = ``fd_step`` * (1 + |z_j|).  All
+    with z_j + h e_u and z_j + h e_y, h = ``_FD_STEP`` * (1 + |z_j|).  All
     rows share one adaptive step sequence, so the difference quotients
     differentiate the same discrete map that gives F (internal numerical
     differentiation, Bock 1981) and carry O(h) error instead of the
@@ -260,7 +254,7 @@ def _newton_polish(p, z0, nodes, sc):
     nxt = (seg + 1) % n
 
     def evaluate(z):
-        hs = sc.fd_step * (1.0 + np.abs(z))         # (n, 2)
+        hs = _FD_STEP * (1.0 + np.abs(z))           # (n, 2)
         rows = np.repeat(z, 3, axis=0)              # z_j, +h e_u, +h e_y
         rows[1::3, 0] += hs[:, 0]
         rows[2::3, 1] += hs[:, 1]
@@ -337,8 +331,7 @@ def _stitched_trajectory(p, z, nodes, sc):
         times.extend(traj.times[drop:])
         states.extend(traj.states[drop:])
         segments.extend(traj.segments)
-    return Trajectory(times, states, segments,
-                      p.breakpoints_between(nodes[0], nodes[-1]))
+    return Trajectory(times, states, segments)
 
 
 def _make_record(p, z, nodes, k, residual, sc, boundary):
@@ -375,27 +368,6 @@ def _dedup(records, sc, scale):
     return kept
 
 
-def _grid_candidates(mags, shape):
-    """Indices of local minima of |D| on the screening grid."""
-    m = mags.reshape(shape)
-    m = np.where(np.isfinite(m), m, np.inf)
-    best = np.ones(shape, dtype=bool)
-    for axis in (0, 1):
-        for shift in (1, -1):
-            rolled = np.roll(m, shift, axis=axis)
-            if shift == 1:
-                idx = [slice(None)] * 2
-                idx[axis] = 0
-                rolled[tuple(idx)] = np.inf
-            else:
-                idx = [slice(None)] * 2
-                idx[axis] = -1
-                rolled[tuple(idx)] = np.inf
-            best &= m <= rolled
-    best &= np.isfinite(m)
-    return np.flatnonzero(best.reshape(-1))
-
-
 def _coded_orbit_seeds(p, k, sc, base=None):
     """Node seeds for the k-th iterate built from 1-periodic solutions.
 
@@ -418,7 +390,7 @@ def _coded_orbit_seeds(p, k, sc, base=None):
         nodes_k = [t0 + j * T + (t - t0)
                    for j in range(k) for t in nodes1[:-1]] + [t0 + k * T]
         big = rec.trajectory.eval(np.array(nodes1[:-1]))
-        small = sc.small_scale * big
+        small = _SMALL_SCALE * big
         for word in range(1, 2 ** k):
             bits = [(word >> (k - 1 - j)) & 1 for j in range(k)]
             seeds.append((np.vstack([big if b else small for b in bits]),
@@ -450,16 +422,13 @@ def find_periodic_solutions(p, k, sc=None, seeds=(), base=None, screen=True):
                              steps_per_unit=sc.screen_steps)
         disp = finals - starts
         mags = np.hypot(disp[:, 0], disp[:, 1])
-        cand_idx = list(_grid_candidates(mags, (sc.u_count, sc.y_count)))
-        finite = np.flatnonzero(np.isfinite(mags))
-        extra = finite[np.argsort(mags[finite])][:sc.max_candidates]
-        seen = set(cand_idx)
-        cand_idx.extend(i for i in extra if i not in seen)
-        cand_idx.sort(key=lambda i: mags[i])
+        # the max_candidates smallest finite displacements, ascending
+        # (diverged rows are NaN and sort last)
+        best = np.argsort(mags, kind="stable")[:sc.max_candidates]
         # at small u the geometric grid is finer than the cluster radius,
         # so neighbouring candidates there would polish to the same orbit;
         # keep one per cluster
-        for q in (starts[i] for i in cand_idx[:sc.max_candidates]):
+        for q in starts[best[np.isfinite(mags[best])]]:
             if all(np.hypot(*(q - o)) > 1e-4 * (1.0 + sc.u_max)
                    for o in points):
                 points.append(q)
@@ -477,8 +446,6 @@ def find_periodic_solutions(p, k, sc=None, seeds=(), base=None, screen=True):
         try:
             rec = _make_record(p, z, nodes, k, defect, sc, "periodic")
         except DivergenceError:
-            continue
-        if rec.residual > sc.residual_tol:
             continue
         if rec.sup_norm < sc.trivial_tol or not rec.positive:
             continue
@@ -717,10 +684,11 @@ def winding_number(p, k, curve, sc=None, tol=1e-9, max_points=4096):
         key = (float(q[0]), float(q[1]))
         if key not in cache:
             try:
-                d = _displacement(p, q, k, sc)
+                img = poincare_map(p, State(q[0], q[1]), k, sc=sc)
             except DivergenceError:
                 raise DegreeUndefinedError(
                     "trajectory from a curve point diverged")
+            d = (img.u - q[0], img.y - q[1])
             if np.hypot(*d) < tol:
                 raise DegreeUndefinedError(
                     "displacement vanishes on the curve")

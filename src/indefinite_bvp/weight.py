@@ -25,8 +25,9 @@ class WeightSpec:
 
     ``fn`` is evaluated on [0, period); :func:`evaluate` applies the
     periodic extension.  ``kink_hints`` lists times in [0, period) where
-    the function may be non-smooth (used to split quadrature and ODE steps
-    in addition to the detected sign changes).
+    the function may be non-smooth; only the quadrature of
+    :func:`integrate_weight` splits there.  The ODE integrators restart
+    at the detected sign changes alone.
     """
 
     period: float

@@ -1,11 +1,13 @@
 """Static hygiene of the package sources: every imported name is used,
-and the expression compiler is the only place that runs generated code.
+every module-level private helper has a caller, and the expression
+compiler is the only place that runs generated code.
 
 No linter ships with the toolchain, so these AST scans keep unused
-imports from creeping back into the library modules.
+imports and orphaned helpers from creeping back into the library modules.
 """
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -66,3 +68,53 @@ def test_dynamic_code_only_in_expressions(path):
         assert calls == ["compile", "eval"]
     else:
         assert calls == []
+
+
+def _referenced_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def orphaned_private_defs(sources):
+    """``module.name`` of every module-level private function or class
+    that nothing in ``sources`` (module name -> source) refers to outside
+    its own definition."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    refs = collections.Counter(
+        _referenced_name(n) for tree in trees.values() for n in ast.walk(tree))
+    orphans = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            own = sum(_referenced_name(n) == node.name for n in ast.walk(node))
+            if refs[node.name] == own:
+                orphans.append("%s.%s" % (mod, node.name))
+    return sorted(orphans)
+
+
+def test_scan_flags_orphaned_private_defs():
+    sources = {
+        "a": ("def _used():\n    return 1\n\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+              "class _Lonely:\n    pass\n\n"
+              "class _Shared:\n    pass\n\n"
+              "def __getattr__(name):\n    return name\n\n"
+              "def public():\n    return _used()\n"),
+        "b": "from . import a\nx = a._Shared\n",
+    }
+    assert orphaned_private_defs(sources) == ["a._Lonely", "a._recursive"]
+
+
+def test_no_orphaned_private_defs():
+    sources = {f.stem: f.read_text(encoding="utf-8")
+               for f in PACKAGE.glob("*.py")}
+    assert orphaned_private_defs(sources) == []

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from indefinite_bvp import integrator
 from indefinite_bvp.errors import DivergenceError, DomainError
 from indefinite_bvp.integrator import (ProblemSpec, State, flow, integrate,
                                        max_on_interval)
 from indefinite_bvp.nonlinearity import NonlinearitySpec
+from indefinite_bvp.presets import get_preset
 from indefinite_bvp.weight import WeightSpec
 
 TWO_PI = 2 * math.pi
@@ -69,13 +71,33 @@ def test_flow_matches_integrate():
     assert end.y == pytest.approx(float(traj.eval(1.0)[1]), abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_flow_builds_no_interpolant(name, monkeypatch):
+    # flow asks DOP853 for no dense output; the step sequence, and so the
+    # terminal state, is bit for bit that of the dense integration
+    p = get_preset(name).problem
+    s0 = State(0.1, 0.0 if p.boundary == "neumann" else 0.4)
+    span = (0.0, 2 * p.period)
+    end = integrate(p, s0, *span).states[-1]
+    dense = []
+    solve = integrator.solve_ivp
+
+    def spy(*args, **kwargs):
+        dense.append(kwargs["dense_output"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "solve_ivp", spy)
+    s1 = flow(p, s0, span)
+    assert len(dense) > 1 and not any(dense)
+    assert np.array([s1.u, s1.y]).tobytes() == end.tobytes()
+
+
 def test_breakpoint_restart():
     p = fig2_problem()
     traj = integrate(p, State(0.1, 0.4), 0.0, 2.0)
     # the weight changes sign at 0.5, 1.0, 1.5; each is an exact node
     for b in (0.5, 1.0, 1.5):
         assert np.min(np.abs(traj.times - b)) < 1e-12
-    assert traj.breakpoints_hit == pytest.approx([0.5, 1.0, 1.5])
 
 
 def test_blowup_guard():

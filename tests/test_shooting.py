@@ -211,6 +211,44 @@ def test_search_screens_the_grid_once(monkeypatch):
     assert calls == [sc.u_count * sc.y_count]
 
 
+def test_candidates_are_smallest_displacements(monkeypatch):
+    # Newton starts from the cluster-filtered max_candidates smallest
+    # finite screened displacements, in ascending order
+    screened, polished = {}, []
+    screen, seed = shooting.screen_flow, shooting._orbit_seed
+
+    def screening(p, states, *args, **kwargs):
+        finals = screen(p, states, *args, **kwargs)
+        # nothing diverges on this grid: mark the best row as diverged
+        # so the pick must skip a NaN displacement
+        d = finals - states
+        finals[np.argmin(np.hypot(d[:, 0], d[:, 1]))] = np.nan
+        screened["starts"], screened["finals"] = states, finals
+        return finals
+
+    def seeding(p, s0, k, sc):
+        polished.append(np.array(s0, dtype=float))
+        return seed(p, s0, k, sc)
+
+    monkeypatch.setattr(shooting, "screen_flow", screening)
+    monkeypatch.setattr(shooting, "_orbit_seed", seeding)
+    pre = fig2(mu=7.0)
+    sc = replace(pre.search, max_candidates=4)
+    find_periodic_solutions(pre.problem, 1, sc)
+    starts = screened["starts"]
+    d = screened["finals"] - starts
+    mags = np.hypot(d[:, 0], d[:, 1])
+    assert np.isnan(mags).sum() == 1
+    finite = [i for i in range(len(mags)) if math.isfinite(mags[i])]
+    want = []
+    for i in sorted(finite, key=lambda i: mags[i])[:sc.max_candidates]:
+        if all(math.hypot(*(starts[i] - starts[j])) > 1e-4 * (1 + sc.u_max)
+               for j in want):
+            want.append(i)
+    assert len(want) >= 2
+    assert np.array_equal(np.array(polished), starts[want])
+
+
 def test_newton_reconverges_quadratically(fig2_k1, fig2_k2, monkeypatch):
     # residual and difference-quotient Jacobian come from one batched flow
     # per evaluation, so a 1% perturbation of a converged orbit is undone
@@ -259,7 +297,7 @@ def test_jacobian_blocks_match_loop(fig2_k1, fig2_k2, monkeypatch):
     z = 1.01 * rec.node_states
     shooting._newton_polish(p, z, rec.nodes, sc)
     out = seen["out"]
-    hs = sc.fd_step * (1.0 + np.abs(z))
+    hs = shooting._FD_STEP * (1.0 + np.abs(z))
     ref = np.zeros((2 * n, 2 * n))
     for j in range(n):
         ref[2 * j:2 * j + 2, 2 * j] = (out[3 * j + 1] - out[3 * j]) / hs[j, 0]
