@@ -134,10 +134,8 @@ def choose_r(g, K0, max_steps=200):
 def compute_mu_sharp(p):
     """Ratio of the period integrals of a+ and a-."""
     pat = p.pattern
-    lo = pat.start
-    hi = lo + pat.period
-    ip = integrate_weight(p.weight, lo, hi, part="+", pattern=pat)
-    im = integrate_weight(p.weight, lo, hi, part="-", pattern=pat)
+    ip = integrate_weight(p.weight, 0.0, pat.period, part="+", pattern=pat)
+    im = integrate_weight(p.weight, 0.0, pat.period, part="-", pattern=pat)
     if im <= 0:
         raise PatternError("weight has no negative part: sign-definite")
     return ip / im

@@ -1,10 +1,10 @@
 """Command line interface: config parsing, subcommand dispatch, reports.
 
-Configs are INI files with [problem], [search], [annulus] and [output]
-sections.  Weights and nonlinearities are given either as shorthand
-constructors (sin_pm(freq,nu,mu), sine(freq), power(p),
-arctan_scaled(nu), clamp0(expr)) or as arithmetic expressions in t
-(weights) / s (nonlinearities).
+Configs are INI files with [problem], [search] and [annulus] sections.
+Weights and nonlinearities are given either as shorthand constructors
+(sin_pm(freq,nu,mu), sine(freq), power(p), arctan_scaled(nu),
+clamp0(expr)) or as arithmetic expressions in t (weights), s
+(nonlinearities) or r (the radial weight q of [annulus]).
 
 Exit codes: 0 success, 2 configuration error, 3 hypothesis failure,
 4 numerical failure.
@@ -76,16 +76,13 @@ def _split_args(src):
 def parse_weight(src, period=None):
     """Weight from shorthand or an expression in t."""
     m = _CALL_RE.match(src)
-    if m and m.group(1) in ("sin_pm", "sine", "table"):
+    if m and m.group(1) in ("sin_pm", "sine"):
         name, args = m.group(1), _split_args(m.group(2))
         try:
             if name == "sine":
                 return WeightSpec.sine(float(args[0]), period=period)
-            if name == "sin_pm":
-                freq, nu, mu = (float(a) for a in args[:3])
-                return WeightSpec.sin_pm(freq, nu=nu, mu=mu, period=period)
-            raise ConfigurationError("table weights need explicit "
-                                     "breaks/values keys, not shorthand")
+            freq, nu, mu = (float(a) for a in args[:3])
+            return WeightSpec.sin_pm(freq, nu=nu, mu=mu, period=period)
         except (ValueError, IndexError) as exc:
             raise ConfigurationError(
                 "bad arguments in weight shorthand %r: %s" % (src, exc))
@@ -183,8 +180,11 @@ def annulus_from_config(cp):
     if "q" not in sec:
         raise ConfigurationError("[annulus] needs the radial weight q")
     expr = parse_expression(sec["q"])
+    if expr.variable not in (None, "r"):
+        raise ConfigurationError("radial weight expressions use the "
+                                 "variable r")
     g = parse_nonlinearity(sec.get("g", "power(2)"))
-    return AnnulusProblem(N, R1, R2, lambda r: expr(r), g, mu)
+    return AnnulusProblem(N, R1, R2, expr, g, mu)
 
 
 # ---------------------------------------------------------------------------

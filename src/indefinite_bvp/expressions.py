@@ -8,7 +8,8 @@ Grammar (``^`` is right-associative)::
     unary  := '-'? atom
     atom   := number | ident | ident '(' expr (',' expr)* ')' | '(' expr ')'
 
-Identifiers are the free variable (``t`` or ``s``), the constant ``pi``,
+Identifiers are the free variable (``t`` for weights, ``s`` for
+nonlinearities, ``r`` for radial weights), the constants ``pi`` and ``e``,
 or one of the supported functions.
 
 The parsed tree is compiled once into a Python function of the free
@@ -219,7 +220,7 @@ class Expression:
                 return ("call", value, args)
             if value in _CONSTANTS:
                 return ("const", _CONSTANTS[value])
-            if value in ("t", "s"):
+            if value in ("t", "s", "r"):
                 self._variables.add(value)
                 return ("var", value)
             raise ConfigurationError(

@@ -71,12 +71,11 @@ class ProblemSpec:
                              self.g, self.boundary))
 
     @classmethod
-    def build(cls, weight, mu, c, g, boundary="periodic", tol=1e-9,
-              samples=4096):
+    def build(cls, weight, mu, c, g, boundary="periodic", samples=4096):
         """Detect the sign pattern and align the weight so the pattern
         starts at t = 0 (periodic mode shifts the origin to the beginning
         of a positivity interval)."""
-        pattern = detect_sign_pattern(weight, tol=tol, samples=samples,
+        pattern = detect_sign_pattern(weight, samples=samples,
                                       periodic=(boundary == "periodic"))
         if pattern.origin_shift != 0.0:
             weight = weight.shifted(pattern.origin_shift)

@@ -129,8 +129,7 @@ def poincare_map(p, s0, k=1, sc=None):
     if k < 1:
         raise DomainError("k must be >= 1")
     sc = sc or SearchConfig()
-    t0 = p.pattern.start if p.pattern is not None else 0.0
-    return flow(p, s0, (t0, t0 + k * p.period), rtol=sc.rtol, atol=sc.atol)
+    return flow(p, s0, (0.0, k * p.period), rtol=sc.rtol, atol=sc.atol)
 
 
 _GROWTH_CAP = 7.0
@@ -145,7 +144,7 @@ def _g_slope(g, amp):
 
 
 def _segment_nodes(p, k, traj):
-    """Matching times for multiple shooting over [t0, t0 + kT].
+    """Matching times for multiple shooting over [0, kT].
 
     Every weight breakpoint is a node, and each smooth piece is further
     subdivided so the local exponential rate sqrt(max |a_mu| g'(u))
@@ -155,10 +154,9 @@ def _segment_nodes(p, k, traj):
     the maximum of |u| over the piece along ``traj``, so deep troughs
     stay cheap.
     """
-    t0 = p.pattern.start if p.pattern is not None else 0.0
-    t1 = t0 + k * p.period
-    base = [t0] + p.breakpoints_between(t0, t1) + [t1]
-    nodes = [t0]
+    t1 = k * p.period
+    base = [0.0] + p.breakpoints_between(0.0, t1) + [t1]
+    nodes = [0.0]
     for lo, hi in zip(base[:-1], base[1:]):
         ts = np.linspace(lo, hi, 33)
         amax = float(np.max(np.abs(p.a_mu_at(ts))))
@@ -215,10 +213,9 @@ def _orbit_seed(p, s0, k, sc):
     The whole window is integrated once; the orbit's own amplitude sets
     the matching grid so strongly forced stretches get enough nodes.
     """
-    t0 = p.pattern.start if p.pattern is not None else 0.0
     try:
         traj = integrate(p, State(float(s0[0]), float(s0[1])),
-                         t0, t0 + k * p.period, rtol=sc.rtol, atol=sc.atol)
+                         0.0, k * p.period, rtol=sc.rtol, atol=sc.atol)
     except DivergenceError:
         return None
     nodes = _segment_nodes(p, k, traj=traj)
@@ -382,13 +379,12 @@ def _coded_orbit_seeds(p, k, sc, base=None):
         base_sc = replace(sc, max_candidates=min(sc.max_candidates, 20))
         base = find_periodic_solutions(p, 1, base_sc)
     seeds = []
-    t0 = p.pattern.start
     T = p.period
     for rec in base:
         nodes1 = _segment_nodes(p, 1, traj=rec.trajectory)
         # tile the 1-period grid so the word blocks line up exactly
-        nodes_k = [t0 + j * T + (t - t0)
-                   for j in range(k) for t in nodes1[:-1]] + [t0 + k * T]
+        nodes_k = [j * T + t
+                   for j in range(k) for t in nodes1[:-1]] + [k * T]
         big = rec.trajectory.eval(np.array(nodes1[:-1]))
         small = _SMALL_SCALE * big
         for word in range(1, 2 ** k):
@@ -411,14 +407,13 @@ def find_periodic_solutions(p, k, sc=None, seeds=(), base=None, screen=True):
     if p.boundary != "periodic":
         raise DomainError("problem is not in periodic mode")
     sc = sc or SearchConfig()
-    t0 = p.pattern.start
     points = []
     if screen:
         u_grid = np.geomspace(sc.u_min, sc.u_max, sc.u_count)
         y_grid = np.linspace(sc.y_min, sc.y_max, sc.y_count)
         uu, yy = np.meshgrid(u_grid, y_grid, indexing="ij")
         starts = np.column_stack([uu.ravel(), yy.ravel()])
-        finals = screen_flow(p, starts, t0, t0 + k * p.period,
+        finals = screen_flow(p, starts, 0.0, k * p.period,
                              steps_per_unit=sc.screen_steps)
         disp = finals - starts
         mags = np.hypot(disp[:, 0], disp[:, 1])
@@ -495,12 +490,6 @@ def find_neumann_solutions(p, sc=None):
 # classification
 
 
-def _humps_for(p, k):
-    if p.pattern.mode == "periodic":
-        return k_fold_pattern(p.pattern, k)
-    return p.pattern
-
-
 def classify_code(rec, p, r, R, margin=1e-6):
     """Binary code of the solution: bit i is 1 when the maximum of u over
     positivity interval i lies in (r, R), 0 when it is below r.
@@ -513,7 +502,7 @@ def classify_code(rec, p, r, R, margin=1e-6):
         raise DomainError("only positive solutions are classified")
     if not 0 < r < R:
         raise DomainError("need 0 < r < R")
-    pat = _humps_for(p, rec.k)
+    pat = k_fold_pattern(p.pattern, rec.k)
     bits = []
     for (lo, hi) in pat.pos_intervals():
         _, umax = max_on_interval(rec.trajectory, lo, hi)
@@ -638,7 +627,7 @@ def adaptive_levels(records, p, gap_factor=1.5, R_factor=10.0):
     """
     maxima = []
     for rec in records:
-        pat = _humps_for(p, rec.k)
+        pat = k_fold_pattern(p.pattern, rec.k)
         for (lo, hi) in pat.pos_intervals():
             _, umax = max_on_interval(rec.trajectory, lo, hi)
             maxima.append(umax)
@@ -764,7 +753,7 @@ def verify_solution(rec, p, r_star=None, sc=None):
     rep.details["min_u"] = min_u
 
     # monotone slope of e^{ct} u' and endpoint maximum on I-
-    pat = _humps_for(p, rec.k)
+    pat = k_fold_pattern(p.pattern, rec.k)
     slope = np.exp(p.c * ts) * ys
     # the check is qualitative; the slack must sit above dense-output
     # interpolation noise, which grows with the stiffness of the flow

@@ -170,11 +170,12 @@ class SignPattern:
     """Partition points sigma_1 < tau_1 < ... < tau_m < sigma_{m+1}.
 
     Positivity intervals are [sigma_i, tau_i]; negativity intervals are
-    [tau_i, sigma_{i+1}].  ``mode`` is "periodic" (the pattern starts with a
-    positivity interval and spans one full period) or "neumann" (the pattern
-    spans [0, T] as given; the boundary intervals may be degenerate).
-    ``origin_shift`` records the time shift applied to the weight so that
-    the pattern starts at 0.
+    [tau_i, sigma_{i+1}].  Every pattern starts at t = 0.  ``mode`` is
+    "periodic" (sigma_1 = 0 opens a positivity interval and the pattern
+    spans one full period) or "neumann" (the pattern spans [0, T] as given;
+    the boundary intervals may be degenerate).  ``origin_shift`` records
+    the time shift applied to the weight so that a periodic pattern starts
+    at 0.
     """
 
     m: int
@@ -193,6 +194,8 @@ class SignPattern:
         diffs = np.diff(pts)
         strict = diffs > 0
         if self.mode == "periodic":
+            if self.sigma[0] != 0.0:
+                raise PatternError("a periodic pattern starts at t = 0")
             if not np.all(strict):
                 raise PatternError("pattern points must be strictly increasing")
         else:
@@ -201,15 +204,9 @@ class SignPattern:
 
     @property
     def period(self):
-        # a Neumann pattern spans [0, T] even when the weight starts with
-        # a negativity interval (sigma_1 > 0)
-        if self.mode == "neumann":
-            return self.sigma[-1]
-        return self.sigma[-1] - self.sigma[0]
-
-    @property
-    def start(self):
-        return 0.0 if self.mode == "neumann" else self.sigma[0]
+        # every pattern starts at t = 0, also a Neumann one that opens
+        # with a negativity interval (sigma_1 > 0)
+        return self.sigma[-1]
 
     def pos_intervals(self):
         return [(self.sigma[i], self.tau[i]) for i in range(self.m)]
@@ -246,160 +243,94 @@ class SignPattern:
         return sorted(out)
 
 
-def _refine_zero(w, lo, hi, tol):
-    """Bisect the sign change of a in [lo, hi] to within tol."""
+_ZERO_TOL = 1e-9      # samples with |a| <= this count as zero
+_REFINE_TOL = 1e-12   # bracket width of a refined sign change
+
+
+def _refine_zero(w, lo, hi):
+    """Sign change of a in [lo, hi] to within _REFINE_TOL.
+
+    A bracket with one end exactly zero holds the edge of a zero plateau
+    (or a crossing sampled exactly): bisect on the strict sign of the
+    other end and return the end on the zero side.
+    """
     flo = evaluate(w, lo)
     fhi = evaluate(w, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
     if flo * fhi > 0:
         # one endpoint sits (numerically) on the zero
         return lo if abs(flo) < abs(fhi) else hi
-    return _sopt.brentq(lambda t: evaluate(w, t), lo, hi, xtol=tol)
+    if flo != 0.0 and fhi != 0.0:
+        return _sopt.brentq(lambda t: evaluate(w, t), lo, hi,
+                            xtol=_REFINE_TOL)
+    zero_at_lo = flo == 0.0
+    side = fhi if zero_at_lo else flo
+    mid = 0.5 * (lo + hi)
+    while hi - lo > _REFINE_TOL and lo < mid < hi:
+        if (evaluate(w, mid) * side > 0) == zero_at_lo:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return lo if zero_at_lo else hi
 
 
-def detect_sign_pattern(w, tol=1e-9, samples=4096, periodic=True,
-                        refine_tol=1e-12):
+def detect_sign_pattern(w, samples=4096, periodic=True):
     """Detect the interval sign structure of the weight.
 
-    Dense sampling over one period followed by bisection refinement of each
-    sign change.  Intervals where ``|a| <= tol`` are absorbed into an
-    adjacent positivity interval if one exists, otherwise into the interior
-    of the surrounding negativity interval.
+    Dense sampling over one period followed by refinement of each sign
+    change.  A sample with ``|a| <= _ZERO_TOL`` joins a neighbouring
+    positivity interval if it has one, otherwise the negativity interval
+    around it.
 
-    In periodic mode the returned pattern starts at the beginning of a
-    positivity interval; ``origin_shift`` records the applied shift.
+    In periodic mode the pattern opens with the positivity interval that
+    contains t = 0, or else the first one after it; ``origin_shift``
+    records where that interval starts.
     """
     T = w.period
-    ts = np.linspace(0.0, T, samples, endpoint=False)
-    vals = evaluate(w, ts)
-    signs = np.where(vals > tol, 1, np.where(vals < -tol, -1, 0))
-
-    # runs of equal sign over the sampled circle
-    runs = []  # (sign, start_index, end_index_exclusive)
-    start = 0
-    for i in range(1, samples):
-        if signs[i] != signs[start]:
-            runs.append((signs[start], start, i))
-            start = i
-    runs.append((signs[start], start, samples))
-    if periodic and len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        sgn, s0, _ = runs.pop()
-        runs[0] = (sgn, s0 - samples, runs[0][2])
-
-    # absorb zero runs: into an adjacent positive run when possible,
-    # otherwise into a negative run
-    def _absorb(runs):
-        changed = True
-        while changed and len(runs) > 1:
-            changed = False
-            for idx, (sgn, s0, s1) in enumerate(runs):
-                if sgn != 0:
-                    continue
-                prev_i = (idx - 1) % len(runs) if periodic else idx - 1
-                next_i = (idx + 1) % len(runs) if periodic else idx + 1
-                prev = runs[prev_i] if 0 <= prev_i < len(runs) else None
-                nxt = runs[next_i] if 0 <= next_i < len(runs) and next_i != idx else None
-                target = None
-                if prev is not None and prev[0] > 0:
-                    target = prev_i
-                elif nxt is not None and nxt[0] > 0:
-                    target = next_i
-                elif prev is not None and prev[0] < 0:
-                    target = prev_i
-                elif nxt is not None and nxt[0] < 0:
-                    target = next_i
-                if target is None:
-                    continue
-                tsgn = runs[target][0]
-                if target == prev_i:
-                    runs[target] = (tsgn, runs[target][1], s1)
-                else:
-                    runs[target] = (tsgn, s0, runs[target][2])
-                runs.pop(idx)
-                changed = True
-                break
-        # merge equal-sign neighbours created by absorption
-        merged = [runs[0]]
-        for sgn, s0, s1 in runs[1:]:
-            if merged[-1][0] == sgn:
-                merged[-1] = (sgn, merged[-1][1], s1)
-            else:
-                merged.append((sgn, s0, s1))
-        if periodic and len(merged) > 1 and merged[0][0] == merged[-1][0]:
-            sgn, s0, _ = merged.pop()
-            merged[0] = (sgn, s0 - samples, merged[0][2])
-        return merged
-
-    runs = _absorb(runs)
-    nonzero = [r for r in runs if r[0] != 0]
-    if any(r[0] == 0 for r in runs):
+    dt = T / samples
+    vals = evaluate(w, np.linspace(0.0, T, samples, endpoint=False))
+    raw = np.where(vals > _ZERO_TOL, 1, np.where(vals < -_ZERO_TOL, -1, 0))
+    nz = np.flatnonzero(raw)
+    if nz.size == 0:
         raise PatternError("weight is identically zero on a period "
                            "(or unresolvable at tol)")
-    pos = [r for r in nonzero if r[0] > 0]
-    neg = [r for r in nonzero if r[0] < 0]
-    if not pos or not neg:
+    # signs of the nearest nonzero samples on each side of every sample;
+    # in neumann mode a trailing 0 stands for "none" at either end
+    near = raw[nz] if periodic else np.append(raw[nz], 0)
+    j = np.searchsorted(nz, np.arange(samples))
+    pos = np.where(raw != 0, raw > 0,
+                   (near[j - 1] > 0) | (near[j % near.size] > 0))
+    if pos.all() or not pos.any():
         raise PatternError("weight has constant sign: not indefinite")
 
-    dt = T / samples
+    if not periodic:
+        starts = (np.flatnonzero(pos[1:] != pos[:-1]) + 1).tolist()
+        edges = [0.0] + [_refine_zero(w, (i - 1) * dt, i * dt)
+                         for i in starts] + [T]
+        edges = edges[0 if pos[0] else 1:]
+        tau = edges[1::2]
+        sigma = edges[0::2][:len(tau)] + [T]
+        # sigma_{m+1} is T; the trailing negativity interval may be
+        # degenerate
+        return SignPattern(len(tau), tuple(sigma), tuple(tau),
+                           mode="neumann")
 
-    def sample_time(i):
-        return i * dt
-
-    # boundaries between consecutive runs, refined by bisection
-    boundaries = []  # time of the transition before run j
-    for j in range(len(runs)):
-        lo = sample_time(runs[j][1] - 1)
-        hi = sample_time(runs[j][1])
-        boundaries.append(_refine_zero(w, lo, hi, refine_tol))
-
-    if periodic:
-        # rotate so the first run is positive
-        first_pos = next(i for i, r in enumerate(runs) if r[0] > 0)
-        order = list(range(first_pos, len(runs))) + list(range(first_pos))
-        t0 = boundaries[first_pos]
-        sigma = [0.0]
-        tau = []
-        t_cursor = 0.0
-        for pos_idx, j in enumerate(order):
-            nxt = order[(pos_idx + 1) % len(order)]
-            b_next = boundaries[nxt]
-            length = (b_next - boundaries[j]) % T
-            if length <= 0:
-                length += T
-            t_cursor += length
-            if runs[j][0] > 0:
-                tau.append(t_cursor)
-            else:
-                sigma.append(t_cursor)
-        if len(sigma) != len(tau) + 1:
-            raise PatternError("positivity/negativity runs do not alternate")
-        m = len(tau)
-        # snap accumulated end to exactly T
-        sigma[-1] = T
-        return SignPattern(m, tuple(sigma), tuple(tau),
-                           origin_shift=t0 % T, mode="periodic")
-
-    # neumann mode: keep [0, T] as given
-    sigma = []
-    tau = []
-    for j, (sgn, s0, s1) in enumerate(runs):
-        lo_t = 0.0 if j == 0 else boundaries[j]
-        hi_t = T if j == len(runs) - 1 else boundaries[j + 1]
-        if sgn > 0:
-            sigma.append(lo_t)
-            tau.append(hi_t)
-    m = len(tau)
-    # sigma_{m+1} is T; the trailing negativity interval may be degenerate
-    sigma.append(T)
-    return SignPattern(m, tuple(sigma), tuple(tau), origin_shift=0.0,
-                       mode="neumann")
+    starts = np.flatnonzero(pos != np.roll(pos, 1)).tolist()
+    if pos[0] == pos[-1]:
+        # the run through t = 0 starts before it
+        starts = [starts[-1] - samples] + starts[:-1]
+    if not pos[starts[0]]:
+        starts = starts[1:] + starts[:1]
+    b = np.array([_refine_zero(w, (i - 1) * dt, i * dt) for i in starts])
+    ends = np.cumsum((np.roll(b, -1) - b) % T).tolist()
+    sigma = [0.0] + ends[1::2]
+    sigma[-1] = T  # snap the accumulated end to exactly T
+    return SignPattern(len(b) // 2, tuple(sigma), tuple(ends[0::2]),
+                       origin_shift=float(b[0] % T), mode="periodic")
 
 
 def k_fold_pattern(p, k):
-    """Pattern of the weight viewed as kT-periodic over [start, start+kT]."""
+    """Pattern of the weight viewed as kT-periodic over [0, kT]."""
     if k < 1:
         raise DomainError("k must be >= 1")
     if k == 1:
@@ -412,7 +343,7 @@ def k_fold_pattern(p, k):
     for n in range(k):
         sigma.extend(s + n * T for s in p.sigma[:-1])
         tau.extend(t + n * T for t in p.tau)
-    sigma.append(p.sigma[0] + k * T)
+    sigma.append(k * T)
     return SignPattern(p.m * k, tuple(sigma), tuple(tau),
                        origin_shift=p.origin_shift, mode="periodic")
 

@@ -1,12 +1,14 @@
 """CLI parsing, dispatch, report emission and exit codes."""
 
+import argparse
 import json
 import math
 
 import pytest
 
 from indefinite_bvp import bounds, shooting
-from indefinite_bvp.cli import (main, parse_nonlinearity, parse_weight,
+from indefinite_bvp.cli import (annulus_from_config, build_parser, main,
+                                parse_nonlinearity, parse_weight,
                                 problem_from_config, load_config,
                                 _split_args)
 from indefinite_bvp.errors import ConfigurationError
@@ -216,3 +218,115 @@ def test_bounds_reads_search_section(tmp_path, capsys, monkeypatch):
                         name="plain.ini")
     assert main(["bounds", "--config", path]) == 0
     assert seen[1] is None
+
+
+# small grids that still find the fig2 k = 2 orbits, the three fig1
+# Neumann solutions and one radial profile
+PERIODIC_INI = """
+[problem]
+weight = sine(6.283185307179586)
+period = 1
+g = arctan_scaled(100)
+mu = 7
+
+[search]
+u_min = 0.01
+u_max = 0.5
+u_count = 8
+y_min = -0.6
+y_max = 0.6
+y_count = 6
+screen_steps = 400
+max_candidates = 4
+"""
+
+NEUMANN_INI = """
+[problem]
+weight = max(sin(3*pi*t), 0) - 7*max(-sin(3*pi*t), 0)
+period = 1
+g = arctan_scaled(100)
+boundary = neumann
+
+[search]
+u_max = 0.5
+u_count = 60
+screen_steps = 400
+"""
+
+ANNULUS_INI = """
+[annulus]
+n = 2
+r1 = 1
+r2 = 2
+mu = 7
+q = sin(2*pi*(r-1))
+g = arctan_scaled(100)
+"""
+
+# subcommand -> (arguments, config text, report keys beyond the common
+# ones, header of the per-solution CSV files the case writes)
+SMOKE_CASES = {
+    "bounds": (["--config", "{cfg}"], PERIODIC_INI, {"bounds"}, None),
+    "solve": (["--config", "{cfg}", "--k", "2", "--trajectories", "{csv}"],
+              PERIODIC_INI, {"k", "levels", "solutions"}, "t,u,up"),
+    "neumann": (["--config", "{cfg}", "--trajectories", "{csv}"],
+                NEUMANN_INI, {"levels", "solutions"}, "t,u,up"),
+    "subharmonic": (["--config", "{cfg}", "--k", "2", "--word", "10"],
+                    PERIODIC_INI, {"k", "targets"}, None),
+    "lyndon": (["--n", "2", "--k", "3", "--list"], None,
+               {"n", "k", "count", "words"}, None),
+    "eigen": (["--config", "{cfg}"], PERIODIC_INI,
+              {"hump_eigenvalues", "ginf_threshold"}, None),
+    "radial": (["--config", "{cfg}", "--profiles", "{csv}"], ANNULUS_INI,
+               {"T", "q_integral", "solutions"}, "r,U"),
+    "report": (["--preset", "fig1"], None, {"notes", "levels", "solutions"},
+               None),
+}
+
+
+def test_every_subcommand_has_a_smoke_case():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SMOKE_CASES)
+
+
+@pytest.mark.parametrize("command", sorted(SMOKE_CASES))
+def test_subcommand_smoke(command, tmp_path, capsys):
+    args, ini, keys, header = SMOKE_CASES[command]
+    cfg = write_config(tmp_path, ini) if ini else None
+    prefix = str(tmp_path / "out")
+    argv = [command] + [a.format(cfg=cfg, csv=prefix) for a in args]
+    assert main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert set(rep) == {"version", "command", "config"} | keys
+    assert rep["command"] == command
+    if header is None:
+        return
+    n = len(rep["solutions"])
+    assert n >= 1
+    for i in range(n):
+        lines = (tmp_path / ("out_%d.csv" % i)).read_text().splitlines()
+        assert lines[0] == header and len(lines) > 2
+    assert not (tmp_path / ("out_%d.csv" % n)).exists()
+
+
+def test_annulus_weight_is_written_in_r(tmp_path, capsys):
+    ap = annulus_from_config(load_config(write_config(tmp_path,
+                                                      ANNULUS_INI)))
+    assert ap.q_at(1.25) == pytest.approx(1.0)
+    # t and s are not the radius
+    for q in ("sin(2*pi*(t-1))", "s"):
+        path = write_config(tmp_path,
+                            ANNULUS_INI.replace("sin(2*pi*(r-1))", q),
+                            name="bad.ini")
+        assert main(["radial", "--config", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "variable r" in err["message"]
+
+
+def test_table_weight_is_not_a_shorthand(tmp_path, capsys):
+    path = write_config(tmp_path, "[problem]\nweight = table(0, 1)\n"
+                        "period = 1\n")
+    assert main(["bounds", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "unknown function 'table'" in err["message"]

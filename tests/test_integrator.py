@@ -158,7 +158,8 @@ def test_build_aligns_pattern():
     w = WeightSpec.sine(TWO_PI, period=1.0).shifted(0.7)
     p = ProblemSpec.build(w, 7.0, 0.0, NonlinearitySpec.power(2))
     # after alignment the pattern starts at 0 on a positivity interval
-    assert p.pattern.start == 0.0
+    assert p.pattern.sigma[0] == 0.0
+    assert p.period == 1.0
     assert p.a_mu_at(1e-3) > 0.0
 
 

@@ -93,7 +93,8 @@ def test_neumann_weight_starting_negative():
     w = WeightSpec.from_expression("-sin(3*pi*t)", 1.0)
     p = ProblemSpec.build(w, 7.0, 0.0, NonlinearitySpec.arctan_scaled(100),
                           boundary="neumann")
-    assert p.pattern.start == 0.0 and p.period == 1.0
+    assert p.pattern.sigma[0] == pytest.approx(1 / 3, abs=1e-9)
+    assert p.period == 1.0
     recs = find_neumann_solutions(p)
     assert len(recs) == 1
     rec = recs[0]

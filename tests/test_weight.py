@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate as sint
 
 from indefinite_bvp.errors import DomainError, PatternError
+from indefinite_bvp.presets import get_preset
 from indefinite_bvp.weight import (SignPattern, WeightSpec, a_mu,
                                    detect_sign_pattern, evaluate,
                                    integrate_weight, k_fold_pattern,
@@ -162,3 +163,124 @@ def test_integral_additivity(mid_frac, hi):
     split = integrate_weight(w, lo, mid, part="-", pattern=pat) + \
         integrate_weight(w, mid, hi, part="-", pattern=pat)
     assert whole == pytest.approx(split, abs=1e-9)
+
+
+def _absorbed_classes(values, periodic):
+    """Sign class of each table cell: a zero cell is positive when its
+    nearest nonzero cell on either side is (cyclically in periodic mode),
+    negative otherwise."""
+    nz = [i for i, v in enumerate(values) if v != 0]
+    out = []
+    for i, v in enumerate(values):
+        if v != 0:
+            out.append(v > 0)
+            continue
+        before = [j for j in nz if j < i]
+        after = [j for j in nz if j > i]
+        if periodic:
+            before, after = before or nz, after or nz
+        near = before[-1:] + after[:1]
+        out.append(any(values[j] > 0 for j in near))
+    return out
+
+
+def _circular_gap(a, b, T):
+    d = abs(a - b) % T
+    return min(d, T - d)
+
+
+@given(st.lists(st.tuples(st.integers(1, 5),
+                          st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])),
+                min_size=2, max_size=7),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_table_pattern_matches_cell_edges(cells, periodic):
+    # oracle: the breakpoints are the cell edges where the absorbed sign
+    # class changes, including the edges of zero plateaus
+    widths = [c[0] for c in cells]
+    values = [c[1] for c in cells]
+    total = sum(widths)
+    breaks = [sum(widths[:i]) / total for i in range(len(cells) + 1)]
+    w = WeightSpec.from_table(breaks, values)
+    cls = _absorbed_classes(values, periodic)
+    if all(cls) or not any(cls):
+        # identically zero, or one sign after absorption
+        with pytest.raises(PatternError):
+            detect_sign_pattern(w, periodic=periodic)
+        return
+    first = 0 if periodic else 1
+    edges = [breaks[i] for i in range(first, len(cells))
+             if cls[i] != cls[i - 1]]
+    pat = detect_sign_pattern(w, periodic=periodic)
+    T = w.period
+    if periodic:
+        assert 2 * pat.m == len(edges)
+        pts = [(x + pat.origin_shift) % T
+               for x in pat.sigma[:-1] + pat.tau]
+        for e in edges:
+            assert min(_circular_gap(e, x, T) for x in pts) < 1e-9
+    else:
+        runs = sum(1 for i, c in enumerate(cls) if c and (i == 0
+                                                          or not cls[i - 1]))
+        assert pat.m == runs
+        pts = sorted(x for x in pat.sigma[:-1] + pat.tau if 0.0 < x < T)
+        assert pts == pytest.approx(edges, abs=1e-9)
+
+
+def test_zero_plateau_edges_refined():
+    # a jump into or out of a zero cell is located to the refine
+    # tolerance, not to the sample grid
+    w = WeightSpec.from_table([0.0, 0.3, 0.5, 1.0], [1.0, 0.0, -1.0])
+    pat = detect_sign_pattern(w)
+    assert pat.tau == pytest.approx((0.5,), abs=1e-9)
+    w = WeightSpec.from_table([0.0, 0.2, 0.4, 0.6, 1.0],
+                              [0.0, -1.0, 0.0, 1.0])
+    pat = detect_sign_pattern(w)
+    assert pat.origin_shift == pytest.approx(0.4, abs=1e-9)
+    assert pat.tau == pytest.approx((0.8,), abs=1e-9)
+
+
+def test_sampled_crossing_kept_exactly(sine_weight):
+    # sin is sampled exactly at its zero t = 0: that sample is the edge
+    pat = detect_sign_pattern(sine_weight)
+    assert pat.origin_shift == 0.0
+    assert pat.sigma[0] == 0.0
+
+
+@pytest.mark.parametrize("name, sigma, tau, shift", [
+    ("fig1", (0.0, 0.6666666666667191, 1.0), (0.3333333333332809, 1.0),
+     0.0),
+    ("fig2", (0.0, 1.0), (0.5,), 0.0),
+    ("multiplicity-m2", (0.0, 3.141592653589793), (1.5707963267948966,),
+     0.0),
+    ("multiplicity-m3", (0.0, 2.0943951023931953), (1.0471975511965976,),
+     0.0),
+])
+def test_preset_patterns_pinned(name, sigma, tau, shift):
+    pat = get_preset(name).problem.pattern
+    assert (pat.sigma, pat.tau, pat.origin_shift) == (sigma, tau, shift)
+
+
+def test_neumann_negative_start_pinned():
+    w = WeightSpec.from_expression("-sin(3*pi*t)", 1.0)
+    pat = detect_sign_pattern(w, periodic=False)
+    assert pat.sigma == (0.3333333333333333, 1.0)
+    assert pat.tau == (0.6666666666666666,)
+    assert pat.origin_shift == 0.0
+
+
+def test_wrapping_pattern_pinned():
+    # the hump through t = 0 is refined from the bracket before t = 0
+    w = WeightSpec.from_expression("cos(6*pi*t) + 0.2", 1.0)
+    pat = detect_sign_pattern(w)
+    assert pat.sigma == (0.0, 0.3333333333332341, 0.6666666666665519, 1.0)
+    assert pat.tau == (0.1880314056160954, 0.5213647389495436,
+                       0.8546980722828615)
+    assert pat.origin_shift == 0.9059842971919523
+
+
+def test_periodic_pattern_starts_at_zero():
+    with pytest.raises(PatternError):
+        SignPattern(1, (0.25, 1.25), (0.75,))
+    pat = SignPattern(1, (0.25, 1.0), (0.5,), mode="neumann")
+    assert pat.period == 1.0
