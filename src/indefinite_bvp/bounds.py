@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from scipy import integrate as _sint
 from scipy import optimize as _sopt
 
+from . import shooting
+from .eigen import check_ginf_hypothesis
 from .errors import DomainError, HypothesisError, PatternError
 from .nonlinearity import eta as _eta
 from .nonlinearity import gamma_min as _gamma_min
@@ -232,10 +234,7 @@ def estimate_R_star(p, r=None, search_config=None):
     The analytic R* of the existence proof is non-constructive; this value
     is an estimate and is flagged as such in the report provenance.
     """
-    from . import shooting  # local import: shooting depends on this module
-
     _, ginf = limit_estimates(p.g)
-    from .eigen import check_ginf_hypothesis
     check_ginf_hypothesis(p, ginf)
 
     if r is None:

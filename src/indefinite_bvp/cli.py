@@ -334,7 +334,7 @@ def cmd_eigen(args):
 def cmd_radial(args):
     cp = load_config(args.config)
     ap = annulus_from_config(cp)
-    recs, rm, p = find_radial_solutions(ap)
+    recs, rm, p = find_radial_solutions(ap, _search_from_config(cp))
     report = _base_report(dict(cp["annulus"]), "radial")
     report["T"] = rm.T
     report["q_integral"] = check_q_integral(ap)

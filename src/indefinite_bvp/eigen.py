@@ -1,12 +1,12 @@
 """First eigenvalues of phi'' + c phi' + lambda a(t) phi = 0 on subintervals
-via polar (Prufer-type) angle shooting and bisection in lambda.
+via polar (Prufer-type) angle shooting and root finding in lambda.
 
 With (e^{ct} phi', phi) = rho (cos theta, sin theta) the angle obeys
 
     theta' = e^{-ct} cos^2(theta) + e^{ct} lambda a(t) sin^2(theta),
 
 and the terminal angle is strictly increasing in lambda, so the first
-eigenvalue is found by bracketing and bisection.
+eigenvalue is found by bracketing and Brent's method.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import BracketingError, ConfigurationError, HypothesisError
 from .weight import evaluate
 
 LAMBDA_CAP = 1e12
-BISECT_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class EigenProblem:
 
     ``weight_fn`` is evaluated at absolute times in [alpha, beta]; the
     weight must be nonnegative and not identically zero there.
-    ``breakpoints`` lists interior times where the weight may kink.
     """
 
     weight_fn: object
@@ -38,7 +37,6 @@ class EigenProblem:
     c: float = 0.0
     left_bc: str = "dirichlet"
     right_bc: str = "dirichlet"
-    breakpoints: tuple = ()
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -53,12 +51,14 @@ class EigenProblem:
 
     @classmethod
     def from_hump(cls, p, i, left_bc="dirichlet", right_bc="dirichlet"):
-        """Eigenvalue problem on the i-th positivity interval of ``p``."""
+        """Eigenvalue problem on the i-th positivity interval of ``p``.
+
+        No sign change lies strictly inside a hump, so the angle flow
+        needs no restart there.
+        """
         lo, hi = p.pattern.pos_intervals()[i]
         return cls(lambda t: evaluate(p.weight, t), lo, hi, p.c,
-                   left_bc, right_bc,
-                   breakpoints=tuple(b for b in p.pattern.breakpoints()
-                                     if lo < b < hi))
+                   left_bc, right_bc)
 
 
 def prufer_angle_sweep(ep, lam, rtol=1e-10, atol=1e-12):
@@ -74,16 +74,11 @@ def prufer_angle_sweep(ep, lam, rtol=1e-10, atol=1e-12):
         s, co = math.sin(th[0]), math.cos(th[0])
         return [co * co / ect + ect * lam * a * s * s]
 
-    edges = [ep.alpha] + [b for b in sorted(ep.breakpoints)
-                          if ep.alpha < b < ep.beta] + [ep.beta]
-    th = theta0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(rhs, (lo, hi), [th], method="DOP853",
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            raise BracketingError("angle integration failed")
-        th = float(sol.y[0, -1])
-    return th
+    sol = solve_ivp(rhs, (ep.alpha, ep.beta), [theta0], method="DOP853",
+                    rtol=rtol, atol=atol)
+    if not sol.success:
+        raise BracketingError("angle integration failed")
+    return float(sol.y[0, -1])
 
 
 def _target_angle(ep):
@@ -96,8 +91,8 @@ def _target_angle(ep):
 def first_eigenvalue(ep, rel_tol=1e-8, rtol=1e-10, atol=1e-12):
     """Smallest lambda > 0 whose terminal angle matches the right BC.
 
-    Exponential bracketing from lambda = 1 followed by bisection; the
-    terminal angle is strictly increasing in lambda, so the bracket
+    Exponential bracketing from lambda = 1 followed by Brent's method;
+    the terminal angle is strictly increasing in lambda, so the bracket
     contains exactly one eigenvalue.
     """
     target = _target_angle(ep)
@@ -105,27 +100,15 @@ def first_eigenvalue(ep, rel_tol=1e-8, rtol=1e-10, atol=1e-12):
     def f(lam):
         return prufer_angle_sweep(ep, lam, rtol=rtol, atol=atol) - target
 
-    lo, flo = 0.0, f(0.0)
-    if flo >= 0:
+    if f(0.0) >= 0:
         raise BracketingError("terminal angle already past target at lambda=0")
-    hi = 1.0
-    fhi = f(hi)
-    while fhi < 0:
-        lo, flo = hi, fhi
-        hi *= 2.0
+    lo, hi = 0.0, 1.0
+    while f(hi) < 0:
+        lo, hi = hi, 2.0 * hi
         if hi > LAMBDA_CAP:
             raise BracketingError(
                 "no eigenvalue bracket found up to lambda=%g" % LAMBDA_CAP)
-        fhi = f(hi)
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= rel_tol * max(1.0, abs(mid)):
-            break
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(f, lo, hi, xtol=rel_tol, rtol=rel_tol)
 
 
 def ginf_threshold(p, rel_tol=1e-8):

@@ -18,7 +18,8 @@ from scipy import integrate as _sint
 from .errors import ConfigurationError, DomainError, PatternError
 from .expressions import quiet_fp
 from .integrator import ProblemSpec
-from .nonlinearity import NonlinearitySpec
+from .nonlinearity import NonlinearitySpec, g_scalar
+from .shooting import find_neumann_solutions
 from .weight import WeightSpec
 
 _GRID_NODES = 8192
@@ -140,7 +141,6 @@ def direct_radial_integration(ap, U0, rtol=1e-10, atol=1e-12, dense_n=1024):
     U'(R1) = 0 and returns samples (r, U).  Used to cross-check the 1D
     reduction; the extended field matches the 1D solver's convention.
     """
-    from .nonlinearity import g_scalar
     g = g_scalar(ap.g)
 
     def qmu(r):
@@ -152,7 +152,6 @@ def direct_radial_integration(ap, U0, rtol=1e-10, atol=1e-12, dense_n=1024):
         force = qmu(r) * g(U) if U >= 0 else -U
         return [V, -(ap.N - 1) / r * V - force]
 
-    from scipy.integrate import solve_ivp
     pts = sorted({ap.R1, ap.R2} |
                  {r for r in ap.kink_hints if ap.R1 < r < ap.R2})
     rs_all, us_all = [], []
@@ -160,8 +159,8 @@ def direct_radial_integration(ap, U0, rtol=1e-10, atol=1e-12, dense_n=1024):
     # g is an unguarded scalar callable: one guard for the whole flow
     with quiet_fp():
         for a, b in zip(pts[:-1], pts[1:]):
-            sol = solve_ivp(rhs, (a, b), z, method="DOP853", rtol=rtol,
-                            atol=atol, dense_output=True)
+            sol = _sint.solve_ivp(rhs, (a, b), z, method="DOP853",
+                                  rtol=rtol, atol=atol, dense_output=True)
             if not sol.success:
                 raise DomainError("radial reference integration failed")
             rs = np.linspace(a, b, max(16, int(dense_n * (b - a) /
@@ -178,7 +177,6 @@ def find_radial_solutions(ap, sc=None):
     Returns (records, r_of_t); each record's trajectory lives in the
     transformed variable, use solution_to_radial for (r, U) samples.
     """
-    from .shooting import find_neumann_solutions
     p, rm = radial_to_1d(ap)
     recs = find_neumann_solutions(p, sc)
     return recs, rm, p

@@ -35,20 +35,18 @@ class SearchConfig:
     y_min: float = -5.0
     y_max: float = 5.0
     y_count: int = 32
-    dedup_tol: float = 1e-6
     newton_max_iter: int = 30
     residual_tol: float = 1e-8
     rtol: float = 1e-10
     atol: float = 1e-12
     screen_steps: int = 1200      # fixed steps per unit time in the screen
     max_candidates: int = 60
-    trivial_tol: float = 1e-3     # sup-norm below which a root is trivial
 
     def __post_init__(self):
         if self.u_count <= 0 or self.y_count <= 0:
             raise DomainError("grid counts must be positive")
-        if self.dedup_tol <= 0 or self.residual_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        if self.residual_tol <= 0:
+            raise DomainError("residual_tol must be positive")
 
 
 @dataclass
@@ -134,7 +132,10 @@ def poincare_map(p, s0, k=1, sc=None):
 
 _GROWTH_CAP = 7.0
 _FD_STEP = 1e-7         # relative difference-quotient step in Newton
+_DEDUP_TOL = 1e-6       # relative initial-state distance of duplicates
+_TRIVIAL_TOL = 1e-3     # sup-norm below which a root is trivial
 _SMALL_SCALE = 0.05     # shrink factor for coded orbit seeds
+_MAX_CODED_K = 7        # largest k seeded with all 2**k - 1 coded words
 
 
 def _g_slope(g, amp):
@@ -331,21 +332,29 @@ def _stitched_trajectory(p, z, nodes, sc):
     return Trajectory(times, states, segments)
 
 
-def _make_record(p, z, nodes, k, residual, sc, boundary):
-    traj = _stitched_trajectory(p, z, nodes, sc)
-    n = max(1024, 256 * k)
-    sup = traj.sup_norm(n)
-    positive = traj.min_u(n) > 0.0
+def _accept(p, z, nodes, k, residual, sc, boundary):
+    """The record of a converged root, or None when its stitched
+    trajectory diverges, is trivial (sup-norm below ``_TRIVIAL_TOL``) or
+    is not positive.  Every search and the continuation accept roots here.
+    """
+    try:
+        traj = _stitched_trajectory(p, z, nodes, sc)
+    except DivergenceError:
+        return None
+    _, us, _ = traj.sample(max(1024, 256 * k))
+    sup = float(np.max(np.abs(us)))
+    if sup < _TRIVIAL_TOL or not float(np.min(us)) > 0.0:
+        return None
     return SolutionRecord(initial=State(float(z[0, 0]), float(z[0, 1])),
                           k=k, trajectory=traj, residual=residual,
-                          positive=positive, sup_norm=sup, boundary=boundary,
+                          positive=True, sup_norm=sup, boundary=boundary,
                           node_states=z, nodes=list(nodes))
 
 
-def _dedup(records, sc, scale):
+def _dedup(records, scale):
     records = sorted(records, key=lambda r: (r.initial.u, r.initial.y))
     kept = []
-    tol = sc.dedup_tol * (1.0 + scale)
+    tol = _DEDUP_TOL * (1.0 + scale)
     for rec in records:
         dup = False
         for other in kept:
@@ -365,19 +374,32 @@ def _dedup(records, sc, scale):
     return kept
 
 
-def _coded_orbit_seeds(p, k, sc, base=None):
-    """Node seeds for the k-th iterate built from 1-periodic solutions.
+def _polish_seeds(p, k, seeds, sc):
+    """Accepted, deduplicated kT-periodic records of the roots Newton
+    reaches from ``seeds``, a list of (node states, nodes) pairs."""
+    found = []
+    for z0, nodes in seeds:
+        polished = _newton_polish(p, z0, nodes, sc)
+        if polished is None:
+            continue
+        z, defect = polished
+        rec = _accept(p, z, nodes, k, defect, sc, "periodic")
+        if rec is not None:
+            found.append(rec)
+    return _dedup(found, sc.u_max)
+
+
+def _coded_orbit_seeds(p, k, base):
+    """Node seeds for the k-th iterate built from 1-periodic records.
 
     Every binary word of length k (except the all-zero word) selects per
     period either the node states of a 1-periodic solution or their
     shrunken copies; these sit near the coded subharmonic orbits of the
-    coexistence dynamics.
+    coexistence dynamics.  Outside 2 <= k <= ``_MAX_CODED_K`` there are
+    none.
     """
-    if k < 2 or 2 ** k > 128:
+    if not 2 <= k <= _MAX_CODED_K:
         return []
-    if base is None:
-        base_sc = replace(sc, max_candidates=min(sc.max_candidates, 20))
-        base = find_periodic_solutions(p, 1, base_sc)
     seeds = []
     T = p.period
     for rec in base:
@@ -394,58 +416,42 @@ def _coded_orbit_seeds(p, k, sc, base=None):
     return seeds
 
 
-def find_periodic_solutions(p, k, sc=None, seeds=(), base=None, screen=True):
+def find_periodic_solutions(p, k, sc=None, base=None):
     """Positive kT-periodic solutions by multistart damped multiple
-    shooting on the period map, sorted by initial displacement.
+    shooting on the period map, sorted by initial state (u, then u').
 
-    ``seeds`` adds explicit initial states; ``base`` supplies known
-    1-periodic records for the coded subharmonic seeding (found by a k=1
-    search when omitted); ``screen=False`` skips the grid screening stage
-    and polishes only the supplied and coded seeds, which is the right
-    mode after continuation to extreme parameter values.
+    For 2 <= k <= 7 the 1-periodic records ``base`` also seed every coded
+    word; when omitted they come from a k=1 search with at most 20
+    candidates.
     """
     if p.boundary != "periodic":
         raise DomainError("problem is not in periodic mode")
     sc = sc or SearchConfig()
+    u_grid = np.geomspace(sc.u_min, sc.u_max, sc.u_count)
+    y_grid = np.linspace(sc.y_min, sc.y_max, sc.y_count)
+    uu, yy = np.meshgrid(u_grid, y_grid, indexing="ij")
+    starts = np.column_stack([uu.ravel(), yy.ravel()])
+    finals = screen_flow(p, starts, 0.0, k * p.period,
+                         steps_per_unit=sc.screen_steps)
+    disp = finals - starts
+    mags = np.hypot(disp[:, 0], disp[:, 1])
+    # the max_candidates smallest finite displacements, ascending
+    # (diverged rows are NaN and sort last)
+    best = np.argsort(mags, kind="stable")[:sc.max_candidates]
+    # at small u the geometric grid is finer than the cluster radius, so
+    # neighbouring candidates there would polish to the same orbit; keep
+    # one per cluster
     points = []
-    if screen:
-        u_grid = np.geomspace(sc.u_min, sc.u_max, sc.u_count)
-        y_grid = np.linspace(sc.y_min, sc.y_max, sc.y_count)
-        uu, yy = np.meshgrid(u_grid, y_grid, indexing="ij")
-        starts = np.column_stack([uu.ravel(), yy.ravel()])
-        finals = screen_flow(p, starts, 0.0, k * p.period,
-                             steps_per_unit=sc.screen_steps)
-        disp = finals - starts
-        mags = np.hypot(disp[:, 0], disp[:, 1])
-        # the max_candidates smallest finite displacements, ascending
-        # (diverged rows are NaN and sort last)
-        best = np.argsort(mags, kind="stable")[:sc.max_candidates]
-        # at small u the geometric grid is finer than the cluster radius,
-        # so neighbouring candidates there would polish to the same orbit;
-        # keep one per cluster
-        for q in starts[best[np.isfinite(mags[best])]]:
-            if all(np.hypot(*(q - o)) > 1e-4 * (1.0 + sc.u_max)
-                   for o in points):
-                points.append(q)
-    points.extend(seeds)
-    orbit_seeds = [zn for zn in (_orbit_seed(p, q, k, sc) for q in points)
-                   if zn is not None]
-    orbit_seeds.extend(_coded_orbit_seeds(p, k, sc, base=base))
-
-    found = []
-    for z0, nodes in orbit_seeds:
-        polished = _newton_polish(p, z0, nodes, sc)
-        if polished is None:
-            continue
-        z, defect = polished
-        try:
-            rec = _make_record(p, z, nodes, k, defect, sc, "periodic")
-        except DivergenceError:
-            continue
-        if rec.sup_norm < sc.trivial_tol or not rec.positive:
-            continue
-        found.append(rec)
-    return _dedup(found, sc, sc.u_max)
+    for q in starts[best[np.isfinite(mags[best])]]:
+        if all(np.hypot(*(q - o)) > 1e-4 * (1.0 + sc.u_max) for o in points):
+            points.append(q)
+    seeds = [zn for zn in (_orbit_seed(p, q, k, sc) for q in points)
+             if zn is not None]
+    if base is None and 2 <= k <= _MAX_CODED_K:
+        base = find_periodic_solutions(
+            p, 1, replace(sc, max_candidates=min(sc.max_candidates, 20)))
+    seeds.extend(_coded_orbit_seeds(p, k, base))
+    return _polish_seeds(p, k, seeds, sc)
 
 
 def find_neumann_solutions(p, sc=None):
@@ -478,12 +484,11 @@ def find_neumann_solutions(p, sc=None):
             continue
         if residual > sc.residual_tol:
             continue
-        rec = _make_record(p, np.array([[u_root, 0.0]]), [0.0, T], 1,
-                           residual, sc, "neumann")
-        if not rec.positive:
-            continue
-        found.append(rec)
-    return _dedup(found, sc, sc.u_max)
+        rec = _accept(p, np.array([[u_root, 0.0]]), [0.0, T], 1, residual,
+                      sc, "neumann")
+        if rec is not None:
+            found.append(rec)
+    return _dedup(found, sc.u_max)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +536,9 @@ def track_in_mu(p, rec, mu_target, sc=None, max_steps=200):
 
     Natural-parameter continuation with a multiplicative step in mu:
     polish the current node states at the trial mu, halve the step on
-    failure or on collapse to the trivial solution.  Returns the record
-    at mu_target, or None when the branch cannot be followed.
+    failure or on collapse of the node states towards zero.  Returns the
+    accepted record at mu_target, or None when the branch cannot be
+    followed or its final root is not accepted.
     """
     sc = sc or SearchConfig()
     if rec.boundary != "periodic":
@@ -571,7 +577,7 @@ def track_in_mu(p, rec, mu_target, sc=None, max_steps=200):
             polished = None
         if polished is not None:
             z_new, defect = polished
-            if float(np.max(np.abs(z_new))) <= max(sc.trivial_tol,
+            if float(np.max(np.abs(z_new))) <= max(_TRIVIAL_TOL,
                                                    1e-3 * scale_ref):
                 polished = None
         if polished is None:
@@ -587,8 +593,7 @@ def track_in_mu(p, rec, mu_target, sc=None, max_steps=200):
         else:
             factor = max(factor ** 1.5, 0.25)
         if mu == mu_target:
-            out = _make_record(q, z, nodes_try, k, defect, sc, "periodic")
-            return out if out.positive else None
+            return _accept(q, z, nodes_try, k, defect, sc, "periodic")
     return None
 
 
@@ -613,8 +618,7 @@ def coded_multiplicity(p, k, mu_target, sc=None, base=None):
         raise SolverError("continuation to mu=%g lost the branch"
                           % mu_target)
     q = replace(p, mu=mu_target)
-    recs = find_periodic_solutions(q, k, sc, base=[hi], screen=False)
-    return recs, q
+    return _polish_seeds(q, k, _coded_orbit_seeds(q, k, [hi]), sc), q
 
 
 def adaptive_levels(records, p, gap_factor=1.5, R_factor=10.0):

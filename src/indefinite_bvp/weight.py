@@ -27,7 +27,9 @@ class WeightSpec:
     periodic extension.  ``kink_hints`` lists times in [0, period) where
     the function may be non-smooth; only the quadrature of
     :func:`integrate_weight` splits there.  The ODE integrators restart
-    at the detected sign changes alone.
+    at the detected sign changes alone: a kink inside a piece of one sign
+    is left to step-size control, which rejects the steps that straddle
+    it and keeps the flow at the requested tolerance.
     """
 
     period: float

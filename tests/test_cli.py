@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from indefinite_bvp import bounds, shooting
+from indefinite_bvp import bounds, cli, shooting
 from indefinite_bvp.cli import (annulus_from_config, build_parser, main,
                                 parse_nonlinearity, parse_weight,
                                 problem_from_config, load_config,
@@ -322,6 +322,45 @@ def test_annulus_weight_is_written_in_r(tmp_path, capsys):
         assert main(["radial", "--config", path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert "variable r" in err["message"]
+
+
+def test_radial_reads_search_section(tmp_path, capsys, monkeypatch):
+    # radial searches with the config's [search] settings, and with the
+    # default SearchConfig when the config has no [search] section
+    seen = []
+    original = cli.find_radial_solutions
+
+    def spy(ap, sc=None):
+        seen.append(sc)
+        return original(ap, sc)
+
+    monkeypatch.setattr(cli, "find_radial_solutions", spy)
+    path = write_config(tmp_path, ANNULUS_INI + "\n[search]\nu_count = 7\n")
+    assert main(["radial", "--config", path]) == 0
+    assert seen[0] == shooting.SearchConfig(u_count=7)
+    path = write_config(tmp_path, ANNULUS_INI, name="plain.ini")
+    assert main(["radial", "--config", path]) == 0
+    assert seen[1] == shooting.SearchConfig()
+
+
+def test_radial_unknown_search_key_exit(tmp_path, capsys):
+    path = write_config(tmp_path, ANNULUS_INI + "\n[search]\nu_count = 3\n"
+                        "bogus_key = 1\n")
+    assert main(["radial", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "bogus_key" in err["message"]
+
+
+def test_removed_search_keys_exit(tmp_path, capsys):
+    # the duplicate and trivial tolerances are module constants, not
+    # [search] keys
+    for key in ("dedup_tol", "trivial_tol"):
+        path = write_config(tmp_path, "[problem]\npreset = fig2\n"
+                            "[search]\n%s = 1e-6\n" % key)
+        assert main(["bounds", "--config", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert key in err["message"]
 
 
 def test_table_weight_is_not_a_shorthand(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Static hygiene of the package sources: every imported name is used,
-every module-level private helper has a caller, and the expression
-compiler is the only place that runs generated code.
+every import sits at module level, every module-level private helper has
+a caller, and the expression compiler is the only place that runs
+generated code.
 
 No linter ships with the toolchain, so these AST scans keep unused
 imports and orphaned helpers from creeping back into the library modules.
@@ -42,6 +43,31 @@ def test_scan_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda f: f.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def function_imports(source):
+    """Line numbers of the import statements inside function bodies."""
+    return sorted({node.lineno
+                   for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_scan_flags_function_imports():
+    src = ("import math\n\n"
+           "def f():\n    import os\n    return os\n\n"
+           "class C:\n    def m(self):\n"
+           "        def inner():\n            from . import x\n"
+           "            return x\n        return inner\n\n"
+           "try:\n    import json\nexcept ImportError:\n    json = None\n")
+    assert function_imports(src) == [4, 10]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda f: f.name)
+def test_imports_at_module_level(path):
+    # a function-local import hides a module's dependencies
+    assert function_imports(path.read_text(encoding="utf-8")) == []
 
 
 DYNAMIC_CODE = {"eval", "exec", "compile"}

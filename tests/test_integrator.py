@@ -231,3 +231,20 @@ def test_expression_weight_integrates_without_warnings():
         traj = integrate(p, State(0.1, 0.0), 0.0, 0.5)
     assert np.all(np.isfinite(traj.states))
     assert traj.states[-1, 0] != 0.1
+
+
+def test_kink_inside_a_piece_is_left_to_step_control():
+    # the table's jump at 0.3 joins two positive cells, so integrate does
+    # not restart there; step rejection keeps the flow within 1e-9 of
+    # the flow that restarts exactly at the jump
+    w = WeightSpec.from_table([0.0, 0.3, 0.5, 1.0], [1.0, 3.0, -2.0])
+    p = ProblemSpec.build(w, 2.0, 0.0, NonlinearitySpec.power(2))
+    assert p.breakpoints_between(0.0, 1.0) == [0.5]
+    tol = dict(rtol=1e-10, atol=1e-12)
+    for s0 in (State(1.0, 0.0), State(0.5, 0.2), State(0.2, 0.0)):
+        whole = integrate(p, s0, 0.0, 1.0, **tol)
+        assert [seg[:2] for seg in whole.segments] == [(0.0, 0.5),
+                                                       (0.5, 1.0)]
+        split = flow(p, flow(p, s0, (0.0, 0.3), **tol), (0.3, 1.0), **tol)
+        assert abs(whole.states[-1, 0] - split.u) < 1e-9
+        assert abs(whole.states[-1, 1] - split.y) < 1e-9

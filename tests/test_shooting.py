@@ -9,8 +9,10 @@ import pytest
 
 from indefinite_bvp import shooting
 from indefinite_bvp.bounds import compute_mu_sharp
-from indefinite_bvp.errors import DomainError, UnclassifiableError
-from indefinite_bvp.integrator import ProblemSpec, State, flow, integrate
+from indefinite_bvp.errors import (DivergenceError, DomainError,
+                                   UnclassifiableError)
+from indefinite_bvp.integrator import (ProblemSpec, State, Trajectory, flow,
+                                       integrate)
 from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.presets import fig1, fig2, multiplicity_m3
 from indefinite_bvp.shooting import (SearchConfig, _segment_nodes,
@@ -44,7 +46,7 @@ def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(u_count=0)
     with pytest.raises(DomainError):
-        SearchConfig(dedup_tol=-1.0)
+        SearchConfig(residual_tol=-1.0)
 
 
 def test_mode_mismatch():
@@ -164,12 +166,13 @@ def test_winding_needs_polygon(fig2_k1):
 
 
 def test_seed_polish(fig2_k1):
-    # an explicit state seed near the known orbit is polished without
-    # any grid screening
+    # a state seed near the known orbit is polished without any grid
+    # screening
     p, sc, recs = fig2_k1
     rec = max(recs, key=lambda r: r.sup_norm)
-    seeds = [np.array([rec.initial.u * 1.001, rec.initial.y * 1.001])]
-    out = find_periodic_solutions(p, 1, sc, seeds=seeds, screen=False)
+    seed = shooting._orbit_seed(
+        p, [rec.initial.u * 1.001, rec.initial.y * 1.001], 1, sc)
+    out = shooting._polish_seeds(p, 1, [seed], sc)
     assert len(out) >= 1
     best = max(out, key=lambda r: r.sup_norm)
     assert best.initial.u == pytest.approx(rec.initial.u, abs=1e-7)
@@ -307,3 +310,101 @@ def test_jacobian_blocks_match_loop(fig2_k1, fig2_k2, monkeypatch):
         nxt = (j + 1) % n
         ref[2 * j:2 * j + 2, 2 * nxt:2 * nxt + 2] -= np.eye(2)
     assert seen["jac"].tobytes() == ref.tobytes()
+
+
+def test_coded_seeds_run_no_search(fig2_k1, monkeypatch):
+    # the seed builder only tiles the base records: one seed per nonzero
+    # word of length k, none outside 2 <= k <= 7
+    p, sc, base = fig2_k1
+
+    def no_screen(*args, **kwargs):
+        raise AssertionError("the seed builder must not screen")
+
+    monkeypatch.setattr(shooting, "screen_flow", no_screen)
+    for k in (2, 3):
+        seeds = shooting._coded_orbit_seeds(p, k, base)
+        assert len(seeds) == (2 ** k - 1) * len(base)
+        for z, nodes in seeds:
+            assert nodes[-1] == pytest.approx(k * p.period)
+            assert z.shape == (len(nodes) - 1, 2)
+    assert shooting._coded_orbit_seeds(p, 1, base) == []
+    assert shooting._coded_orbit_seeds(p, 8, base) == []
+
+
+def _scaled(traj, factor):
+    """``traj`` with u and u' multiplied by ``factor``."""
+    segments = [(lo, hi, lambda t, sol=sol: factor * sol(t))
+                for lo, hi, sol in traj.segments]
+    return Trajectory(traj.times, factor * traj.states, segments)
+
+
+def _diverged(traj):
+    raise DivergenceError("stitched trajectory diverged")
+
+
+# the gate's rules, each as a change of the stitched trajectory of a
+# converged root that breaks that rule alone
+GATE_RULES = {
+    "diverged": _diverged,
+    "trivial": lambda traj: _scaled(traj, 1e-6),
+    "not positive": lambda traj: _scaled(traj, -1.0),
+}
+
+
+def _fig2_fast_search():
+    pre = fig2()
+    sc = replace(pre.search, max_candidates=4)
+    return find_periodic_solutions(pre.problem, 1, sc)
+
+
+def _fig1_search():
+    pre = fig1()
+    return find_neumann_solutions(pre.problem, pre.search)
+
+
+@pytest.mark.parametrize("search", [_fig2_fast_search, _fig1_search],
+                         ids=["periodic", "neumann"])
+@pytest.mark.parametrize("rule", sorted(GATE_RULES))
+def test_gate_rejects(rule, search, monkeypatch):
+    # every converged root of both searches goes through the one gate,
+    # which drops it when its trajectory diverges, is trivial or is not
+    # positive
+    roots = []
+    stitched = shooting._stitched_trajectory
+
+    def breaking(p, z, nodes, sc):
+        roots.append(z)
+        return GATE_RULES[rule](stitched(p, z, nodes, sc))
+
+    monkeypatch.setattr(shooting, "_stitched_trajectory", breaking)
+    assert search() == []
+    assert roots
+
+
+def test_gate_keeps_a_positive_root(fig2_k1):
+    p, sc, recs = fig2_k1
+    rec = recs[0]
+    out = shooting._accept(p, rec.node_states, rec.nodes, 1, rec.residual,
+                           sc, "periodic")
+    assert out.positive and out.sup_norm == rec.sup_norm
+    # sup-norm and positivity come from one sampling of the trajectory
+    _, us, _ = out.trajectory.sample(1024)
+    assert out.sup_norm == float(np.max(np.abs(us)))
+    assert out.sup_norm == out.trajectory.sup_norm(1024)
+    assert float(np.min(us)) == out.trajectory.min_u(1024) > 0.0
+
+
+def test_continuation_ends_at_the_gate(fig2_k1, monkeypatch):
+    # track_in_mu hands its final root to the gate and returns its verdict
+    p, sc, recs = fig2_k1
+    rec = max(recs, key=lambda r: r.sup_norm)
+    gated = []
+
+    def reject(*args):
+        gated.append(args)
+        return None
+
+    monkeypatch.setattr(shooting, "_accept", reject)
+    assert shooting.track_in_mu(p, rec, 1.1 * p.mu, sc) is None
+    assert len(gated) == 1
+    assert gated[0][0].mu == pytest.approx(1.1 * p.mu)
