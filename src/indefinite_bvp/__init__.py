@@ -29,8 +29,7 @@ from .shooting import (SearchConfig, SolutionRecord, VerificationReport,
                        find_neumann_solutions, find_periodic_solutions,
                        poincare_map, track_in_mu, verify_solution,
                        winding_number)
-from .subharmonic import (CodeTarget, coded_orbit_segment,
-                          enumerate_class_representatives,
+from .subharmonic import (CodeTarget, enumerate_class_representatives,
                           find_coded_solution, minimal_period_multiple)
 from .weight import SignPattern, WeightSpec, detect_sign_pattern, \
     integrate_weight, k_fold_pattern
@@ -46,7 +45,7 @@ __all__ = [
     "Trajectory", "UnclassifiableError", "VerificationReport", "WeightSpec",
     "Word", "adaptive_levels", "canonical_rotation", "check_ginf_hypothesis",
     "check_q_integral", "classify_code", "coded_multiplicity",
-    "coded_orbit_segment", "compute_K", "compute_mu_sharp", "compute_mu_star",
+    "compute_K", "compute_mu_sharp", "compute_mu_star",
     "detect_sign_pattern", "direct_radial_integration",
     "enumerate_class_representatives", "estimate_R_star",
     "find_coded_solution", "find_neumann_solutions",

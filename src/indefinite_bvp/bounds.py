@@ -25,6 +25,7 @@ from .weight import integrate_weight
 ETA_SAFETY = 0.5
 MU_R_SAFETY = 1.01
 R_STAR_SAFETY = 10.0
+_R_HALVINGS = 200       # candidates 1, 1/2, ..., 2^-199 for r
 
 
 @dataclass
@@ -117,13 +118,13 @@ def compute_K(p):
     return K, 2.0 * K0
 
 
-def choose_r(g, K0, max_steps=200):
+def choose_r(g, K0):
     """Largest r on the geometric grid 1, 1/2, 1/4, ... with
     eta(r) <= 0.5 / K0."""
     bound = ETA_SAFETY / K0
     g0, _ = limit_estimates(g)
     r = 1.0
-    for _ in range(max_steps):
+    for _ in range(_R_HALVINGS):
         e = _eta(g, r)
         if e <= bound:
             return r, e
@@ -143,14 +144,10 @@ def compute_mu_sharp(p):
     return ip / im
 
 
-def compute_mu_r(p, r, K0=None, mu_sharp=None):
+def compute_mu_r(p, r, K0, mu_sharp):
     """Threshold making the small ball degree argument work, with the 1.01
     safety factor and floored at 1.01 * mu_sharp."""
     pat = p.pattern
-    if K0 is None:
-        _, K0 = compute_K(p)
-    if mu_sharp is None:
-        mu_sharp = compute_mu_sharp(p)
     e = _eta(p.g, r)
     gam = _gamma_ratio(p.g, r)
     worst = 0.0
@@ -226,7 +223,7 @@ def compute_delta(p):
     return dplus, dminus
 
 
-def estimate_R_star(p, r=None, search_config=None):
+def estimate_R_star(p, r, search_config=None):
     """Numerical surrogate for the a priori bound R*: ten times the largest
     sup-norm among solutions found by a coarse multistart sweep (at the
     problem's mu and at a mu slightly above mu_sharp), floored at 10 r.
@@ -236,10 +233,6 @@ def estimate_R_star(p, r=None, search_config=None):
     """
     _, ginf = limit_estimates(p.g)
     check_ginf_hypothesis(p, ginf)
-
-    if r is None:
-        _, K0 = compute_K(p)
-        r, _ = choose_r(p.g, K0)
 
     sc = search_config
     if sc is None:

@@ -196,7 +196,6 @@ def _record_dict(rec):
         "initial": {"u": rec.initial.u, "y": rec.initial.y},
         "k": rec.k,
         "residual": rec.residual,
-        "positive": rec.positive,
         "sup_norm": rec.sup_norm,
         "boundary": rec.boundary,
         "code": rec.code_string,

@@ -21,6 +21,9 @@ from .errors import BracketingError, ConfigurationError, HypothesisError
 from .weight import evaluate
 
 LAMBDA_CAP = 1e12
+_ANGLE_RTOL = 1e-10     # DOP853 tolerances of the angle flow
+_ANGLE_ATOL = 1e-12
+_LAMBDA_RTOL = 1e-8     # relative tolerance of the eigenvalue root
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ class EigenProblem:
                    left_bc, right_bc)
 
 
-def prufer_angle_sweep(ep, lam, rtol=1e-10, atol=1e-12):
+def prufer_angle_sweep(ep, lam):
     """Terminal angle theta(beta) with theta(alpha) fixed by the left BC
     (0 for Dirichlet, pi/2 for Neumann)."""
     if lam < 0:
@@ -75,7 +78,7 @@ def prufer_angle_sweep(ep, lam, rtol=1e-10, atol=1e-12):
         return [co * co / ect + ect * lam * a * s * s]
 
     sol = solve_ivp(rhs, (ep.alpha, ep.beta), [theta0], method="DOP853",
-                    rtol=rtol, atol=atol)
+                    rtol=_ANGLE_RTOL, atol=_ANGLE_ATOL)
     if not sol.success:
         raise BracketingError("angle integration failed")
     return float(sol.y[0, -1])
@@ -88,7 +91,7 @@ def _target_angle(ep):
     return math.pi
 
 
-def first_eigenvalue(ep, rel_tol=1e-8, rtol=1e-10, atol=1e-12):
+def first_eigenvalue(ep):
     """Smallest lambda > 0 whose terminal angle matches the right BC.
 
     Exponential bracketing from lambda = 1 followed by Brent's method;
@@ -98,7 +101,7 @@ def first_eigenvalue(ep, rel_tol=1e-8, rtol=1e-10, atol=1e-12):
     target = _target_angle(ep)
 
     def f(lam):
-        return prufer_angle_sweep(ep, lam, rtol=rtol, atol=atol) - target
+        return prufer_angle_sweep(ep, lam) - target
 
     if f(0.0) >= 0:
         raise BracketingError("terminal angle already past target at lambda=0")
@@ -108,10 +111,10 @@ def first_eigenvalue(ep, rel_tol=1e-8, rtol=1e-10, atol=1e-12):
         if hi > LAMBDA_CAP:
             raise BracketingError(
                 "no eigenvalue bracket found up to lambda=%g" % LAMBDA_CAP)
-    return brentq(f, lo, hi, xtol=rel_tol, rtol=rel_tol)
+    return brentq(f, lo, hi, xtol=_LAMBDA_RTOL, rtol=_LAMBDA_RTOL)
 
 
-def ginf_threshold(p, rel_tol=1e-8):
+def ginf_threshold(p):
     """max over the positivity intervals of the first eigenvalue, using the
     mixed endpoint conditions of the Neumann problem when the weight starts
     or ends with a positivity interval."""
@@ -125,7 +128,7 @@ def ginf_threshold(p, rel_tol=1e-8):
             if i == pat.m - 1 and abs(pat.tau[-1] - pat.sigma[-1]) < 1e-12:
                 right_bc = "neumann"
         ep = EigenProblem.from_hump(p, i, left_bc=left_bc, right_bc=right_bc)
-        lams.append(first_eigenvalue(ep, rel_tol=rel_tol))
+        lams.append(first_eigenvalue(ep))
     return max(lams)
 
 

@@ -46,8 +46,9 @@ class ProblemSpec:
     """Full 1D problem: weight, sign pattern, mu, friction c, nonlinearity
     and boundary mode ("periodic" or "neumann").
 
-    The scalar a_mu and g that :meth:`rhs` calls are built once, at
-    construction.
+    The pattern fixes the window [0, period] and the breakpoints at which
+    every integrator restarts.  The scalar a_mu and g that :meth:`rhs`
+    calls are built once, at construction.
     """
 
     weight: WeightSpec
@@ -83,13 +84,9 @@ class ProblemSpec:
 
     @property
     def period(self):
-        if self.pattern is not None:
-            return self.pattern.period
-        return self.weight.period
+        return self.pattern.period
 
     def breakpoints_between(self, lo, hi):
-        if self.pattern is None:
-            return []
         return self.pattern.breakpoints_between(lo, hi)
 
     def a_mu_at(self, t):
@@ -154,16 +151,8 @@ class Trajectory:
         vals = self.eval(ts)
         return ts, vals[:, 0], vals[:, 1]
 
-    def sup_norm(self, n=1024):
-        _, us, _ = self.sample(n)
-        return float(np.max(np.abs(us)))
-
-    def min_u(self, n=1024):
-        _, us, _ = self.sample(n)
-        return float(np.min(us))
-
-    def to_csv(self, path, n=512):
-        ts, us, ys = self.sample(n)
+    def to_csv(self, path):
+        ts, us, ys = self.sample()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,u,up\n")
             for t, u, y in zip(ts, us, ys):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _sint
 
-from .errors import ConfigurationError, DomainError, PatternError
+from .errors import ConfigurationError, DomainError
 from .expressions import quiet_fp
 from .integrator import ProblemSpec
 from .nonlinearity import NonlinearitySpec, g_scalar
@@ -23,6 +23,9 @@ from .shooting import find_neumann_solutions
 from .weight import WeightSpec
 
 _GRID_NODES = 8192
+_PROFILE_SAMPLES = 1024     # uniform points of a radial profile
+_REF_RTOL = 1e-10           # DOP853 tolerances of the radial reference
+_REF_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,10 @@ def radial_to_1d(ap):
     """(ProblemSpec in Neumann mode, r_of_t map) for the annulus problem.
 
     The transformed weight a(t) = r(t)^{2(N-1)} Q(r(t)) is kept as a
-    callable on [0, T]; the kink hints of Q are mapped through h.
+    callable on [0, T]; the kink hints of Q are mapped through h.  A Q of
+    constant sign raises PatternError: integrating v'' + a_mu g(v) = 0
+    over [0, T] with v'(0) = v'(T) = 0 gives int a_mu g(v) = 0, which no
+    positive v satisfies when a_mu keeps one sign.
     """
     rm = RadialMap(ap.N, ap.R1, ap.R2)
     T = rm.T
@@ -100,19 +106,14 @@ def radial_to_1d(ap):
 
     hints = tuple(float(rm.h(r)) for r in ap.kink_hints if ap.R1 < r < ap.R2)
     w = WeightSpec.from_callable(fn, T, kink_hints=hints)
-    try:
-        p = ProblemSpec.build(w, ap.mu, 0.0, ap.g, boundary="neumann",
-                              samples=_GRID_NODES)
-    except PatternError:
-        # sign-definite Q: the transformed problem still integrates, it
-        # just has no hump structure to classify against
-        p = ProblemSpec(w, None, ap.mu, 0.0, ap.g, boundary="neumann")
+    p = ProblemSpec.build(w, ap.mu, 0.0, ap.g, boundary="neumann",
+                          samples=_GRID_NODES)
     return p, rm
 
 
-def solution_to_radial(v, r_of_t, n=1024):
+def solution_to_radial(v, r_of_t):
     """Radial profile samples (r, U(r)) from a 1D trajectory."""
-    ts, us, _ = v.sample(n)
+    ts, us, _ = v.sample(_PROFILE_SAMPLES)
     rs = np.asarray(r_of_t(ts), dtype=float)
     return rs, us
 
@@ -134,7 +135,7 @@ def check_q_integral(ap):
     return total
 
 
-def direct_radial_integration(ap, U0, rtol=1e-10, atol=1e-12, dense_n=1024):
+def direct_radial_integration(ap, U0):
     """Reference second-order integration in the radial variable.
 
     Integrates U'' + ((N-1)/r) U' + Q_mu(r) g~(U) = 0 from U(R1) = U0,
@@ -160,11 +161,12 @@ def direct_radial_integration(ap, U0, rtol=1e-10, atol=1e-12, dense_n=1024):
     with quiet_fp():
         for a, b in zip(pts[:-1], pts[1:]):
             sol = _sint.solve_ivp(rhs, (a, b), z, method="DOP853",
-                                  rtol=rtol, atol=atol, dense_output=True)
+                                  rtol=_REF_RTOL, atol=_REF_ATOL,
+                                  dense_output=True)
             if not sol.success:
                 raise DomainError("radial reference integration failed")
-            rs = np.linspace(a, b, max(16, int(dense_n * (b - a) /
-                                               (ap.R2 - ap.R1))))
+            rs = np.linspace(a, b, max(16, int(_PROFILE_SAMPLES * (b - a)
+                                               / (ap.R2 - ap.R1))))
             rs_all.append(rs)
             us_all.append(sol.sol(rs)[0])
             z = sol.y[:, -1]

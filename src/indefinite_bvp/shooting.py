@@ -62,14 +62,12 @@ class SolutionRecord:
     k: int
     trajectory: Trajectory
     residual: float
-    positive: bool
     sup_norm: float
     boundary: str
     node_states: np.ndarray
     nodes: list
     code: tuple = None
     min_period_multiple: int = None
-    neg_below_r: bool = None
     unclassifiable: bool = False
 
     @property
@@ -136,6 +134,12 @@ _DEDUP_TOL = 1e-6       # relative initial-state distance of duplicates
 _TRIVIAL_TOL = 1e-3     # sup-norm below which a root is trivial
 _SMALL_SCALE = 0.05     # shrink factor for coded orbit seeds
 _MAX_CODED_K = 7        # largest k seeded with all 2**k - 1 coded words
+_LEVEL_MARGIN = 1e-6    # relative distance of a hump maximum from r and R
+_LEVEL_GAP = 1.5        # smallest ratio of maxima that splits small/large
+_LEVEL_R_FACTOR = 10.0  # R over the largest hump maximum
+_MAX_MU_STEPS = 200     # continuation steps, accepted or rejected
+_WINDING_MIN_DISP = 1e-9    # displacement that leaves the degree undefined
+_WINDING_MAX_POINTS = 4096  # curve vertices before refinement gives up
 
 
 def _g_slope(g, amp):
@@ -347,7 +351,7 @@ def _accept(p, z, nodes, k, residual, sc, boundary):
         return None
     return SolutionRecord(initial=State(float(z[0, 0]), float(z[0, 1])),
                           k=k, trajectory=traj, residual=residual,
-                          positive=True, sup_norm=sup, boundary=boundary,
+                          sup_norm=sup, boundary=boundary,
                           node_states=z, nodes=list(nodes))
 
 
@@ -356,21 +360,19 @@ def _dedup(records, scale):
     kept = []
     tol = _DEDUP_TOL * (1.0 + scale)
     for rec in records:
-        dup = False
-        for other in kept:
-            dist = math.hypot(rec.initial.u - other.initial.u,
-                              rec.initial.y - other.initial.y)
+        near = [other for other in kept
+                if math.hypot(rec.initial.u - other.initial.u,
+                              rec.initial.y - other.initial.y) < tol]
+        # same initial state alone is not enough: coded orbits at large mu
+        # separate only after a deep negativity trough, so the whole
+        # trajectories must agree
+        if near:
             ts = np.linspace(*rec.trajectory.span, 257)
-            du = rec.trajectory.eval(ts)[:, 0] - other.trajectory.eval(ts)[:, 0]
-            # same initial state alone is not enough: coded orbits at
-            # large mu separate only after a deep negativity trough, so
-            # the whole trajectories must agree
-            if dist < tol and \
-                    float(np.max(np.abs(du))) < 1e-6 * (1.0 + rec.sup_norm):
-                dup = True
-                break
-        if not dup:
-            kept.append(rec)
+            us = rec.trajectory.eval(ts)[:, 0]
+            if any(float(np.max(np.abs(us - other.trajectory.eval(ts)[:, 0])))
+                   < 1e-6 * (1.0 + rec.sup_norm) for other in near):
+                continue
+        kept.append(rec)
     return kept
 
 
@@ -495,43 +497,32 @@ def find_neumann_solutions(p, sc=None):
 # classification
 
 
-def classify_code(rec, p, r, R, margin=1e-6):
+def classify_code(rec, p, r, R):
     """Binary code of the solution: bit i is 1 when the maximum of u over
     positivity interval i lies in (r, R), 0 when it is below r.
 
     Raises UnclassifiableError when a hump maximum sits within the relative
-    ``margin`` of r, or at/above R.  Also records whether the maxima over
-    the negativity intervals stay below r (the a posteriori property).
+    ``_LEVEL_MARGIN`` of r, or at/above R.
     """
-    if not rec.positive:
-        raise DomainError("only positive solutions are classified")
     if not 0 < r < R:
         raise DomainError("need 0 < r < R")
     pat = k_fold_pattern(p.pattern, rec.k)
     bits = []
     for (lo, hi) in pat.pos_intervals():
         _, umax = max_on_interval(rec.trajectory, lo, hi)
-        if abs(umax - r) < margin * (1.0 + r):
+        if abs(umax - r) < _LEVEL_MARGIN * (1.0 + r):
             raise UnclassifiableError(
                 "hump maximum %.8g sits on the classification level r=%.8g"
                 % (umax, r))
-        if umax >= R * (1.0 - margin):
+        if umax >= R * (1.0 - _LEVEL_MARGIN):
             raise UnclassifiableError(
                 "hump maximum %.8g reaches the upper level R=%.8g" % (umax, R))
         bits.append(1 if umax > r else 0)
-    neg_ok = True
-    for (lo, hi) in pat.neg_intervals():
-        if hi <= lo:
-            continue
-        _, umax = max_on_interval(rec.trajectory, lo, hi)
-        if umax >= r:
-            neg_ok = False
     rec.code = tuple(bits)
-    rec.neg_below_r = neg_ok
     return rec.code
 
 
-def track_in_mu(p, rec, mu_target, sc=None, max_steps=200):
+def track_in_mu(p, rec, mu_target, sc=None):
     """Continue a periodic record along the weight scaling mu.
 
     Natural-parameter continuation with a multiplicative step in mu:
@@ -554,7 +545,7 @@ def track_in_mu(p, rec, mu_target, sc=None, max_steps=200):
     p_cur = replace(p, mu=mu)
     traj_cur = None     # stitched orbit at mu, for resampling node states
     mu_prev, traj_prev = None, None
-    for _ in range(max_steps):
+    for _ in range(_MAX_MU_STEPS):
         mu_try = mu * factor
         if (up and mu_try >= mu_target) or (not up and mu_try <= mu_target):
             mu_try = mu_target
@@ -621,13 +612,14 @@ def coded_multiplicity(p, k, mu_target, sc=None, base=None):
     return _polish_seeds(q, k, _coded_orbit_seeds(q, k, [hi]), sc), q
 
 
-def adaptive_levels(records, p, gap_factor=1.5, R_factor=10.0):
+def adaptive_levels(records, p):
     """Classification levels (r, R) inferred from a family of solutions.
 
     Collects the hump maxima of all records and splits them at the largest
-    multiplicative gap exceeding ``gap_factor``; r is the geometric mean of
+    multiplicative gap exceeding ``_LEVEL_GAP``; r is the geometric mean of
     the gap edges.  With no such gap every hump counts as large and r sits
-    below the smallest maximum.  R is ``R_factor`` times the largest.
+    below the smallest maximum.  R is ``_LEVEL_R_FACTOR`` times the
+    largest.
     """
     maxima = []
     for rec in records:
@@ -641,15 +633,15 @@ def adaptive_levels(records, p, gap_factor=1.5, R_factor=10.0):
     vals = vals[vals > 0]
     if vals.size == 0:
         raise DomainError("all hump maxima vanish")
-    R = R_factor * float(vals[-1])
+    R = _LEVEL_R_FACTOR * float(vals[-1])
     if vals.size == 1:
-        return float(vals[0]) / gap_factor, R
+        return float(vals[0]) / _LEVEL_GAP, R
     ratios = vals[1:] / vals[:-1]
     i = int(np.argmax(ratios))
-    if ratios[i] > gap_factor:
+    if ratios[i] > _LEVEL_GAP:
         r = float(np.sqrt(vals[i] * vals[i + 1]))
     else:
-        r = float(vals[0]) / gap_factor
+        r = float(vals[0]) / _LEVEL_GAP
     return r, R
 
 
@@ -657,7 +649,7 @@ def adaptive_levels(records, p, gap_factor=1.5, R_factor=10.0):
 # winding number (numerical degree proxy)
 
 
-def winding_number(p, k, curve, sc=None, tol=1e-9, max_points=4096):
+def winding_number(p, k, curve, sc=None):
     """Signed rotation number of the displacement map around a closed
     polyline of initial states.
 
@@ -682,7 +674,7 @@ def winding_number(p, k, curve, sc=None, tol=1e-9, max_points=4096):
                 raise DegreeUndefinedError(
                     "trajectory from a curve point diverged")
             d = (img.u - q[0], img.y - q[1])
-            if np.hypot(*d) < tol:
+            if np.hypot(*d) < _WINDING_MIN_DISP:
                 raise DegreeUndefinedError(
                     "displacement vanishes on the curve")
             cache[key] = math.atan2(d[1], d[0])
@@ -693,7 +685,7 @@ def winding_number(p, k, curve, sc=None, tol=1e-9, max_points=4096):
 
     changed = True
     while changed:
-        if len(pts) > max_points:
+        if len(pts) > _WINDING_MAX_POINTS:
             raise DegreeUndefinedError("curve refinement did not converge")
         changed = False
         refined = []

@@ -100,14 +100,14 @@ def enumerate_class_representatives(m, k):
     return out
 
 
-def minimal_period_multiple(rec, p, tol=None):
-    """Smallest divisor l of rec.k with u(t + lT) = u(t) within tol."""
+def minimal_period_multiple(rec, p):
+    """Smallest divisor l of rec.k with u(t + lT) = u(t) within
+    1e-6 * (1 + sup-norm)."""
     k = rec.k
     T = p.period
     traj = rec.trajectory
     t0, _ = traj.span
-    if tol is None:
-        tol = 1e-6 * (1.0 + rec.sup_norm)
+    tol = 1e-6 * (1.0 + rec.sup_norm)
     for l in range(1, k + 1):
         if k % l != 0:
             continue
@@ -120,19 +120,17 @@ def minimal_period_multiple(rec, p, tol=None):
     return k
 
 
-def classify_records(recs, p, levels=None):
+def classify_records(recs, p):
     """Classify records in place: a code for each, and the minimal period
     multiple for each periodic one.
 
-    The levels (r, R) are inferred from ``recs`` when not given.  A record
-    whose hump maximum sits on a level is flagged ``unclassifiable`` and
-    keeps ``code`` None.  Returns the levels (None when there are no
-    records and none were given).
+    The levels (r, R) are inferred from ``recs``.  A record whose hump
+    maximum sits on a level is flagged ``unclassifiable`` and keeps
+    ``code`` None.  Returns the levels (None when there are no records).
     """
     if not recs:
-        return levels
-    if levels is None:
-        levels = adaptive_levels(recs, p)
+        return None
+    levels = adaptive_levels(recs, p)
     for rec in recs:
         try:
             classify_code(rec, p, *levels)
@@ -143,15 +141,15 @@ def classify_records(recs, p, levels=None):
     return levels
 
 
-def coded_records(p, k, sc=None, levels=None):
+def coded_records(p, k, sc=None):
     """Classified kT-periodic records of one search, unclassifiable ones
     left out."""
     recs = find_periodic_solutions(p, k, sc)
-    classify_records(recs, p, levels)
+    classify_records(recs, p)
     return [rec for rec in recs if not rec.unclassifiable]
 
 
-def find_coded_solution(p, tgt, sc=None, levels=None):
+def find_coded_solution(p, tgt, sc=None):
     """Record realizing the target word among the k-periodic solutions.
 
     Searches the fixed points of the k-th iterate of the period map,
@@ -160,28 +158,6 @@ def find_coded_solution(p, tgt, sc=None, levels=None):
     """
     if tgt.m != p.pattern.m:
         raise DomainError("target word does not match the weight pattern")
-    return next((rec for rec in coded_records(p, tgt.k, sc, levels)
+    return next((rec for rec in coded_records(p, tgt.k, sc)
                  if tgt.matches(rec.code)), None)
 
-
-def coded_orbit_segment(p, word, horizon, sc=None, levels=None):
-    """Periodic truncation of the bounded solution coded by ``word``.
-
-    The block word is repeated 2*horizon + 1 times and realized as a
-    periodic solution of the corresponding multiple of the period; this
-    is the finite-horizon content of the coded-solutions construction.
-    Returns the record, or None when the search misses the code.
-    """
-    word = tuple(int(b) for b in word)
-    if not any(word):
-        raise DomainError("word must be nontrivial")
-    m = p.pattern.m
-    if len(word) % m != 0:
-        raise DomainError("word length must be a multiple of m")
-    reps = 2 * int(horizon) + 1
-    k = (len(word) // m) * reps
-    if k == 1:
-        return next((rec for rec in coded_records(p, 1, sc, levels)
-                     if rec.code == word), None)
-    return find_coded_solution(p, CodeTarget(k, word * reps), sc,
-                               levels=levels)

@@ -34,8 +34,6 @@ class WeightSpec:
 
     period: float
     fn: object
-    kind: str = "callable"
-    params: tuple = ()
     kink_hints: tuple = ()
 
     def __post_init__(self):
@@ -49,8 +47,7 @@ class WeightSpec:
         """a(t) = sin(freq * t)."""
         if period is None:
             period = 2 * math.pi / freq
-        return cls(period, lambda t: np.sin(freq * t), kind="sine",
-                   params=(freq,))
+        return cls(period, lambda t: np.sin(freq * t))
 
     @classmethod
     def sin_pm(cls, freq, nu=1.0, mu=1.0, period=None):
@@ -68,15 +65,14 @@ class WeightSpec:
             s = np.sin(freq * np.asarray(t, dtype=float))
             return nu * np.maximum(s, 0.0) - mu * np.maximum(-s, 0.0)
 
-        return cls(period, fn, kind="sin_pm", params=(freq, nu, mu),
-                   kink_hints=hints)
+        return cls(period, fn, kink_hints=hints)
 
     @classmethod
     def from_expression(cls, src, period):
         expr = src if isinstance(src, Expression) else Expression(src)
         if expr.variable not in (None, "t"):
             raise ConfigurationError("weight expressions use the variable t")
-        return cls(period, expr, kind="expression", params=(expr.source,))
+        return cls(period, expr)
 
     @classmethod
     def from_table(cls, breaks, values, period=None):
@@ -98,13 +94,11 @@ class WeightSpec:
             return values[idx]
 
         hints = tuple(b - t0 for b in breaks[1:-1])
-        return cls(period, fn, kind="table",
-                   params=(tuple(breaks), tuple(values)),
-                   kink_hints=hints)
+        return cls(period, fn, kink_hints=hints)
 
     @classmethod
     def from_callable(cls, fn, period, kink_hints=()):
-        return cls(period, fn, kind="callable", kink_hints=tuple(kink_hints))
+        return cls(period, fn, kink_hints=tuple(kink_hints))
 
     # -- derived weights -------------------------------------------------
 
@@ -115,8 +109,7 @@ class WeightSpec:
         base = self
         hints = tuple(sorted((h - t0) % self.period for h in self.kink_hints))
         return WeightSpec(self.period, lambda t: evaluate(base, t + t0),
-                          kind=self.kind + "+shift",
-                          params=self.params + (t0,), kink_hints=hints)
+                          kink_hints=hints)
 
 
 def evaluate(w, t):

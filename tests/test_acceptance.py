@@ -126,9 +126,12 @@ def m3_data():
     return _multiplicity_run("multiplicity-m3", "m3")
 
 
-def _codes(recs, p, levels=None):
-    if levels is None:
-        levels = adaptive_levels(recs, p)
+def _min_sampled_u(rec):
+    return float(np.min(rec.trajectory.sample()[1]))
+
+
+def _codes(recs, p):
+    levels = adaptive_levels(recs, p)
     return [classify_code(rec, p, *levels) for rec in recs]
 
 
@@ -202,7 +205,7 @@ def test_criterion_03_figure1(fig1_data):
     t0 = time.perf_counter()
     assert len(recs) == 3
     for rec in recs:
-        assert rec.positive
+        assert _min_sampled_u(rec) > 0
         assert abs(rec.residual) < 1e-8          # terminal |u'(1)|
     assert set(_codes(recs, p)) == {(1, 0), (0, 1), (1, 1)}
     # Poincare image of the segment u0 in [0, 0.2], y0 = 0 crosses the
@@ -221,7 +224,7 @@ def test_criterion_04_figure2(fig2_data, fig2_k2):
     p, sc, base = fig2_data
     recs = fig2_k2
     assert len(recs) == 3
-    assert all(r.positive for r in recs)
+    assert all(_min_sampled_u(r) > 0 for r in recs)
     codes = _codes(recs, p)
     assert set(codes) == {(1, 0), (0, 1), (1, 1)}
     by_code = dict(zip(codes, recs))
@@ -247,7 +250,7 @@ def test_criterion_05_multiplicity(m2_data, m3_data):
     for (p, sc, base, rep, recs, q), m in ((m2_data, 2), (m3_data, 3)):
         assert q.mu > rep.mu_star
         codes = set(_codes(recs, q))
-        assert all(rec.positive for rec in recs)
+        assert all(_min_sampled_u(rec) > 0 for rec in recs)
         assert len(codes) >= 2 ** m - 1, \
             "m=%d found only %d codes" % (m, len(codes))
     spent = _budget(120.0, "m2", "m3")
@@ -381,7 +384,7 @@ def test_criterion_09_radial():
     recs, rm, p1d = find_radial_solutions(ap, sc)
     assert len(recs) >= 3
     for rec in recs:
-        assert rec.positive
+        assert _min_sampled_u(rec) > 0
         rs, us = solution_to_radial(rec.trajectory, rm)
         assert np.all(us > 0)
 

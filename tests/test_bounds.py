@@ -14,7 +14,7 @@ from indefinite_bvp.errors import DomainError, HypothesisError
 from indefinite_bvp.integrator import ProblemSpec
 from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.presets import fig2
-from indefinite_bvp.weight import WeightSpec
+from indefinite_bvp.weight import WeightSpec, integrate_weight
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def test_choose_r_rejects_steep_slope():
     g = NonlinearitySpec.from_callable(lambda s: 10.0 * s,
                                        declared_g0=10.0, declared_ginf=10.0)
     with pytest.raises(HypothesisError):
-        choose_r(g, 100.0, max_steps=10)
+        choose_r(g, 100.0)
 
 
 def test_neg_double_integral_closed_form(p):
@@ -109,6 +109,23 @@ def test_compute_delta_windows(p):
     # windows must fit in the adjacent negativity interval
     (nlo, nhi) = p.pattern.neg_intervals()[0]
     assert dplus[0] <= (nhi - nlo) + 1e-12
+
+
+@pytest.mark.parametrize("c", [-0.5, 0.5, 3.0])
+def test_compute_delta_windows_with_friction(p, c):
+    # with c != 0 the cap solves delta e^{|c| delta} = |I+| / 2
+    q = ProblemSpec.build(p.weight, p.mu, c, p.g)
+    pat = q.pattern
+    dplus, dminus = compute_delta(q)
+    (plo, phi), = pat.pos_intervals()
+    (nlo, nhi), = pat.neg_intervals()
+    windows = [(dplus[0], (pat.tau[0], pat.tau[0] + dplus[0])),
+               (dminus[0], (pat.sigma[0] - dminus[0], pat.sigma[0]))]
+    for d, (lo, hi) in windows:
+        assert 0 < d * math.exp(abs(c) * d) < (phi - plo) / 2
+        assert d <= nhi - nlo
+        assert integrate_weight(q.weight, lo, hi, part="-",
+                                pattern=pat) > 0
 
 
 def test_full_report_with_override(p):

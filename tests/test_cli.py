@@ -352,6 +352,16 @@ def test_radial_unknown_search_key_exit(tmp_path, capsys):
     assert "bogus_key" in err["message"]
 
 
+def test_radial_constant_sign_q_exit(tmp_path, capsys):
+    # a Q of one sign has no positive Neumann solution, and no sign pattern
+    path = write_config(tmp_path,
+                        ANNULUS_INI.replace("sin(2*pi*(r-1))", "1 + 0*r"))
+    assert main(["radial", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PatternError"
+    assert "constant sign" in err["message"]
+
+
 def test_removed_search_keys_exit(tmp_path, capsys):
     # the duplicate and trivial tolerances are module constants, not
     # [search] keys

@@ -1,10 +1,11 @@
 """Static hygiene of the package sources: every imported name is used,
 every import sits at module level, every module-level private helper has
-a caller, and the expression compiler is the only place that runs
-generated code.
+a caller, every dataclass field is read somewhere, and the expression
+compiler is the only place that runs generated code.
 
 No linter ships with the toolchain, so these AST scans keep unused
-imports and orphaned helpers from creeping back into the library modules.
+imports, orphaned helpers and write-only fields from creeping back into
+the library modules.
 """
 
 import ast
@@ -144,3 +145,54 @@ def test_no_orphaned_private_defs():
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
     assert orphaned_private_defs(sources) == []
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if _referenced_name(target) == "dataclass":
+            return True
+    return False
+
+
+def write_only_fields(sources):
+    """``Class.field`` of every dataclass field in ``sources`` (module name
+    -> source) that no attribute load anywhere in them reads."""
+    trees = [ast.parse(src) for src in sources.values()]
+    loaded = {n.attr for tree in trees for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and \
+                        isinstance(stmt.target, ast.Name) and \
+                        stmt.target.id not in loaded:
+                    unread.append("%s.%s" % (cls.name, stmt.target.id))
+    return sorted(unread)
+
+
+def test_scan_flags_write_only_fields():
+    sources = {
+        "a": ("from dataclasses import dataclass, field\n\n"
+              "@dataclass(frozen=True)\nclass Spec:\n"
+              "    read: float\n    stored: int = 0\n"
+              "    note: str = field(default='')\n\n"
+              "@dataclass\nclass Rec:\n    hits: int = 0\n    tag: str = ''\n\n"
+              "class Plain:\n    loose: int = 0\n\n"
+              "def use(s, r):\n    r.hits += 1\n    r.tag = 'x'\n"
+              "    return s.read\n"),
+        "b": "def note_of(s):\n    return s.note\n",
+    }
+    # an augmented assignment stores: a counter nothing reads is unread
+    assert write_only_fields(sources) == ["Rec.hits", "Rec.tag",
+                                          "Spec.stored"]
+
+
+def test_no_write_only_fields():
+    # a field that nothing reads is a setting or result nobody uses
+    sources = {f.stem: f.read_text(encoding="utf-8")
+               for f in PACKAGE.glob("*.py")}
+    assert write_only_fields(sources) == []

@@ -7,14 +7,23 @@ import numpy as np
 import pytest
 from scipy import integrate as sint
 
-from indefinite_bvp.errors import ConfigurationError
+from indefinite_bvp.errors import ConfigurationError, PatternError
 from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.radial import (AnnulusProblem, RadialMap,
                                    check_q_integral,
                                    direct_radial_integration, radial_to_1d,
                                    solution_to_radial)
+from indefinite_bvp.weight import evaluate
 
 E = math.e
+
+
+def sin3_annulus():
+    """N = 2 on [1, e] with Q(r) = sin(3 pi ln r), so that
+    a(t) = e^{2t} Q(e^t) = e^{2t} sin(3 pi t) on [0, 1]."""
+    return AnnulusProblem(2, 1.0, E, lambda r: np.sin(
+        3 * math.pi * np.log(np.asarray(r, dtype=float))),
+        NonlinearitySpec.power(2), 1.0)
 
 
 def test_annulus_validation():
@@ -53,15 +62,24 @@ def test_radial_map_quadrature_oracle():
 
 
 def test_transformed_weight_exponential():
-    # N = 2, Q = 1: a(t) = e^{2t}; the sign-definite weight keeps no
-    # hump pattern but still integrates
-    ap = AnnulusProblem(2, 1.0, E, lambda r: np.ones_like(np.asarray(r)),
-                        NonlinearitySpec.power(2), 1.0)
-    p, rm = radial_to_1d(ap)
-    assert p.pattern is None
+    p, rm = radial_to_1d(sin3_annulus())
     ts = np.linspace(0.0, 1.0, 33, endpoint=False)
-    from indefinite_bvp.weight import evaluate
-    assert np.max(np.abs(evaluate(p.weight, ts) - np.exp(2 * ts))) < 1e-10
+    ref = np.exp(2 * ts) * np.sin(3 * math.pi * ts)
+    assert np.max(np.abs(evaluate(p.weight, ts) - ref)) < 1e-10
+    # the humps of sin(3 pi t) survive the positive factor e^{2t}
+    assert p.pattern.pos_intervals() == [
+        pytest.approx((0.0, 1 / 3), abs=1e-9),
+        pytest.approx((2 / 3, 1.0), abs=1e-9)]
+
+
+def test_constant_sign_q_has_no_pattern():
+    # v'' + a_mu g(v) = 0 with v'(0) = v'(T) = 0 forces int a_mu g(v) = 0,
+    # so a Q of one sign admits no positive Neumann solution
+    for sign in (1.0, -1.0):
+        ap = AnnulusProblem(2, 1.0, E, lambda r, s=sign: s * np.ones_like(
+            np.asarray(r, dtype=float)), NonlinearitySpec.power(2), 1.0)
+        with pytest.raises(PatternError, match="constant sign"):
+            radial_to_1d(ap)
 
 
 def test_check_q_integral_signs():
@@ -118,12 +136,10 @@ def test_direct_integration_matches_reduction():
 
 
 def test_solution_to_radial_composition():
-    ap = AnnulusProblem(2, 1.0, E, lambda r: np.ones_like(np.asarray(r)),
-                        NonlinearitySpec.power(2), 1.0)
-    p, rm = radial_to_1d(ap)
+    p, rm = radial_to_1d(sin3_annulus())
     from indefinite_bvp.integrator import State, integrate
     v = integrate(p, State(0.1, 0.0), 0.0, rm.T)
-    rs, us = solution_to_radial(v, rm, n=65)
+    rs, us = solution_to_radial(v, rm)
     assert rs[0] == pytest.approx(1.0, abs=1e-12)
     assert rs[-1] == pytest.approx(E, abs=1e-10)
     assert us[0] == pytest.approx(0.1, abs=1e-10)

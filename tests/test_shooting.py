@@ -23,6 +23,10 @@ from indefinite_bvp.shooting import (SearchConfig, _segment_nodes,
 from indefinite_bvp.weight import WeightSpec
 
 
+def min_sampled_u(rec):
+    return float(np.min(rec.trajectory.sample()[1]))
+
+
 @pytest.fixture(scope="module")
 def fig1_recs():
     pre = fig1()
@@ -82,7 +86,7 @@ def test_poincare_map_fixes_origin():
 def test_fig1_three_solutions(fig1_recs):
     p, recs = fig1_recs
     assert len(recs) == 3
-    assert all(r.positive for r in recs)
+    assert all(min_sampled_u(r) > 0 for r in recs)
     assert all(abs(r.residual) < 1e-8 for r in recs)
     levels = adaptive_levels(recs, p)
     codes = {classify_code(rec, p, *levels) for rec in recs}
@@ -185,7 +189,7 @@ def test_fig2_with_friction_single_orbit():
     recs = find_periodic_solutions(p, 1, pre.search)
     assert len(recs) == 1
     rec = recs[0]
-    assert rec.positive
+    assert min_sampled_u(rec) > 0
     assert rec.initial.u == pytest.approx(0.1024291, abs=1e-6)
     assert rec.initial.y == pytest.approx(0.4138256, abs=1e-6)
 
@@ -386,12 +390,11 @@ def test_gate_keeps_a_positive_root(fig2_k1):
     rec = recs[0]
     out = shooting._accept(p, rec.node_states, rec.nodes, 1, rec.residual,
                            sc, "periodic")
-    assert out.positive and out.sup_norm == rec.sup_norm
+    assert out.sup_norm == rec.sup_norm
     # sup-norm and positivity come from one sampling of the trajectory
     _, us, _ = out.trajectory.sample(1024)
     assert out.sup_norm == float(np.max(np.abs(us)))
-    assert out.sup_norm == out.trajectory.sup_norm(1024)
-    assert float(np.min(us)) == out.trajectory.min_u(1024) > 0.0
+    assert float(np.min(us)) > 0.0
 
 
 def test_continuation_ends_at_the_gate(fig2_k1, monkeypatch):
@@ -408,3 +411,45 @@ def test_continuation_ends_at_the_gate(fig2_k1, monkeypatch):
     assert shooting.track_in_mu(p, rec, 1.1 * p.mu, sc) is None
     assert len(gated) == 1
     assert gated[0][0].mu == pytest.approx(1.1 * p.mu)
+
+
+def _same_state(a, b):
+    return abs(a.u - b.u) < 1e-7 and abs(a.y - b.y) < 1e-7
+
+
+def test_continuation_downward_matches_search(fig2_k1):
+    # continuing the mu = 7 orbit down to 6.5 reaches the orbit the
+    # search finds there
+    p, sc, recs = fig2_k1
+    rec, = recs
+    out = shooting.track_in_mu(p, rec, 6.5, sc)
+    pre = fig2(mu=6.5)
+    ref, = find_periodic_solutions(pre.problem, 1,
+                                   replace(pre.search, max_candidates=4))
+    assert _same_state(out.initial, ref.initial)
+
+
+def test_continuation_shortens_rejected_steps(fig2_k1, monkeypatch):
+    # a failed polish and a root collapsed to zero are both rejected: each
+    # time the next trial mu moves closer to the current one, and the
+    # branch still reaches the record of an undisturbed continuation
+    p, sc, recs = fig2_k1
+    rec, = recs
+    ref = shooting.track_in_mu(p, rec, 4.5, sc)
+    polish = shooting._newton_polish
+    trials = []
+
+    def faulty(q, z0, nodes, sc):
+        trials.append(q.mu)
+        if len(trials) == 1:
+            return None
+        if len(trials) == 2:
+            return np.zeros_like(z0), 0.0
+        return polish(q, z0, nodes, sc)
+
+    monkeypatch.setattr(shooting, "_newton_polish", faulty)
+    out = shooting.track_in_mu(p, rec, 4.5, sc)
+    steps = [abs(math.log(mu / p.mu)) for mu in trials[:3]]
+    assert steps[0] > steps[1] > steps[2] > 0
+    assert trials[-1] == 4.5
+    assert _same_state(out.initial, ref.initial)
