@@ -18,7 +18,7 @@ from .errors import (BracketingError, ConfigurationError, DegreeUndefinedError,
 from .expressions import Expression, parse_expression
 from .integrator import ProblemSpec, State, Trajectory, flow, integrate
 from .lyndon import Word, canonical_rotation, lyndon_words, mobius, \
-    witt_count, witt_count_factored
+    witt_count
 from .nonlinearity import NonlinearitySpec, g_eval
 from .presets import get_preset, list_presets
 from .radial import (AnnulusProblem, RadialMap, check_q_integral,
@@ -30,7 +30,7 @@ from .shooting import (SearchConfig, SolutionRecord, VerificationReport,
                        poincare_map, track_in_mu, verify_solution,
                        winding_number)
 from .subharmonic import (CodeTarget, enumerate_class_representatives,
-                          find_coded_solution, minimal_period_multiple)
+                          minimal_period_multiple)
 from .weight import SignPattern, WeightSpec, detect_sign_pattern, \
     integrate_weight, k_fold_pattern
 
@@ -48,11 +48,11 @@ __all__ = [
     "compute_K", "compute_mu_sharp", "compute_mu_star",
     "detect_sign_pattern", "direct_radial_integration",
     "enumerate_class_representatives", "estimate_R_star",
-    "find_coded_solution", "find_neumann_solutions",
+    "find_neumann_solutions",
     "find_periodic_solutions", "find_radial_solutions", "first_eigenvalue",
     "flow", "g_eval", "get_preset", "ginf_threshold", "integrate",
     "integrate_weight", "k_fold_pattern", "list_presets", "lyndon_words",
     "minimal_period_multiple", "mobius", "parse_expression", "poincare_map",
     "radial_to_1d", "solution_to_radial", "track_in_mu", "verify_solution",
-    "winding_number", "witt_count", "witt_count_factored",
+    "winding_number", "witt_count",
 ]

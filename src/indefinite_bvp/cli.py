@@ -16,7 +16,6 @@ import argparse
 import configparser
 import dataclasses
 import json
-import math
 import re
 import sys
 from importlib import metadata
@@ -36,8 +35,7 @@ from .radial import (AnnulusProblem, check_q_integral, find_radial_solutions,
 from .shooting import (SearchConfig, find_neumann_solutions,
                        find_periodic_solutions, verify_solution)
 from .subharmonic import (CodeTarget, classify_records, coded_records,
-                          enumerate_class_representatives,
-                          find_coded_solution)
+                          enumerate_class_representatives)
 from .weight import WeightSpec
 
 EXIT_OK = 0
@@ -55,29 +53,11 @@ def _version():
         return "unknown"
 
 
-def _split_args(src):
-    """Top-level comma split of a constructor argument list."""
-    parts, depth, cur = [], 0, []
-    for ch in src:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur or parts:
-        parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
 def parse_weight(src, period=None):
     """Weight from shorthand or an expression in t."""
     m = _CALL_RE.match(src)
     if m and m.group(1) in ("sin_pm", "sine"):
-        name, args = m.group(1), _split_args(m.group(2))
+        name, args = m.group(1), m.group(2).split(",")
         try:
             if name == "sine":
                 return WeightSpec.sine(float(args[0]), period=period)
@@ -104,15 +84,39 @@ def parse_nonlinearity(src):
     return NonlinearitySpec.from_expression(src)
 
 
-def _getfloat(sec, key, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigurationError("missing config key %r" % key)
-        return default
-    try:
-        return float(sec[key])
-    except ValueError:
-        raise ConfigurationError("config key %r is not a number" % key)
+# key -> type of every key a section accepts
+_PROBLEM_KEYS = {"weight": str, "period": float, "g": str, "mu": float,
+                 "c": float, "boundary": str}
+_PRESET_KEYS = {"preset": str, "mu": float}
+_ANNULUS_KEYS = {"n": int, "r1": float, "r2": float, "mu": float, "q": str,
+                 "g": str}
+_SEARCH_KEYS = {f.name: int if f.type == "int" else float
+                for f in dataclasses.fields(SearchConfig)}
+
+
+def _read_section(cp, name, types, required=()):
+    """The keys of config section ``name``, each converted by its type in
+    ``types``; an unknown, missing or unconvertible key is a
+    ConfigurationError."""
+    if name not in cp:
+        raise ConfigurationError("config needs a [%s] section" % name)
+    sec = cp[name]
+    unknown = sorted(set(sec) - set(types))
+    if unknown:
+        raise ConfigurationError("unknown [%s] key(s): %s"
+                                 % (name, ", ".join(unknown)))
+    missing = [key for key in required if key not in sec]
+    if missing:
+        raise ConfigurationError("missing [%s] key(s): %s"
+                                 % (name, ", ".join(missing)))
+    out = {}
+    for key in sec:
+        try:
+            out[key] = types[key](sec[key])
+        except ValueError as exc:
+            raise ConfigurationError("bad [%s] value for %r: %s"
+                                     % (name, key, exc))
+    return out
 
 
 def load_config(path):
@@ -125,66 +129,40 @@ def load_config(path):
 
 def problem_from_config(cp, mu_override=None):
     """(ProblemSpec, SearchConfig, resolved dict) from a parsed config."""
-    if "problem" not in cp:
-        raise ConfigurationError("config needs a [problem] section")
-    sec = cp["problem"]
-    resolved = dict(sec)
-    if "preset" in sec:
-        kwargs = {}
+    if cp.has_option("problem", "preset"):
+        sec = _read_section(cp, "problem", _PRESET_KEYS)
         if mu_override is not None:
-            kwargs["mu"] = mu_override
-        elif "mu" in sec:
-            kwargs["mu"] = _getfloat(sec, "mu")
-        preset = get_preset(sec["preset"], **kwargs)
+            sec["mu"] = mu_override
+        preset = get_preset(sec.pop("preset"), **sec)
         search = _search_from_config(cp, default=preset.search)
-        return preset.problem, search, resolved
-    period = _getfloat(sec, "period", math.nan)
-    period = None if math.isnan(period) else period
-    if "weight" not in sec:
-        raise ConfigurationError("[problem] needs weight or preset")
-    w = parse_weight(sec["weight"], period=period)
+        return preset.problem, search, dict(cp["problem"])
+    sec = _read_section(cp, "problem", _PROBLEM_KEYS, required=("weight",))
+    w = parse_weight(sec["weight"], period=sec.get("period"))
     g = parse_nonlinearity(sec.get("g", "power(2)"))
-    mu = mu_override if mu_override is not None else _getfloat(sec, "mu", 1.0)
-    c = _getfloat(sec, "c", 0.0)
-    boundary = sec.get("boundary", "periodic")
-    p = ProblemSpec.build(w, mu, c, g, boundary=boundary)
-    return p, _search_from_config(cp), resolved
+    mu = mu_override if mu_override is not None else sec.get("mu", 1.0)
+    p = ProblemSpec.build(w, mu, sec.get("c", 0.0), g,
+                          boundary=sec.get("boundary", "periodic"))
+    return p, _search_from_config(cp), dict(cp["problem"])
 
 
 def _search_from_config(cp, default=None):
     base = default or SearchConfig()
     if "search" not in cp:
         return base
-    sec = cp["search"]
-    types = {f.name: f.type for f in dataclasses.fields(SearchConfig)}
-    unknown = sorted(set(sec) - set(types))
-    if unknown:
-        raise ConfigurationError("unknown [search] key(s): %s"
-                                 % ", ".join(unknown))
-    try:
-        fields = {key: (int if types[key] == "int" else float)(sec[key])
-                  for key in sec}
-    except ValueError as exc:
-        raise ConfigurationError("bad [search] value: %s" % exc)
-    return dataclasses.replace(base, **fields)
+    return dataclasses.replace(base, **_read_section(cp, "search",
+                                                     _SEARCH_KEYS))
 
 
 def annulus_from_config(cp):
-    if "annulus" not in cp:
-        raise ConfigurationError("config needs an [annulus] section")
-    sec = cp["annulus"]
-    N = int(_getfloat(sec, "n"))
-    R1 = _getfloat(sec, "r1")
-    R2 = _getfloat(sec, "r2")
-    mu = _getfloat(sec, "mu", 1.0)
-    if "q" not in sec:
-        raise ConfigurationError("[annulus] needs the radial weight q")
+    sec = _read_section(cp, "annulus", _ANNULUS_KEYS,
+                        required=("n", "r1", "r2", "q"))
     expr = parse_expression(sec["q"])
     if expr.variable not in (None, "r"):
         raise ConfigurationError("radial weight expressions use the "
                                  "variable r")
     g = parse_nonlinearity(sec.get("g", "power(2)"))
-    return AnnulusProblem(N, R1, R2, expr, g, mu)
+    return AnnulusProblem(sec["n"], sec["r1"], sec["r2"], expr, g,
+                          sec.get("mu", 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +194,19 @@ def _base_report(resolved, command):
     return {"version": _version(), "command": command, "config": resolved}
 
 
-def _write_trajectories(recs, prefix):
-    for i, rec in enumerate(recs):
-        rec.trajectory.to_csv("%s_%d.csv" % (prefix, i))
+def _add_solutions(report, recs, p, sc, verify=False, trajectories=None):
+    """Classify ``recs`` and put their levels and records in ``report``,
+    each record with its verification flag when ``verify``; write one
+    trajectory CSV per record when given a path prefix."""
+    levels = classify_records(recs, p)
+    report["levels"] = {"r": levels[0], "R": levels[1]} if levels else None
+    report["solutions"] = [_record_dict(r) for r in recs]
+    if verify:
+        for row, rec in zip(report["solutions"], recs):
+            row["verified"] = verify_solution(rec, p, sc=sc).passed
+    if trajectories:
+        for i, rec in enumerate(recs):
+            rec.trajectory.to_csv("%s_%d.csv" % (trajectories, i))
 
 
 # ---------------------------------------------------------------------------
@@ -237,30 +225,20 @@ def cmd_bounds(args):
 
 
 def cmd_solve(args):
-    cp = load_config(args.config)
-    p, sc, resolved = problem_from_config(cp, args.mu)
-    recs = find_periodic_solutions(p, args.k, sc)
-    levels = classify_records(recs, p)
+    p, sc, resolved = problem_from_config(load_config(args.config), args.mu)
     report = _base_report(resolved, "solve")
     report["k"] = args.k
-    report["levels"] = {"r": levels[0], "R": levels[1]} if levels else None
-    report["solutions"] = [_record_dict(r) for r in recs]
-    if args.trajectories:
-        _write_trajectories(recs, args.trajectories)
+    _add_solutions(report, find_periodic_solutions(p, args.k, sc), p, sc,
+                   trajectories=args.trajectories)
     _emit(report, args)
     return EXIT_OK
 
 
 def cmd_neumann(args):
-    cp = load_config(args.config)
-    p, sc, resolved = problem_from_config(cp, args.mu)
-    recs = find_neumann_solutions(p, sc)
-    levels = classify_records(recs, p)
+    p, sc, resolved = problem_from_config(load_config(args.config), args.mu)
     report = _base_report(resolved, "neumann")
-    report["levels"] = {"r": levels[0], "R": levels[1]} if levels else None
-    report["solutions"] = [_record_dict(r) for r in recs]
-    if args.trajectories:
-        _write_trajectories(recs, args.trajectories)
+    _add_solutions(report, find_neumann_solutions(p, sc), p, sc,
+                   trajectories=args.trajectories)
     _emit(report, args)
     return EXIT_OK
 
@@ -277,29 +255,28 @@ def cmd_subharmonic(args):
         report["classes"] = [t.word_string for t in targets]
         _emit(report, args)
         return EXIT_OK
-    cp = load_config(args.config)
-    p, sc, resolved = problem_from_config(cp, args.mu)
+    if args.config is None:
+        raise ConfigurationError("subharmonic needs --config unless "
+                                 "--enumerate is given")
+    p, sc, resolved = problem_from_config(load_config(args.config), args.mu)
+    if args.word:
+        targets = [CodeTarget(args.k, tuple(int(b) for b in args.word))]
+        if targets[0].m != p.pattern.m:
+            raise DomainError("target word does not match the weight "
+                              "pattern")
+    else:
+        targets = enumerate_class_representatives(p.pattern.m, args.k)
     report = _base_report(resolved, "subharmonic")
     report["k"] = args.k
-    if args.word:
-        word = tuple(int(b) for b in args.word)
-        tgt = CodeTarget(args.k, word)
-        rec = find_coded_solution(p, tgt, sc)
-        report["targets"] = [{
+    # one search serves every target
+    coded = coded_records(p, args.k, sc)
+    report["targets"] = []
+    for tgt in targets:
+        rec = next((r for r in coded if tgt.matches(r.code)), None)
+        report["targets"].append({
             "word": tgt.word_string,
             "found": rec is not None,
-            "record": _record_dict(rec) if rec else None,
-        }]
-    else:
-        # one search serves every class representative
-        coded = coded_records(p, args.k, sc)
-        rows = []
-        for tgt in enumerate_class_representatives(p.pattern.m, args.k):
-            rec = next((r for r in coded if tgt.matches(r.code)), None)
-            rows.append({"word": tgt.word_string,
-                         "found": rec is not None,
-                         "record": _record_dict(rec) if rec else None})
-        report["targets"] = rows
+            "record": _record_dict(rec) if rec else None})
     _emit(report, args)
     return EXIT_OK
 
@@ -359,11 +336,7 @@ def cmd_report(args):
         recs = find_neumann_solutions(p, sc)
     else:
         recs = find_periodic_solutions(p, preset.k, sc)
-    levels = classify_records(recs, p)
-    verified = [verify_solution(rec, p, sc=sc).passed for rec in recs]
-    report["levels"] = {"r": levels[0], "R": levels[1]} if levels else None
-    report["solutions"] = [dict(_record_dict(r), verified=v)
-                           for r, v in zip(recs, verified)]
+    _add_solutions(report, recs, p, sc, verify=True)
     _emit(report, args)
     return EXIT_OK
 

@@ -62,40 +62,6 @@ def witt_count(n, k):
     return total // k
 
 
-def _prime_factors(k):
-    primes = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            primes.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        primes.append(k)
-    return primes
-
-
-def witt_count_factored(n, k):
-    """Same count as :func:`witt_count`, via inclusion-exclusion over the
-    square-free products of the prime factors of k."""
-    if n < 2 or k < 2:
-        raise DomainError("need n >= 2 and k >= 2")
-    primes = _prime_factors(k)
-    s = len(primes)
-    total = n ** k
-    for mask in range(1, 1 << s):
-        prod = 1
-        bits = 0
-        for i in range(s):
-            if mask >> i & 1:
-                prod *= primes[i]
-                bits += 1
-        total += (-1) ** bits * n ** (k // prod)
-    assert total % k == 0
-    return total // k
-
-
 def lyndon_words(n, k):
     """All n-ary Lyndon words of length exactly k, in lexicographic order.
 

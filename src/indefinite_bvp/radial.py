@@ -176,8 +176,10 @@ def direct_radial_integration(ap, U0):
 def find_radial_solutions(ap, sc=None):
     """Positive radial Neumann profiles via the 1D reduction.
 
-    Returns (records, r_of_t); each record's trajectory lives in the
-    transformed variable, use solution_to_radial for (r, U) samples.
+    Returns (records, RadialMap, problem): the records of the Neumann
+    search, the map between t and r, and the 1D Neumann problem that was
+    solved.  Each record's trajectory lives in the transformed variable t;
+    use solution_to_radial with the map for (r, U) samples.
     """
     p, rm = radial_to_1d(ap)
     recs = find_neumann_solutions(p, sc)

@@ -428,6 +428,8 @@ def find_periodic_solutions(p, k, sc=None, base=None):
     """
     if p.boundary != "periodic":
         raise DomainError("problem is not in periodic mode")
+    if k < 1:
+        raise DomainError("k must be >= 1")
     sc = sc or SearchConfig()
     u_grid = np.geomspace(sc.u_min, sc.u_max, sc.u_count)
     y_grid = np.linspace(sc.y_min, sc.y_max, sc.y_count)
@@ -572,7 +574,9 @@ def track_in_mu(p, rec, mu_target, sc=None):
                                                    1e-3 * scale_ref):
                 polished = None
         if polished is None:
-            factor = math.sqrt(factor)
+            # halve the log-step actually tried, which is shorter than
+            # ``factor`` when the trial was clamped to the target
+            factor = math.sqrt(mu_try / mu)
             if abs(factor - 1.0) < 1e-4:
                 return None
             continue

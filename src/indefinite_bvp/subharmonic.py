@@ -148,16 +148,3 @@ def coded_records(p, k, sc=None):
     classify_records(recs, p)
     return [rec for rec in recs if not rec.unclassifiable]
 
-
-def find_coded_solution(p, tgt, sc=None):
-    """Record realizing the target word among the k-periodic solutions.
-
-    Searches the fixed points of the k-th iterate of the period map,
-    classifies their codes and returns the first one that ``tgt.matches``
-    (None when absent).
-    """
-    if tgt.m != p.pattern.m:
-        raise DomainError("target word does not match the weight pattern")
-    return next((rec for rec in coded_records(p, tgt.k, sc)
-                 if tgt.matches(rec.code)), None)
-

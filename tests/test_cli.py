@@ -9,8 +9,7 @@ import pytest
 from indefinite_bvp import bounds, cli, shooting
 from indefinite_bvp.cli import (annulus_from_config, build_parser, main,
                                 parse_nonlinearity, parse_weight,
-                                problem_from_config, load_config,
-                                _split_args)
+                                problem_from_config, load_config)
 from indefinite_bvp.errors import ConfigurationError
 from indefinite_bvp.nonlinearity import g_eval
 from indefinite_bvp.weight import evaluate
@@ -20,11 +19,6 @@ def write_config(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-def test_split_args_nested():
-    assert _split_args("1, max(2, 3), 4") == ["1", "max(2, 3)", "4"]
-    assert _split_args("") == []
 
 
 def test_parse_weight_shorthand():
@@ -379,3 +373,41 @@ def test_table_weight_is_not_a_shorthand(tmp_path, capsys):
     assert main(["bounds", "--config", path]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "unknown function 'table'" in err["message"]
+
+
+@pytest.mark.parametrize("command, text, named", [
+    # a misspelt boundary must not silently solve the periodic problem
+    ("eigen", "[problem]\nweight = sine(6.283185307179586)\nperiod = 1\n"
+     "boundry = neumann\n", "[problem] key(s): boundry"),
+    # beside a preset only mu is read
+    ("eigen", "[problem]\npreset = fig2\nc = 0.5\n", "[problem] key(s): c"),
+    ("radial", ANNULUS_INI + "radius = 3\n", "[annulus] key(s): radius"),
+], ids=["problem", "preset", "annulus"])
+def test_unknown_key_exit(command, text, named, tmp_path, capsys):
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert named in err["message"]
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("eigen", "[problem]\nweight = sine(6.283185307179586)\n"
+     "period = one\n", "period"),
+    ("eigen", "[problem]\npreset = fig2\nmu = seven\n", "mu"),
+    # the dimension is an integer, not a number rounded to one
+    ("radial", ANNULUS_INI.replace("n = 2", "n = 2.0"), "n"),
+], ids=["problem", "preset", "annulus"])
+def test_bad_value_exit(command, text, key, tmp_path, capsys):
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert repr(key) in err["message"]
+
+
+def test_subharmonic_needs_config(capsys):
+    assert main(["subharmonic", "--k", "2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "--config" in err["message"]

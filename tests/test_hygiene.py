@@ -1,7 +1,8 @@
 """Static hygiene of the package sources: every imported name is used,
 every import sits at module level, every module-level private helper has
-a caller, every dataclass field is read somewhere, and the expression
-compiler is the only place that runs generated code.
+a caller, every dataclass field is read somewhere, the expression
+compiler is the only place that runs generated code, and ``__all__``
+lists exactly the names the package imports.
 
 No linter ships with the toolchain, so these AST scans keep unused
 imports, orphaned helpers and write-only fields from creeping back into
@@ -13,6 +14,8 @@ import collections
 import pathlib
 
 import pytest
+
+import indefinite_bvp
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "indefinite_bvp"
 MODULES = sorted(f for f in PACKAGE.glob("*.py") if f.name != "__init__.py")
@@ -196,3 +199,11 @@ def test_no_write_only_fields():
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
     assert write_only_fields(sources) == []
+
+
+def test_all_matches_the_package_imports():
+    # a stale name in __all__ breaks ``from indefinite_bvp import *``
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(indefinite_bvp.__all__) == sorted(imported)

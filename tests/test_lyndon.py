@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from indefinite_bvp.errors import DomainError
 from indefinite_bvp.lyndon import (Word, canonical_rotation, lyndon_words,
-                                   mobius, witt_count, witt_count_factored)
+                                   mobius, witt_count)
 
 S2 = {2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30, 9: 56, 10: 99}
 S4 = {2: 6, 3: 20, 4: 60, 5: 204, 6: 670, 7: 2340, 8: 8160, 9: 29120,
@@ -64,19 +64,11 @@ def test_witt_equals_brute_force():
             assert witt_count(n, k) == brute_force_lyndon_count(n, k)
 
 
-def test_witt_factored_agrees():
-    for n in (2, 3, 4):
-        for k in range(2, 11):
-            assert witt_count_factored(n, k) == witt_count(n, k)
-
-
 def test_witt_domain():
     with pytest.raises(DomainError):
         witt_count(1, 3)
     with pytest.raises(DomainError):
         witt_count(2, 0)
-    with pytest.raises(DomainError):
-        witt_count_factored(2, 1)
 
 
 def test_lyndon_words_are_lyndon_and_complete():

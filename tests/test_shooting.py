@@ -62,6 +62,13 @@ def test_mode_mismatch():
         find_neumann_solutions(pre2.problem, pre2.search)
 
 
+def test_search_rejects_k_below_one():
+    p = fig2().problem
+    for k in (0, -1):
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            find_periodic_solutions(p, k)
+
+
 def test_segment_nodes_cover_breakpoints():
     pre = fig2()
     p = pre.problem
@@ -452,4 +459,27 @@ def test_continuation_shortens_rejected_steps(fig2_k1, monkeypatch):
     steps = [abs(math.log(mu / p.mu)) for mu in trials[:3]]
     assert steps[0] > steps[1] > steps[2] > 0
     assert trials[-1] == 4.5
+    assert _same_state(out.initial, ref.initial)
+
+
+def test_continuation_shortens_a_clamped_step(fig2_k1, monkeypatch):
+    # the first trial is clamped to the nearby target; when it and the
+    # next two are rejected, every retry is a new mu strictly closer to
+    # the current one, and the branch still reaches the undisturbed record
+    p, sc, recs = fig2_k1
+    rec, = recs
+    ref = shooting.track_in_mu(p, rec, 6.5, sc)
+    polish = shooting._newton_polish
+    trials = []
+
+    def faulty(q, z0, nodes, sc):
+        trials.append(q.mu)
+        return None if len(trials) <= 3 else polish(q, z0, nodes, sc)
+
+    monkeypatch.setattr(shooting, "_newton_polish", faulty)
+    out = shooting.track_in_mu(p, rec, 6.5, sc)
+    assert trials[0] == 6.5
+    steps = [abs(math.log(mu / p.mu)) for mu in trials[:4]]
+    assert steps[0] > steps[1] > steps[2] > steps[3] > 0
+    assert trials[-1] == 6.5
     assert _same_state(out.initial, ref.initial)
