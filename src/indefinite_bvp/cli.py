@@ -258,6 +258,9 @@ def cmd_subharmonic(args):
     if args.config is None:
         raise ConfigurationError("subharmonic needs --config unless "
                                  "--enumerate is given")
+    if args.word and set(args.word) - {"0", "1"}:
+        raise ConfigurationError("--word must be a string of 0s and 1s, "
+                                 "got %r" % args.word)
     p, sc, resolved = problem_from_config(load_config(args.config), args.mu)
     if args.word:
         targets = [CodeTarget(args.k, tuple(int(b) for b in args.word))]

@@ -17,8 +17,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, DivergenceError, DomainError
 from .expressions import quiet_fp
-from .nonlinearity import NonlinearitySpec, g_scalar, g_unchecked
-from .weight import (SignPattern, WeightSpec, a_mu, a_mu_scalar,
+from .nonlinearity import NonlinearitySpec, g_scalar, g_vector
+from .weight import (SignPattern, WeightSpec, a_mu_scalar, a_mu_vector,
                      detect_sign_pattern)
 
 BLOWUP_NORM = 1e8
@@ -47,8 +47,10 @@ class ProblemSpec:
     and boundary mode ("periodic" or "neumann").
 
     The pattern fixes the window [0, period] and the breakpoints at which
-    every integrator restarts.  The scalar a_mu and g that :meth:`rhs`
-    calls are built once, at construction.
+    every integrator restarts.  The evaluators of a_mu and g are built
+    once, at construction: the scalar pair that :meth:`rhs` calls and the
+    vector pair behind :meth:`a_mu_at`, :meth:`forcing` and
+    :meth:`extended`.
     """
 
     weight: WeightSpec
@@ -65,6 +67,9 @@ class ProblemSpec:
             raise ConfigurationError("boundary must be periodic or neumann")
         object.__setattr__(self, "_a_mu", a_mu_scalar(self.weight, self.mu))
         object.__setattr__(self, "_g", g_scalar(self.g))
+        object.__setattr__(self, "_a_mu_vec", a_mu_vector(self.weight,
+                                                          self.mu))
+        object.__setattr__(self, "_g_vec", g_vector(self.g))
 
     def __reduce__(self):
         # the compiled closures do not pickle; the fields rebuild them
@@ -90,16 +95,19 @@ class ProblemSpec:
         return self.pattern.breakpoints_between(lo, hi)
 
     def a_mu_at(self, t):
-        return a_mu(self.weight, self.mu, t)
+        """a+(t) - mu * a-(t), with the bits of :func:`weight.a_mu`."""
+        out = self._a_mu_vec(t)
+        return float(out) if out.ndim == 0 else out
 
     def forcing(self, t, u):
         """Extended forcing f~(t, u): a_mu(t) g(u) for u >= 0, -u below."""
-        u_arr = np.asarray(u, dtype=float)
-        pos = np.maximum(u_arr, 0.0)
-        out = np.where(u_arr >= 0.0,
-                       self.a_mu_at(t) * g_unchecked(self.g, pos),
-                       -u_arr)
+        out = self.extended(self._a_mu_vec(t), np.asarray(u, dtype=float))
         return float(out) if out.ndim == 0 else out
+
+    def extended(self, a, u):
+        """f~ from weight values a = a_mu(t) at a float array u: a g(u)
+        for u >= 0, -u below.  :meth:`forcing` and the screen share it."""
+        return np.where(u >= 0.0, a * self._g_vec(np.maximum(u, 0.0)), -u)
 
     def rhs(self, t, state):
         """Planar field at a float t: the scalar branch of :meth:`forcing`,

@@ -101,9 +101,15 @@ def _kernel(g, guarded=True):
 def g_unchecked(g, s):
     """:func:`g_eval` without the domain check, for callers that have
     clamped their argument to s >= 0."""
-    s_arr = np.asarray(s, dtype=float)
-    out = np.where(s_arr == 0.0, 0.0, _kernel(g)(s_arr))
+    out = g_vector(g)(np.asarray(s, dtype=float))
     return float(out) if out.ndim == 0 else out
+
+
+def g_vector(g):
+    """Compiled s -> g(s) for a float array s >= 0 that the caller has
+    clamped: :func:`g_unchecked` with its kernel built once."""
+    raw = _kernel(g)
+    return lambda s: np.where(s == 0.0, 0.0, raw(s))
 
 
 def g_scalar(g):

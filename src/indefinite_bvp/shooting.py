@@ -6,6 +6,13 @@ grid points with the smallest displacement go straight to damped
 multiple-shooting Newton on the accurate adaptive integrator.  Accepted
 solutions are classified by the binary code of their hump maxima and
 cross-checked by an independent verification pass.
+
+All Newton seeds of a search are polished in lockstep.  Each merged
+round flows the pending evaluation of every unfinished seed in one
+batched flow and hands each seed its rows; a seed whose polish has ended
+drops out.  When the merged flow diverges, the round's evaluations are
+flowed again one by one, so only the seeds that diverge on their own
+see the failure.
 """
 
 from __future__ import annotations
@@ -86,29 +93,37 @@ def screen_flow(p, states, t0, t1, steps_per_unit=1200):
 
     Diverged members are frozen at NaN.  Accuracy is qualitative; this is
     only used to locate candidate basins for the Newton polish.
+
+    a_mu is evaluated once per weight piece, at every stage time the
+    step loop reaches (t, t + h/2 and t + h, the next step's t), so each
+    stage is one :meth:`ProblemSpec.extended` call.
     """
     u = states[:, 0].astype(float).copy()
     y = states[:, 1].astype(float).copy()
     edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
 
-    def deriv(t, u, y):
+    def deriv(a, u, y):
         du = y
-        dy = -p.c * y - p.forcing(t, u)
+        dy = -p.c * y - p.extended(a, u)
         return du, dy
 
     with np.errstate(all="ignore"):
         for lo, hi in zip(edges[:-1], edges[1:]):
             n = max(4, int(math.ceil((hi - lo) * steps_per_unit)))
             h = (hi - lo) / n
-            t = lo
+            ts = [lo]
             for _ in range(n):
-                k1u, k1y = deriv(t, u, y)
-                k2u, k2y = deriv(t + h / 2, u + h / 2 * k1u, y + h / 2 * k1y)
-                k3u, k3y = deriv(t + h / 2, u + h / 2 * k2u, y + h / 2 * k2y)
-                k4u, k4y = deriv(t + h, u + h * k3u, y + h * k3y)
+                ts.append(ts[-1] + h)
+            ts = np.array(ts)
+            a = p.a_mu_at(np.concatenate([ts, ts[:-1] + h / 2]))
+            a_start, a_mid = a[:n + 1], a[n + 1:]
+            for i in range(n):
+                k1u, k1y = deriv(a_start[i], u, y)
+                k2u, k2y = deriv(a_mid[i], u + h / 2 * k1u, y + h / 2 * k1y)
+                k3u, k3y = deriv(a_mid[i], u + h / 2 * k2u, y + h / 2 * k2y)
+                k4u, k4y = deriv(a_start[i + 1], u + h * k3u, y + h * k3y)
                 u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
                 y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-                t += h
                 dead = ~np.isfinite(u) | ~np.isfinite(y) | \
                     (np.abs(u) + np.abs(y) > BLOWUP_NORM)
                 u[dead] = np.nan
@@ -246,31 +261,23 @@ def _newton_polish(p, z0, nodes, sc):
     quadratically near a root without g' or variational equations.
 
     Returns (node states of shape (n, 2) with the first row at the pattern
-    start, largest per-segment matching defect) or None.
+    start, largest per-segment matching defect) or None.  This is the
+    one-seed call of :func:`_polish_lockstep`.
     """
-    n = len(nodes) - 1
-    z = np.asarray(z0, dtype=float).reshape(n, 2).copy()
-    t0s = np.repeat(np.asarray(nodes[:-1], dtype=float), 3)
-    lens = np.repeat(np.diff(nodes), 3)
-    seg = np.arange(n)
-    nxt = (seg + 1) % n
+    return _polish_lockstep(p, [(z0, nodes)], sc)[0]
 
-    def evaluate(z):
-        hs = _FD_STEP * (1.0 + np.abs(z))           # (n, 2)
-        rows = np.repeat(z, 3, axis=0)              # z_j, +h e_u, +h e_y
-        rows[1::3, 0] += hs[:, 0]
-        rows[2::3, 1] += hs[:, 1]
-        out = _batch_flow(p, rows, t0s, lens, sc).reshape(n, 3, 2)
-        fz = out[:, 0]
-        # dfz[j, c] is column c of segment j's flow derivative
-        dfz = (out[:, 1:] - fz[:, None, :]) / hs[:, :, None]
-        jac = np.zeros((n, 2, n, 2))
-        jac[seg, :, seg, :] = dfz.transpose(0, 2, 1)
-        jac[seg, :, nxt, :] -= np.eye(2)
-        return fz - z[nxt], jac.reshape(2 * n, 2 * n)
 
+def _newton_steps(z, sc):
+    """The Newton iteration of :func:`_newton_polish` on node states
+    ``z`` (shape (n, 2)), as a generator.
+
+    It yields each node-state array it wants evaluated and receives its
+    residual and Jacobian (f, jac), or a thrown DivergenceError when the
+    flow of those states escapes.  It returns (z, defect) or None.
+    """
+    n = len(z)
     try:
-        f, jac = evaluate(z)
+        f, jac = yield z
     except DivergenceError:
         return None
     bound = 100.0 * (1.0 + float(np.max(np.abs(z))))
@@ -298,7 +305,7 @@ def _newton_polish(p, z0, nodes, sc):
         lam = 1.0
         for _ in range(12):
             try:
-                f_new, jac_new = evaluate(z + lam * step)
+                f_new, jac_new = yield z + lam * step
             except DivergenceError:
                 lam *= 0.5
                 continue
@@ -313,6 +320,103 @@ def _newton_polish(p, z0, nodes, sc):
     if defect < sc.residual_tol:
         return z, defect
     return None
+
+
+class _Seed:
+    """One Newton run of :func:`_polish_lockstep`: its iteration, its
+    segment grid, its pending request and, once done, its result."""
+
+    def __init__(self, z0, nodes, sc):
+        n = len(nodes) - 1
+        self.steps = _newton_steps(
+            np.asarray(z0, dtype=float).reshape(n, 2).copy(), sc)
+        self.t0s = np.repeat(np.asarray(nodes[:-1], dtype=float), 3)
+        self.lens = np.repeat(np.diff(nodes), 3)
+        self.seg = np.arange(n)
+        self.nxt = (self.seg + 1) % n
+        self.result = None
+        self.ask(next(self.steps))
+
+    def ask(self, z):
+        """Make ``z`` the pending request: its flow rows are each z_j,
+        then z_j + h e_u and z_j + h e_y."""
+        self.z = z
+        self.hs = _FD_STEP * (1.0 + np.abs(z))           # (n, 2)
+        self.rows = np.repeat(z, 3, axis=0)
+        self.rows[1::3, 0] += self.hs[:, 0]
+        self.rows[2::3, 1] += self.hs[:, 1]
+
+    def reply(self, out):
+        """Hand the iteration the flowed rows ``out`` of the pending
+        request, or the DivergenceError of its flow.  False once the
+        iteration has returned its result."""
+        try:
+            if isinstance(out, DivergenceError):
+                z = self.steps.throw(out)
+            else:
+                z = self.steps.send(self._system(out))
+        except StopIteration as done:
+            self.result = done.value
+            return False
+        self.ask(z)
+        return True
+
+    def _system(self, out):
+        """(f, jac) of the pending request from its flowed rows."""
+        n = len(self.seg)
+        out = out.reshape(n, 3, 2)
+        fz = out[:, 0]
+        # dfz[j, c] is column c of segment j's flow derivative
+        dfz = (out[:, 1:] - fz[:, None, :]) / self.hs[:, :, None]
+        jac = np.zeros((n, 2, n, 2))
+        jac[self.seg, :, self.seg, :] = dfz.transpose(0, 2, 1)
+        jac[self.seg, :, self.nxt, :] -= np.eye(2)
+        return fz - self.z[self.nxt], jac.reshape(2 * n, 2 * n)
+
+
+def _flow_requests(p, seeds, sc):
+    """Flowed rows of each seed's pending request, from one merged
+    batched flow.
+
+    When the merged flow diverges, each request is flowed alone, so only
+    the requests that diverge on their own get a DivergenceError in place
+    of their rows.
+    """
+    try:
+        out = _batch_flow(p, np.concatenate([s.rows for s in seeds]),
+                          np.concatenate([s.t0s for s in seeds]),
+                          np.concatenate([s.lens for s in seeds]), sc)
+    except DivergenceError as exc:
+        if len(seeds) == 1:
+            return [exc]
+        replies = []
+        for s in seeds:
+            try:
+                replies.append(_batch_flow(p, s.rows, s.t0s, s.lens, sc))
+            except DivergenceError as alone:
+                replies.append(alone)
+        return replies
+    return np.split(out, np.cumsum([len(s.rows) for s in seeds])[:-1])
+
+
+def _polish_lockstep(p, seeds, sc):
+    """:func:`_newton_polish` of every (node states, nodes) pair in
+    ``seeds``, in lockstep: [(z, defect) or None] in seed order.
+
+    Each round stacks the pending request of every unfinished seed, with
+    its own segment starts and lengths, into one :func:`_batch_flow`
+    call (a merged round) and hands each seed its rows.  A seed thus
+    follows its solo polish up to the flow tolerance, and a search makes
+    as many batched flows as its longest polish.  If the merged flow
+    diverges, every request of that round is flowed alone (see
+    :func:`_flow_requests`), so a diverging trial fails only its own seed.
+    """
+    runs = [_Seed(z0, nodes, sc) for z0, nodes in seeds]
+    active = runs
+    while active:
+        replies = _flow_requests(p, active, sc)
+        active = [s for s, out in zip(active, replies) if s.reply(out)]
+    return [s.result for s in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +482,15 @@ def _dedup(records, scale):
 
 def _polish_seeds(p, k, seeds, sc):
     """Accepted, deduplicated kT-periodic records of the roots Newton
-    reaches from ``seeds``, a list of (node states, nodes) pairs."""
+    reaches from ``seeds``, a list of (node states, nodes) pairs.
+
+    All seeds are polished together by :func:`_polish_lockstep`: each
+    Newton round flows the pending requests of every seed in one merged
+    batched flow, and falls back to one flow per request when the merged
+    flow diverges.
+    """
     found = []
-    for z0, nodes in seeds:
-        polished = _newton_polish(p, z0, nodes, sc)
+    for (_, nodes), polished in zip(seeds, _polish_lockstep(p, seeds, sc)):
         if polished is None:
             continue
         z, defect = polished

@@ -160,6 +160,23 @@ def a_mu_scalar(w, mu):
     return a_mu_at
 
 
+def a_mu_vector(w, mu):
+    """Compiled t -> a+(t) - mu * a-(t) for an array t, with the same bits
+    as :func:`a_mu`: the one-branch form of :func:`a_mu_scalar`, taken
+    elementwise, after :func:`evaluate`'s periodic reduction."""
+    if not mu > 0:
+        raise DomainError("mu must be positive")
+    T = w.period
+    fn = w.fn
+
+    def a_mu_at(t):
+        t = np.asarray(t, dtype=float)
+        a = np.asarray(fn(t - T * np.floor(t / T)), dtype=float)
+        return np.where(a < 0.0, mu * a, a + 0.0)
+
+    return a_mu_at
+
+
 @dataclass(frozen=True)
 class SignPattern:
     """Partition points sigma_1 < tau_1 < ... < tau_m < sigma_{m+1}.

@@ -411,3 +411,15 @@ def test_subharmonic_needs_config(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigurationError"
     assert "--config" in err["message"]
+
+
+@pytest.mark.parametrize("word", ["1x", "12"])
+def test_subharmonic_word_must_be_bits(word, tmp_path, capsys):
+    # a word that is not a bit string is a configuration error (exit 2),
+    # not a traceback or a numerical failure
+    path = write_config(tmp_path, "[problem]\npreset = fig2\n")
+    assert main(["subharmonic", "--config", path, "--k", "2",
+                 "--word", word]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert repr(word) in err["message"]

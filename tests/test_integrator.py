@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indefinite_bvp import integrator
+from indefinite_bvp import integrator, shooting
 from indefinite_bvp.errors import DivergenceError, DomainError
 from indefinite_bvp.integrator import (ProblemSpec, State, flow, integrate,
                                        max_on_interval)
 from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.presets import get_preset
-from indefinite_bvp.weight import SignPattern, WeightSpec, detect_sign_pattern
+from indefinite_bvp.weight import (SignPattern, WeightSpec, a_mu,
+                                  detect_sign_pattern)
 
 TWO_PI = 2 * math.pi
 
@@ -215,6 +216,65 @@ def test_scalar_rhs_matches_vector_forcing(wname, gname, pts, y, mu, c):
         du, dy = p.rhs(t, np.array([u, y]))
         assert bits(du) == bits(y)
         assert bits(dy) == bits(-c * y - f_vec[j]), (t, u)
+
+
+@pytest.mark.parametrize("wname", sorted(WEIGHTS))
+def test_compiled_a_mu_matches_two_part_form(wname):
+    # the vector a_mu built at construction has the bits of
+    # a+(t) - mu * a-(t), signed zeros included (whole t for "callable")
+    p = ProblemSpec(WEIGHTS[wname], PATTERNS[wname], 7.3, 0.0,
+                    GS["power"], "neumann")
+    ts = np.concatenate([np.linspace(-2.0, 3.0, 2001), [0.0, 1.0, 2.0]])
+    want = a_mu(WEIGHTS[wname], 7.3, ts)
+    assert p.a_mu_at(ts).tobytes() == want.tobytes()
+    assert bits(p.a_mu_at(1.0)) == bits(a_mu(WEIGHTS[wname], 7.3, 1.0))
+
+
+def reference_screen(p, states, t0, t1, steps_per_unit):
+    """The fixed-step RK4 screen written plainly: every stage calls
+    p.forcing(t, u) at its own time."""
+    u = states[:, 0].astype(float).copy()
+    y = states[:, 1].astype(float).copy()
+    edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
+
+    def deriv(t, u, y):
+        return y, -p.c * y - p.forcing(t, u)
+
+    with np.errstate(all="ignore"):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            n = max(4, int(math.ceil((hi - lo) * steps_per_unit)))
+            h = (hi - lo) / n
+            t = lo
+            for _ in range(n):
+                k1u, k1y = deriv(t, u, y)
+                k2u, k2y = deriv(t + h / 2, u + h / 2 * k1u, y + h / 2 * k1y)
+                k3u, k3y = deriv(t + h / 2, u + h / 2 * k2u, y + h / 2 * k2y)
+                k4u, k4y = deriv(t + h, u + h * k3u, y + h * k3y)
+                u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+                y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+                t += h
+                dead = ~np.isfinite(u) | ~np.isfinite(y) | \
+                    (np.abs(u) + np.abs(y) > integrator.BLOWUP_NORM)
+                u[dead] = np.nan
+                y[dead] = np.nan
+    return np.column_stack([u, y])
+
+
+@pytest.mark.parametrize("gname", sorted(GS))
+@pytest.mark.parametrize("wname", sorted(WEIGHTS))
+def test_screen_flow_matches_reference_rk4(wname, gname):
+    # the screen evaluates a_mu once per weight piece, at the stage times
+    # of its own step loop; its end states are bit for bit those of the
+    # plain loop, for u < 0, u = 0, u > 0 and a row that blows up
+    p = ProblemSpec(WEIGHTS[wname], PATTERNS[wname], 7.0, 0.3, GS[gname],
+                    "neumann")
+    states = np.array([[0.5, 0.0], [-0.2, 0.4], [0.0, -0.3], [0.0, 0.0],
+                       [1e-3, 2.0], [3.0, -1.0], [6e7, 6e7]])
+    t0, t1 = 0.05, 0.65
+    want = reference_screen(p, states, t0, t1, 60)
+    got = shooting.screen_flow(p, states, t0, t1, steps_per_unit=60)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[-1]).all()
 
 
 def test_expression_problem_pickles():

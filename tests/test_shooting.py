@@ -483,3 +483,82 @@ def test_continuation_shortens_a_clamped_step(fig2_k1, monkeypatch):
     assert steps[0] > steps[1] > steps[2] > steps[3] > 0
     assert trials[-1] == 6.5
     assert _same_state(out.initial, ref.initial)
+
+
+def _counting_flows(monkeypatch):
+    """Rows of every _batch_flow call from here on, one entry per call."""
+    rows = []
+    original = shooting._batch_flow
+
+    def counting(p, Z, *args):
+        rows.append(len(Z))
+        return original(p, Z, *args)
+
+    monkeypatch.setattr(shooting, "_batch_flow", counting)
+    return rows
+
+
+def test_lockstep_polish_matches_solo_polishes(fig2_k1, monkeypatch):
+    # the seeds of a fig2 k = 2 search at mu = 7 polished together give
+    # the records of polishing each seed alone, in as many batched flows
+    # as the longest solo polish and with the same rows in all
+    p, sc, base = fig2_k1
+    sc = replace(sc, max_candidates=4)
+    captured = []
+    polish_seeds = shooting._polish_seeds
+
+    def capture(p, k, seeds, sc):
+        captured.append(seeds)
+        return polish_seeds(p, k, seeds, sc)
+
+    monkeypatch.setattr(shooting, "_polish_seeds", capture)
+    find_periodic_solutions(p, 2, sc, base=base)
+    seeds, = captured
+    assert len(seeds) >= 4
+
+    rows = _counting_flows(monkeypatch)
+    solo_calls, solo_rows, solo = [], [], []
+    for z0, nodes in seeds:
+        del rows[:]
+        polished = shooting._newton_polish(p, z0, nodes, sc)
+        solo_calls.append(len(rows))
+        solo_rows.append(sum(rows))
+        if polished is not None:
+            rec = shooting._accept(p, polished[0], nodes, 2, polished[1],
+                                   sc, "periodic")
+            if rec is not None:
+                solo.append(rec)
+    solo = shooting._dedup(solo, sc.u_max)
+    del rows[:]
+    together = shooting._polish_seeds(p, 2, seeds, sc)
+    assert len(rows) == max(solo_calls)
+    assert sum(rows) == sum(solo_rows)
+
+    for recs in (solo, together):
+        levels = adaptive_levels(recs, p)
+        for rec in recs:
+            classify_code(rec, p, *levels)
+    assert [r.code for r in together] == [r.code for r in solo]
+    assert sorted(r.code_string for r in together) == ["01", "10", "11"]
+    for a, b in zip(together, solo):
+        assert np.max(np.abs(a.node_states - b.node_states)) < 1e-10
+
+
+def test_lockstep_polish_isolates_a_diverging_seed(fig2_k1, monkeypatch):
+    # a seed whose flow blows up is polished together with a good seed:
+    # the merged flow diverges, each request is then flowed alone, and
+    # the good seed gets exactly its solo result
+    p, sc, recs = fig2_k1
+    rec = recs[0]
+    good = (1.01 * rec.node_states, rec.nodes)
+    bad = (1e7 * rec.node_states, rec.nodes)
+    assert shooting._newton_polish(p, *bad, sc) is None
+    solo = shooting._newton_polish(p, *good, sc)
+    rows = _counting_flows(monkeypatch)
+    out = shooting._polish_lockstep(p, [bad, good], sc)
+    assert out[0] is None and out[1] is not None
+    z, defect = out[1]
+    assert z.tobytes() == solo[0].tobytes() and defect == solo[1]
+    # the merged flow, then each request alone
+    n3 = 3 * (len(rec.nodes) - 1)
+    assert rows[:3] == [2 * n3, n3, n3]
