@@ -37,12 +37,15 @@ class DivergenceError(SolverError):
         Last time at which the state was still finite and inside the guard.
     last_state : tuple
         State at ``last_time``.
+    row : int
+        In a flow of many rows, the row that escaped; None otherwise.
     """
 
-    def __init__(self, message, last_time=None, last_state=None):
+    def __init__(self, message, last_time=None, last_state=None, row=None):
         super().__init__(message)
         self.last_time = last_time
         self.last_state = last_state
+        self.row = row
 
 
 class DegreeUndefinedError(SolverError):

@@ -48,9 +48,9 @@ class ProblemSpec:
 
     The pattern fixes the window [0, period] and the breakpoints at which
     every integrator restarts.  The evaluators of a_mu and g are built
-    once, at construction: the scalar pair that :meth:`rhs` calls and the
-    vector pair behind :meth:`a_mu_at`, :meth:`forcing` and
-    :meth:`extended`.
+    once, at construction: the scalar pair that :meth:`rhs` calls (its
+    a_mu also serves :meth:`forcing` at a float t) and the vector pair
+    behind :meth:`a_mu_at`, :meth:`forcing` and :meth:`extended`.
     """
 
     weight: WeightSpec
@@ -100,8 +100,18 @@ class ProblemSpec:
         return float(out) if out.ndim == 0 else out
 
     def forcing(self, t, u):
-        """Extended forcing f~(t, u): a_mu(t) g(u) for u >= 0, -u below."""
-        out = self.extended(self._a_mu_vec(t), np.asarray(u, dtype=float))
+        """Extended forcing f~(t, u): a_mu(t) g(u) for u >= 0, -u below.
+
+        At a float t, a_mu is evaluated once, by the compiled scalar
+        evaluator of :meth:`rhs` (the same bits as the vector one), and
+        applied to every entry of u; as in :meth:`rhs`, an expression
+        weight is then called without its floating-point guard, so a
+        caller that wants quiet inf/nan runs inside
+        :func:`expressions.quiet_fp` (:func:`shooting.flow_many` does).
+        An array t takes the vector evaluator, one a_mu per entry.
+        """
+        a = self._a_mu(t) if np.ndim(t) == 0 else self._a_mu_vec(t)
+        out = self.extended(a, np.asarray(u, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def extended(self, a, u):

@@ -26,6 +26,7 @@ from scipy import optimize as _sopt
 
 from .errors import (DegreeUndefinedError, DivergenceError, DomainError,
                      SolverError, UnclassifiableError)
+from .expressions import quiet_fp
 from .integrator import (BLOWUP_NORM, State, Trajectory, flow, integrate,
                          max_on_interval)
 from .nonlinearity import g_eval
@@ -143,6 +144,61 @@ def poincare_map(p, s0, k=1, sc=None):
     return flow(p, s0, (0.0, k * p.period), rtol=sc.rtol, atol=sc.atol)
 
 
+def flow_many(p, Z, t0, t1, sc):
+    """Terminal states of the m rows of Z (shape (m, 2)) flowed together
+    over the window [t0, t1].
+
+    All rows sit at the same time t, so each RHS evaluation takes a_mu
+    once (:meth:`ProblemSpec.forcing` at a float t).  There is one
+    DOP853 call per weight piece, restarted at every breakpoint as in
+    :func:`integrator.integrate`.  The shared error norm averages over
+    rows, so the tolerances are tightened by sqrt(m) as in
+    :func:`_batch_flow`.  Raises DivergenceError, with the index of the
+    escaped row in ``row``, when a row's |u| + |y| reaches the blow-up
+    guard or the integration fails.
+    """
+    if not t0 < t1:
+        raise DomainError("need t0 < t1")
+    Z = np.asarray(Z, dtype=float)
+    m = len(Z)
+    edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
+    scale = 1.0 / math.sqrt(m)
+    rtol = max(sc.rtol * scale, 1e-13)
+    atol = sc.atol * scale
+    c = p.c
+
+    def rhs(t, y):
+        v = y[1::2]
+        out = np.empty_like(y)
+        out[0::2] = v
+        out[1::2] = -c * v - p.forcing(t, y[0::2])
+        return out
+
+    def blowup(t, y):
+        return float(np.max(np.abs(y[0::2]) + np.abs(y[1::2]))) - BLOWUP_NORM
+
+    blowup.terminal = True
+    blowup.direction = 1
+    y = Z.ravel()
+    # forcing at a float t calls expressions unguarded: one guard here
+    with quiet_fp():
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            sol = _sint.solve_ivp(rhs, (lo, hi), y, method="DOP853",
+                                  rtol=rtol, atol=atol, events=blowup)
+            y = sol.y[:, -1]
+            if sol.status == 1 or not sol.success or \
+                    not np.all(np.isfinite(y)):
+                size = np.abs(y[0::2]) + np.abs(y[1::2])
+                row = int(np.argmax(np.where(np.isfinite(size), size,
+                                             np.inf)))
+                t_last = float(sol.t[-1])
+                raise DivergenceError(
+                    "row %d escaped the guard region near t=%.6g"
+                    % (row, t_last), last_time=t_last,
+                    last_state=tuple(y[2 * row:2 * row + 2]), row=row)
+    return y.reshape(m, 2)
+
+
 _GROWTH_CAP = 7.0
 _FD_STEP = 1e-7         # relative difference-quotient step in Newton
 _DEDUP_TOL = 1e-6       # relative initial-state distance of duplicates
@@ -155,6 +211,7 @@ _LEVEL_R_FACTOR = 10.0  # R over the largest hump maximum
 _MAX_MU_STEPS = 200     # continuation steps, accepted or rejected
 _WINDING_MIN_DISP = 1e-9    # displacement that leaves the degree undefined
 _WINDING_MAX_POINTS = 4096  # curve vertices before refinement gives up
+_WINDING_LOOKAHEAD = 3      # dyadic levels flowed under each split edge
 
 
 def _g_slope(g, amp):
@@ -767,51 +824,116 @@ def winding_number(p, k, curve, sc=None):
     polyline of initial states.
 
     The polyline is refined (midpoint insertion in state space) until all
-    successive displacement-angle increments are below pi/2.
+    successive displacement-angle increments are below pi/2.  Each
+    refinement round that needs a vertex not flowed yet makes one
+    :func:`flow_many` call over [0, kT].  That call also flows, under
+    every edge the previous round split, the next ``_WINDING_LOOKAHEAD``
+    dyadic levels of midpoints (the midpoint itself, then the midpoints
+    of its halves, ...), so the rounds that split near the same spot
+    again find their vertices flowed.  The lookahead changes neither the
+    final polyline nor the result.
+
+    Only polyline vertices can leave the degree undefined: a
+    DegreeUndefinedError names the vertex (u, y) whose trajectory
+    diverged or whose displacement vanished.  When a round's flow
+    diverges with lookahead points in it, the round's vertices are
+    flowed again alone and the lookahead ends for this curve.  A
+    lookahead point whose displacement vanishes is never looked at
+    unless it becomes a vertex.
     """
+    if k < 1:
+        raise DomainError("k must be >= 1")
     sc = sc or SearchConfig()
     pts = [np.asarray(q, dtype=float) for q in curve]
     if len(pts) < 3:
         raise DomainError("curve needs at least 3 vertices")
     if np.allclose(pts[0], pts[-1]):
         pts = pts[:-1]
+    _, deltas = _refined_polyline(p, k, pts, sc)
+    return int(round(sum(deltas) / (2 * math.pi)))
 
-    cache = {}
 
-    def disp(q):
-        key = (float(q[0]), float(q[1]))
-        if key not in cache:
-            try:
-                img = poincare_map(p, State(q[0], q[1]), k, sc=sc)
-            except DivergenceError:
+def _dyadic_points(a, b, levels):
+    """The 2**levels - 1 midpoints of the first ``levels`` dyadic levels
+    under the edge (a, b), with the refinement's 0.5 * (a + b) so that
+    they are the refinement's points bit for bit."""
+    if levels == 0:
+        return []
+    mid = 0.5 * (a + b)
+    return [mid] + _dyadic_points(a, mid, levels - 1) + \
+        _dyadic_points(mid, b, levels - 1)
+
+
+def _refined_polyline(p, k, pts, sc):
+    """(final polyline, displacement-angle increment of each of its
+    edges) of the refinement in :func:`winding_number`."""
+    cache = {}      # (u, y) -> (angle, length) of the displacement
+    split = []      # the edges (a, b) the previous round split
+    levels = _WINDING_LOOKAHEAD
+
+    def key(q):
+        return float(q[0]), float(q[1])
+
+    def store(batch):
+        imgs = flow_many(p, np.array(batch), 0.0, k * p.period, sc)
+        for q, img in zip(batch, imgs):
+            d = img - q
+            cache[key(q)] = (math.atan2(d[1], d[0]), math.hypot(d[0], d[1]))
+
+    def store_vertices(batch):
+        try:
+            store(batch)
+        except DivergenceError as exc:
+            raise DegreeUndefinedError(
+                "trajectory from curve vertex (u, y) = (%.17g, %.17g) "
+                "diverged" % tuple(batch[exc.row])) from exc
+
+    while True:
+        todo = {key(q): q for q in pts if key(q) not in cache}
+        if todo:
+            need = len(todo)
+            for a, b in split:
+                for q in _dyadic_points(a, b, levels):
+                    if key(q) not in cache:
+                        todo.setdefault(key(q), q)
+            batch = list(todo.values())
+            if len(batch) == need:
+                store_vertices(batch)
+            else:
+                try:
+                    store(batch)
+                except DivergenceError:
+                    # a lookahead point may be the one that escaped; the
+                    # vertices alone decide, and the lookahead ends
+                    levels = 1
+                    store_vertices(batch[:need])
+        angles = []
+        for q in pts:
+            angle, length = cache[key(q)]
+            if length < _WINDING_MIN_DISP:
                 raise DegreeUndefinedError(
-                    "trajectory from a curve point diverged")
-            d = (img.u - q[0], img.y - q[1])
-            if np.hypot(*d) < _WINDING_MIN_DISP:
-                raise DegreeUndefinedError(
-                    "displacement vanishes on the curve")
-            cache[key] = math.atan2(d[1], d[0])
-        return cache[key]
-
-    def delta(a, b):
-        return (disp(b) - disp(a) + math.pi) % (2 * math.pi) - math.pi
-
-    changed = True
-    while changed:
-        if len(pts) > _WINDING_MAX_POINTS:
-            raise DegreeUndefinedError("curve refinement did not converge")
-        changed = False
-        refined = []
+                    "displacement vanishes at curve vertex (u, y) = "
+                    "(%.17g, %.17g): |d| = %.3g" % (q[0], q[1], length))
+            angles.append(angle)
+        n = len(pts)
+        deltas = [(angles[(i + 1) % n] - angles[i] + math.pi)
+                  % (2 * math.pi) - math.pi for i in range(n)]
+        refined, split = [], []
         for i, q in enumerate(pts):
-            nxt = pts[(i + 1) % len(pts)]
             refined.append(q)
-            if abs(delta(q, nxt)) >= math.pi / 2:
+            if abs(deltas[i]) >= math.pi / 2:
+                nxt = pts[(i + 1) % n]
                 refined.append(0.5 * (q + nxt))
-                changed = True
+                split.append((q, nxt))
+        if not split:
+            return pts, deltas
+        if len(refined) > _WINDING_MAX_POINTS:
+            a, _ = split[0]
+            raise DegreeUndefinedError(
+                "curve refinement did not converge: %d vertices, the edge "
+                "from curve vertex (u, y) = (%.17g, %.17g) still turns by "
+                "pi/2 or more" % (len(refined), a[0], a[1]))
         pts = refined
-    total = sum(delta(pts[i], pts[(i + 1) % len(pts)])
-                for i in range(len(pts)))
-    return int(round(total / (2 * math.pi)))
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,8 @@ points = st.tuples(
 @example("callable", "power", [(2.0, 0.5), (-0.0, 0.0)], 0.0, 7.0, 0.0)
 def test_scalar_rhs_matches_vector_forcing(wname, gname, pts, y, mu, c):
     # the scalar branch of rhs is the extended forcing, bit for bit, at
-    # every point of a batch, for u < 0, u = 0, u > 0 and any t
+    # every point of a batch, for u < 0, u = 0, u > 0 and any t; so is
+    # the forcing of the whole batch at one float t
     p = ProblemSpec(WEIGHTS[wname], PATTERNS[wname], mu, c, GS[gname],
                     "neumann")
     t_vec = np.array([t for t, _ in pts])
@@ -216,6 +217,8 @@ def test_scalar_rhs_matches_vector_forcing(wname, gname, pts, y, mu, c):
         du, dy = p.rhs(t, np.array([u, y]))
         assert bits(du) == bits(y)
         assert bits(dy) == bits(-c * y - f_vec[j]), (t, u)
+        at_t = p.forcing(np.full(len(pts), t), u_vec)
+        assert p.forcing(t, u_vec).tobytes() == at_t.tobytes(), t
 
 
 @pytest.mark.parametrize("wname", sorted(WEIGHTS))

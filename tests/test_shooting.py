@@ -9,10 +9,10 @@ import pytest
 
 from indefinite_bvp import shooting
 from indefinite_bvp.bounds import compute_mu_sharp
-from indefinite_bvp.errors import (DivergenceError, DomainError,
-                                   UnclassifiableError)
-from indefinite_bvp.integrator import (ProblemSpec, State, Trajectory, flow,
-                                       integrate)
+from indefinite_bvp.errors import (DegreeUndefinedError, DivergenceError,
+                                   DomainError, UnclassifiableError)
+from indefinite_bvp.integrator import (BLOWUP_NORM, ProblemSpec, State,
+                                       Trajectory, flow, integrate)
 from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.presets import fig1, fig2, multiplicity_m3
 from indefinite_bvp.shooting import (SearchConfig, _segment_nodes,
@@ -189,11 +189,16 @@ def test_seed_polish(fig2_k1):
     assert best.initial.u == pytest.approx(rec.initial.u, abs=1e-7)
 
 
-def test_fig2_with_friction_single_orbit():
-    # off the presets: c != 0 leaves exactly one positive T-periodic orbit
+@pytest.fixture(scope="module")
+def fig2_friction():
     pre = fig2()
     p = replace(pre.problem, c=-0.7)
-    recs = find_periodic_solutions(p, 1, pre.search)
+    return p, pre.search, find_periodic_solutions(p, 1, pre.search)
+
+
+def test_fig2_with_friction_single_orbit(fig2_friction):
+    # off the presets: c != 0 leaves exactly one positive T-periodic orbit
+    _, _, recs = fig2_friction
     assert len(recs) == 1
     rec = recs[0]
     assert min_sampled_u(rec) > 0
@@ -562,3 +567,176 @@ def test_lockstep_polish_isolates_a_diverging_seed(fig2_k1, monkeypatch):
     # the merged flow, then each request alone
     n3 = 3 * (len(rec.nodes) - 1)
     assert rows[:3] == [2 * n3, n3, n3]
+
+
+# ---------------------------------------------------------------------------
+# window flow and winding numbers
+
+
+def fig1_expression_problem():
+    w = WeightSpec.from_expression(
+        "max(sin(3*pi*t), 0) - 7*max(-sin(3*pi*t), 0)", 1.0)
+    g = NonlinearitySpec.from_expression("100*s*atan(s)")
+    return ProblemSpec.build(w, 1.0, 0.0, g, boundary="neumann")
+
+
+FLOW_CASES = {
+    # name: (problem, window, weight pieces in the window)
+    "fig2_k2": (lambda: fig2().problem, (0.0, 2.0), 4),
+    "fig1_expression": (fig1_expression_problem, (0.0, 1.0), 3),
+    "friction": (lambda: replace(fig2().problem, c=0.5), (0.0, 1.0), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_CASES))
+def test_flow_many_matches_flow(case, monkeypatch):
+    # every row of the window flow is the scalar flow of that row, and
+    # each weight piece is one DOP853 call.  At the default tolerances
+    # the scalar flow itself is off by up to 3e-9 over fig2's two
+    # expanding periods, so both flows run 100 times tighter.
+    make, (t0, t1), pieces = FLOW_CASES[case]
+    p = make()
+    sc = SearchConfig(rtol=1e-12, atol=1e-14)
+    Z = np.array([[0.032390361403572515, 0.01930884642626691],
+                  [0.10957344410844336, 0.46778278796529815],
+                  [0.05, -0.2], [0.3, 0.0], [-0.1, 0.2], [0.0, 0.0],
+                  [1e-3, 0.5]])
+    solves = []
+    solve_ivp = shooting._sint.solve_ivp
+
+    def counting(fun, t_span, *args, **kwargs):
+        solves.append(t_span)
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(shooting._sint, "solve_ivp", counting)
+    out = shooting.flow_many(p, Z, t0, t1, sc)
+    assert len(solves) == pieces
+    monkeypatch.undo()
+    for z, got in zip(Z, out):
+        want = flow(p, State(*z), (t0, t1), rtol=sc.rtol, atol=sc.atol)
+        tol = 1e-9 * (1.0 + float(np.hypot(want.u, want.y)))
+        assert abs(got[0] - want.u) < tol and abs(got[1] - want.y) < tol
+
+
+def test_flow_many_names_the_escaping_row(fig2_k1):
+    # g grows linearly at infinity, so 1e7 times the orbit grows about
+    # tenfold per period and leaves the guard region in the third
+    p, sc, recs = fig2_k1
+    z = np.array([recs[0].initial.u, recs[0].initial.y])
+    with pytest.raises(DivergenceError) as err:
+        shooting.flow_many(p, [z, 1e7 * z, 1.01 * z], 0.0, 3.0, sc)
+    assert err.value.row == 1
+    assert abs(err.value.last_state[0]) + abs(err.value.last_state[1]) \
+        == pytest.approx(BLOWUP_NORM)
+
+
+def circle(center, rad, n=12):
+    angs = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    return [center + rad * np.array([math.cos(a), math.sin(a)])
+            for a in angs]
+
+
+def record_circle(rec):
+    z = np.array([rec.initial.u, rec.initial.y])
+    return circle(z, 2e-3 * (1.0 + float(np.hypot(*z))))
+
+
+def spy_winding(monkeypatch):
+    """Record the final polyline of every winding number and the row
+    count of every window flow."""
+    polylines, flows = [], []
+    refine, flow_many = shooting._refined_polyline, shooting.flow_many
+
+    def refine_spy(*args):
+        pts, deltas = refine(*args)
+        polylines.append(np.array(pts))
+        return pts, deltas
+
+    def flow_spy(p, Z, *args):
+        flows.append(len(Z))
+        return flow_many(p, Z, *args)
+
+    monkeypatch.setattr(shooting, "_refined_polyline", refine_spy)
+    monkeypatch.setattr(shooting, "flow_many", flow_spy)
+    return polylines, flows
+
+
+def test_winding_lookahead_is_invisible(fig2_k1, fig2_k2, monkeypatch):
+    # the lookahead only moves flows earlier: the same final polylines
+    # and winding numbers as refining one level per flow, in at most half
+    # as many flows
+    p, sc, _ = fig2_k1
+    polylines, flows = spy_winding(monkeypatch)
+    runs = {}
+    for levels in (1, 3):
+        monkeypatch.setattr(shooting, "_WINDING_LOOKAHEAD", levels)
+        del polylines[:], flows[:]
+        ws = [winding_number(p, 2, record_circle(rec), sc)
+              for rec in fig2_k2]
+        runs[levels] = (ws, list(polylines), len(flows))
+    (w1, poly1, calls1), (w3, poly3, calls3) = runs[1], runs[3]
+    assert w3 == w1 and sorted(abs(w) for w in w3) == [1, 1, 1]
+    assert [len(a) for a in poly3] == [len(a) for a in poly1]
+    assert all(np.array_equal(a, b) for a, b in zip(poly3, poly1))
+    assert 2 * calls3 <= calls1
+
+
+@pytest.mark.parametrize("fault", ["diverge", "vanish"])
+def test_speculative_failure_does_not_leak(fault, fig2_k1, fig2_k2,
+                                           monkeypatch):
+    # a lookahead point that never becomes a vertex diverges, or has a
+    # vanishing displacement: the winding number and the final polyline
+    # stay the same and nothing raises
+    p, sc, _ = fig2_k1
+    curve = record_circle(fig2_k2[0])
+    polylines, _ = spy_winding(monkeypatch)
+    want = winding_number(p, 2, curve, sc)
+    final = {tuple(q) for q in polylines[-1]}
+    faults = []
+    flow_many = shooting.flow_many
+
+    def faulty(p, Z, *args):
+        out = flow_many(p, Z, *args)
+        spare = [i for i, q in enumerate(Z) if tuple(q) not in final]
+        if spare and fault == "diverge":
+            faults.append(len(Z))
+            raise DivergenceError("lookahead point escaped", row=spare[0])
+        out[spare] = np.asarray(Z)[spare]
+        faults.extend(spare)
+        return out
+
+    monkeypatch.setattr(shooting, "flow_many", faulty)
+    assert winding_number(p, 2, curve, sc) == want
+    assert np.array_equal(polylines[-1], polylines[0])
+    assert faults
+
+
+def test_winding_errors_name_the_vertex(fig2_k1, monkeypatch):
+    p, sc, recs = fig2_k1
+    # the trivial solution is a fixed point: the displacement at the
+    # origin is exactly zero
+    with pytest.raises(DegreeUndefinedError,
+                       match=r"\(u, y\) = \(0, 0\): \|d\| = 0"):
+        winding_number(p, 1, [(0.0, 0.0), (0.01, 0.0), (0.0, 0.01)], sc)
+    # states this large escape within three periods
+    curve = [(1e6, 0.0), (1.2e6, 0.0), (1.1e6, 2e5)]
+    with pytest.raises(DegreeUndefinedError, match="diverged") as err:
+        winding_number(p, 3, curve, sc)
+    assert any("(u, y) = (%.17g, %.17g)" % q in str(err.value)
+               for q in curve)
+    # a refinement cut short names the vertex that opens a split edge
+    monkeypatch.setattr(shooting, "_WINDING_MAX_POINTS", 12)
+    with pytest.raises(DegreeUndefinedError,
+                       match=r"did not converge: \d+ vertices, .* \(u, y\)"):
+        winding_number(p, 1, record_circle(recs[0]), sc)
+
+
+def test_winding_with_friction(fig2_friction):
+    # c != 0: the one T-periodic orbit has |w| = 1, a circle away from
+    # it and from the trivial solution has w = 0
+    p, sc, recs = fig2_friction
+    assert recs
+    for rec in recs:
+        assert abs(winding_number(p, 1, record_circle(rec), sc)) == 1
+    assert winding_number(p, 1, circle(np.array([0.02, -0.01]), 0.005),
+                          sc) == 0
