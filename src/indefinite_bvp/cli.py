@@ -149,8 +149,11 @@ def _search_from_config(cp, default=None):
     base = default or SearchConfig()
     if "search" not in cp:
         return base
-    return dataclasses.replace(base, **_read_section(cp, "search",
-                                                     _SEARCH_KEYS))
+    sec = _read_section(cp, "search", _SEARCH_KEYS)
+    try:
+        return dataclasses.replace(base, **sec)
+    except DomainError as exc:
+        raise ConfigurationError("bad [search] value: %s" % exc) from exc
 
 
 def annulus_from_config(cp):

@@ -35,6 +35,7 @@ class DivergenceError(SolverError):
     ----------
     last_time : float
         Last time at which the state was still finite and inside the guard.
+        In a flow of many rows, the real time of the escaped row.
     last_state : tuple
         State at ``last_time``.
     row : int

@@ -51,6 +51,8 @@ class ProblemSpec:
     once, at construction: the scalar pair that :meth:`rhs` calls (its
     a_mu also serves :meth:`forcing` at a float t) and the vector pair
     behind :meth:`a_mu_at`, :meth:`forcing` and :meth:`extended`.
+    :meth:`rhs` is the field of :func:`integrate`; :meth:`forcing` is the
+    field of the one batched flow, :func:`shooting._batch_flow`.
     """
 
     weight: WeightSpec
@@ -107,7 +109,7 @@ class ProblemSpec:
         applied to every entry of u; as in :meth:`rhs`, an expression
         weight is then called without its floating-point guard, so a
         caller that wants quiet inf/nan runs inside
-        :func:`expressions.quiet_fp` (:func:`shooting.flow_many` does).
+        :func:`expressions.quiet_fp` (:func:`shooting._batch_flow` does).
         An array t takes the vector evaluator, one a_mu per entry.
         """
         a = self._a_mu(t) if np.ndim(t) == 0 else self._a_mu_vec(t)

@@ -7,6 +7,12 @@ multiple-shooting Newton on the accurate adaptive integrator.  Accepted
 solutions are classified by the binary code of their hump maxima and
 cross-checked by an independent verification pass.
 
+Every flow of many rows goes through one batched DOP853 kernel,
+:func:`_batch_flow`: the Newton rows, each on its own segment, and the
+window flow :func:`flow_many` behind the winding numbers, one call per
+weight piece with all rows at one shared time.  Single trajectories use
+:func:`integrator.integrate`.
+
 All Newton seeds of a search are polished in lockstep.  Each merged
 round flows the pending evaluation of every unfinished seed in one
 batched flow and hands each seed its rows; a seed whose polish has ended
@@ -53,8 +59,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.u_count <= 0 or self.y_count <= 0:
             raise DomainError("grid counts must be positive")
-        if self.residual_tol <= 0:
-            raise DomainError("residual_tol must be positive")
+        for name in ("u_min", "residual_tol", "rtol", "atol"):
+            if not getattr(self, name) > 0:
+                raise DomainError("%s must be positive" % name)
 
 
 @dataclass
@@ -146,57 +153,16 @@ def poincare_map(p, s0, k=1, sc=None):
 
 def flow_many(p, Z, t0, t1, sc):
     """Terminal states of the m rows of Z (shape (m, 2)) flowed together
-    over the window [t0, t1].
-
-    All rows sit at the same time t, so each RHS evaluation takes a_mu
-    once (:meth:`ProblemSpec.forcing` at a float t).  There is one
-    DOP853 call per weight piece, restarted at every breakpoint as in
-    :func:`integrator.integrate`.  The shared error norm averages over
-    rows, so the tolerances are tightened by sqrt(m) as in
-    :func:`_batch_flow`.  Raises DivergenceError, with the index of the
-    escaped row in ``row``, when a row's |u| + |y| reaches the blow-up
-    guard or the integration fails.
-    """
+    over the window [t0, t1] at one shared time t: one :func:`_batch_flow`
+    per weight piece, restarted at every breakpoint as in
+    :func:`integrator.integrate`.  Raises the DivergenceError of the
+    piece in which a row escapes."""
     if not t0 < t1:
         raise DomainError("need t0 < t1")
-    Z = np.asarray(Z, dtype=float)
-    m = len(Z)
     edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
-    scale = 1.0 / math.sqrt(m)
-    rtol = max(sc.rtol * scale, 1e-13)
-    atol = sc.atol * scale
-    c = p.c
-
-    def rhs(t, y):
-        v = y[1::2]
-        out = np.empty_like(y)
-        out[0::2] = v
-        out[1::2] = -c * v - p.forcing(t, y[0::2])
-        return out
-
-    def blowup(t, y):
-        return float(np.max(np.abs(y[0::2]) + np.abs(y[1::2]))) - BLOWUP_NORM
-
-    blowup.terminal = True
-    blowup.direction = 1
-    y = Z.ravel()
-    # forcing at a float t calls expressions unguarded: one guard here
-    with quiet_fp():
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            sol = _sint.solve_ivp(rhs, (lo, hi), y, method="DOP853",
-                                  rtol=rtol, atol=atol, events=blowup)
-            y = sol.y[:, -1]
-            if sol.status == 1 or not sol.success or \
-                    not np.all(np.isfinite(y)):
-                size = np.abs(y[0::2]) + np.abs(y[1::2])
-                row = int(np.argmax(np.where(np.isfinite(size), size,
-                                             np.inf)))
-                t_last = float(sol.t[-1])
-                raise DivergenceError(
-                    "row %d escaped the guard region near t=%.6g"
-                    % (row, t_last), last_time=t_last,
-                    last_state=tuple(y[2 * row:2 * row + 2]), row=row)
-    return y.reshape(m, 2)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        Z = _batch_flow(p, Z, lo, hi - lo, sc)
+    return Z
 
 
 _GROWTH_CAP = 7.0
@@ -246,42 +212,60 @@ def _segment_nodes(p, k, traj):
 
 
 def _batch_flow(p, Z, t0s, lens, sc):
-    """Endpoint states of many independent segment flows in one call.
+    """Endpoint states of m independent segment flows in one DOP853 call,
+    the one batched integrator.
 
-    Row j of Z is integrated from t0s[j] over length lens[j]; all rows
-    advance together in the normalized time s in [0, 1].  No segment may
-    contain a weight breakpoint.  The shared error norm averages over
-    rows, so the tolerances are tightened by sqrt(rows) to keep the
-    per-segment accuracy of the scalar path.
+    Row j of Z (shape (m, 2)) is integrated from t0s[j] over length
+    lens[j].  All rows advance together in tau in [0, L], L = max(lens),
+    row j at rate lens[j] / L, so its time is t0s[j] + tau lens[j] / L.
+    For one window shared by all rows (scalar t0s and lens) the rate is 1,
+    and each RHS evaluation takes a_mu once (:meth:`ProblemSpec.forcing`
+    at a float t).  No segment may contain a weight breakpoint.  The
+    shared error norm averages over rows, so the tolerances are tightened
+    by sqrt(m) to keep the per-row accuracy of the scalar path.
+
+    Raises DivergenceError when a row's |u| + |y| reaches the blow-up
+    guard of :func:`integrator.integrate` or the integration fails; its
+    ``row`` names the escaped row, with that row's real time and state.
     """
     Z = np.asarray(Z, dtype=float)
     m = len(Z)
-    t0s = np.asarray(t0s, dtype=float)
-    lens = np.asarray(lens, dtype=float)
+    span = float(np.max(lens))
+    # [()] makes scalars numpy floats, cheaper per RHS than 0-d arrays
+    t0s = np.asarray(t0s, dtype=float)[()]
+    rate = (np.asarray(lens, dtype=float) / span)[()]
+    rates = np.repeat(np.broadcast_to(rate, m), 2)
+    c = p.c
 
-    def rhs(s, y):
-        Y = y.reshape(m, 2)
-        t = t0s + s * lens
-        u = Y[:, 0]
-        v = Y[:, 1]
-        force = p.forcing(t, u)
-        out = np.empty_like(Y)
-        out[:, 0] = v * lens
-        out[:, 1] = (-p.c * v - force) * lens
-        return out.ravel()
+    def rhs(tau, y):
+        v = y[1::2]
+        out = np.empty_like(y)
+        out[0::2] = v
+        out[1::2] = -c * v - p.forcing(t0s + tau * rate, y[0::2])
+        out *= rates
+        return out
 
-    def blowup(s, y):
-        return BLOWUP_NORM - float(np.max(np.abs(y)))
+    def blowup(tau, y):
+        return float(np.max(np.abs(y[0::2]) + np.abs(y[1::2]))) - BLOWUP_NORM
 
     blowup.terminal = True
+    blowup.direction = 1
     scale = 1.0 / math.sqrt(m)
-    sol = _sint.solve_ivp(rhs, (0.0, 1.0), Z.ravel(), method="DOP853",
-                          rtol=max(sc.rtol * scale, 1e-13),
-                          atol=sc.atol * scale, events=blowup)
-    if not sol.success or sol.t[-1] < 1.0 or \
-            not np.all(np.isfinite(sol.y[:, -1])):
-        raise DivergenceError("batched segment integration failed")
-    return sol.y[:, -1].reshape(m, 2)
+    # forcing at a float t calls expressions unguarded: one guard here
+    with quiet_fp():
+        sol = _sint.solve_ivp(rhs, (0.0, span), Z.ravel(), method="DOP853",
+                              rtol=max(sc.rtol * scale, 1e-13),
+                              atol=sc.atol * scale, events=blowup)
+    y = sol.y[:, -1]
+    if sol.status != 0 or not np.all(np.isfinite(y)):
+        size = np.abs(y[0::2]) + np.abs(y[1::2])
+        row = int(np.argmax(np.where(np.isfinite(size), size, np.inf)))
+        t_last = float(np.broadcast_to(t0s + sol.t[-1] * rate, m)[row])
+        raise DivergenceError(
+            "row %d escaped the guard region near t=%.6g" % (row, t_last),
+            last_time=t_last, last_state=tuple(y[2 * row:2 * row + 2]),
+            row=row)
+    return y.reshape(m, 2)
 
 
 def _orbit_seed(p, s0, k, sc):

@@ -406,6 +406,24 @@ def test_bad_value_exit(command, text, key, tmp_path, capsys):
     assert repr(key) in err["message"]
 
 
+@pytest.mark.parametrize("text, named", [
+    # np.geomspace cannot start the log grid at 0
+    ("u_min = 0\n", "u_min must be positive"),
+    # solve_ivp rejects a negative tolerance
+    ("atol = -1\n", "atol must be positive"),
+    ("u_count = 0\n", "grid counts must be positive"),
+], ids=["u_min", "atol", "u_count"])
+def test_out_of_range_search_value_exit(text, named, tmp_path, capsys):
+    # a [search] value outside its range is a configuration error (exit
+    # 2), not a traceback or a numerical failure
+    path = write_config(tmp_path, "[problem]\npreset = fig2\n[search]\n"
+                        + text)
+    assert main(["solve", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "[search]" in err["message"] and named in err["message"]
+
+
 def test_subharmonic_needs_config(capsys):
     assert main(["subharmonic", "--k", "2"]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -1,8 +1,9 @@
 """Static hygiene of the package sources: every imported name is used,
 every import sits at module level, every module-level private helper has
 a caller, every dataclass field is read somewhere, the expression
-compiler is the only place that runs generated code, and ``__all__``
-lists exactly the names the package imports.
+compiler is the only place that runs generated code, ``solve_ivp`` is
+called from a fixed set of integrators, and ``__all__`` lists exactly
+the names the package imports.
 
 No linter ships with the toolchain, so these AST scans keep unused
 imports, orphaned helpers and write-only fields from creeping back into
@@ -199,6 +200,58 @@ def test_no_write_only_fields():
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
     assert write_only_fields(sources) == []
+
+
+def solve_ivp_callers(sources):
+    """``module.function`` (``module.Class.method`` for a method) of every
+    module-level definition in ``sources`` (module name -> source) whose
+    body, nested functions included, calls ``solve_ivp`` by name or as an
+    attribute; ``module.<module>`` for a call outside any definition."""
+    callers = set()
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, ast.ClassDef):
+                scopes = [("%s.%s" % (node.name, f.name), f)
+                          for f in node.body
+                          if isinstance(f, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))]
+            else:
+                scopes = [(getattr(node, "name", "<module>"), node)]
+            for name, scope in scopes:
+                if any(isinstance(n, ast.Call)
+                       and _referenced_name(n.func) == "solve_ivp"
+                       for n in ast.walk(scope)):
+                    callers.add("%s.%s" % (mod, name))
+    return sorted(callers)
+
+
+def test_scan_flags_solve_ivp_callers():
+    sources = {
+        "a": ("from scipy import integrate as si\n"
+              "from scipy.integrate import solve_ivp\n\n"
+              "def direct(f):\n    return solve_ivp(f, (0, 1), [0.0])\n\n"
+              "def nested(f):\n    def inner():\n"
+              "        return si.solve_ivp(f, (0, 1), [0.0])\n"
+              "    return inner\n\n"
+              "def other(f):\n    return si.odeint(f, [0.0], [0, 1])\n\n"
+              "class K:\n    def m(self, f):\n"
+              "        return solve_ivp(f, (0, 1), [0.0])\n\n"
+              "ref = solve_ivp\n"),
+        "b": ("import scipy.integrate\n"
+              "scipy.integrate.solve_ivp(None, (0, 1), [0.0])\n"),
+    }
+    assert solve_ivp_callers(sources) == ["a.K.m", "a.direct", "a.nested",
+                                          "b.<module>"]
+
+
+def test_solve_ivp_call_sites():
+    # one scalar DOP853 path, one batched kernel, and the two integrations
+    # of other equations: a new call site is a new integrator
+    sources = {f.stem: f.read_text(encoding="utf-8")
+               for f in PACKAGE.glob("*.py")}
+    assert solve_ivp_callers(sources) == [
+        "eigen.prufer_angle_sweep", "integrator.integrate",
+        "radial.direct_radial_integration", "shooting._batch_flow"]
 
 
 def test_all_matches_the_package_imports():

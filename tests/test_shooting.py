@@ -51,6 +51,12 @@ def test_search_config_validation():
         SearchConfig(u_count=0)
     with pytest.raises(DomainError):
         SearchConfig(residual_tol=-1.0)
+    # the log grid starts at u_min and solve_ivp needs positive
+    # tolerances; nan is out of range too
+    for key in ("u_min", "residual_tol", "rtol", "atol"):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match=key):
+                SearchConfig(**{key: bad})
 
 
 def test_mode_mismatch():
@@ -588,6 +594,12 @@ FLOW_CASES = {
 }
 
 
+FLOW_ROWS = np.array([[0.032390361403572515, 0.01930884642626691],
+                      [0.10957344410844336, 0.46778278796529815],
+                      [0.05, -0.2], [0.3, 0.0], [-0.1, 0.2], [0.0, 0.0],
+                      [1e-3, 0.5]])
+
+
 @pytest.mark.parametrize("case", sorted(FLOW_CASES))
 def test_flow_many_matches_flow(case, monkeypatch):
     # every row of the window flow is the scalar flow of that row, and
@@ -597,10 +609,7 @@ def test_flow_many_matches_flow(case, monkeypatch):
     make, (t0, t1), pieces = FLOW_CASES[case]
     p = make()
     sc = SearchConfig(rtol=1e-12, atol=1e-14)
-    Z = np.array([[0.032390361403572515, 0.01930884642626691],
-                  [0.10957344410844336, 0.46778278796529815],
-                  [0.05, -0.2], [0.3, 0.0], [-0.1, 0.2], [0.0, 0.0],
-                  [1e-3, 0.5]])
+    Z = FLOW_ROWS
     solves = []
     solve_ivp = shooting._sint.solve_ivp
 
@@ -626,8 +635,45 @@ def test_flow_many_names_the_escaping_row(fig2_k1):
     with pytest.raises(DivergenceError) as err:
         shooting.flow_many(p, [z, 1e7 * z, 1.01 * z], 0.0, 3.0, sc)
     assert err.value.row == 1
+    assert 2.0 < err.value.last_time < 3.0
     assert abs(err.value.last_state[0]) + abs(err.value.last_state[1]) \
         == pytest.approx(BLOWUP_NORM)
+
+
+def test_batch_flow_names_the_escaping_row(fig2_k1):
+    # a Newton-shaped call: each node state with its two difference rows,
+    # every row on its own segment.  1e7 times the state at the second
+    # node leaves the guard region inside the second segment.
+    p, sc, recs = fig2_k1
+    z, nodes = recs[0].node_states, np.array(recs[0].nodes)
+    assert len(z) == 2
+    rows = np.repeat(z, 3, axis=0)
+    rows[3] *= 1e7
+    t0s = np.repeat(nodes[:-1], 3)
+    lens = np.repeat(np.diff(nodes), 3)
+    with pytest.raises(DivergenceError) as err:
+        shooting._batch_flow(p, rows, t0s, lens, sc)
+    assert err.value.row == 3
+    assert t0s[3] <= err.value.last_time <= t0s[3] + lens[3]
+    assert abs(err.value.last_state[0]) + abs(err.value.last_state[1]) \
+        == pytest.approx(BLOWUP_NORM)
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_CASES))
+def test_batch_flow_scalar_window_is_per_row_window(case):
+    # one window given as scalars takes a_mu once per RHS, given as
+    # per-row arrays it takes the vector a_mu of every row: the same bits
+    make, (t0, t1), _ = FLOW_CASES[case]
+    p = make()
+    sc = SearchConfig()
+    Z, m = FLOW_ROWS, len(FLOW_ROWS)
+    edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        one = shooting._batch_flow(p, Z, lo, hi - lo, sc)
+        rows = shooting._batch_flow(p, Z, np.full(m, lo), np.full(m, hi - lo),
+                                    sc)
+        assert one.tobytes() == rows.tobytes()
+        Z = one
 
 
 def circle(center, rad, n=12):
