@@ -8,7 +8,7 @@ at zero, 1.01 for mu_r, 10 for the a priori bound R*).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from scipy import integrate as _sint
 from scipy import optimize as _sopt
@@ -20,7 +20,7 @@ from .nonlinearity import eta as _eta
 from .nonlinearity import gamma_min as _gamma_min
 from .nonlinearity import gamma_ratio as _gamma_ratio
 from .nonlinearity import limit_estimates
-from .weight import integrate_weight
+from .weight import _split_points, integrate_weight, negative_part
 
 ETA_SAFETY = 0.5
 MU_R_SAFETY = 1.01
@@ -77,26 +77,21 @@ class BoundsReport:
         }
 
 
-def _neg_cumulative(p, t_lo, t):
-    """integral of a- over [t_lo, t] (t may exceed the period window)."""
-    return integrate_weight(p.weight, t_lo, t, part="-", pattern=p.pattern)
-
-
 def _neg_double_integral(p, lo, hi, from_left=True):
-    """Iterated integral of a- over the triangle:
+    """Integral of a- over a triangle, as one moment by Fubini:
 
-    from_left:  int_lo^hi int_lo^t a-(xi) dxi dt
-    otherwise:  int_lo^hi int_t^hi a-(xi) dxi dt
+    from_left:  int_lo^hi int_lo^t a- dxi dt = int_lo^hi (hi - xi) a-(xi) dxi
+    otherwise:  int_lo^hi int_t^hi a- dxi dt = int_lo^hi (xi - lo) a-(xi) dxi
+
+    One quadrature per piece of the split :func:`integrate_weight` uses,
+    with its tolerances.
     """
-    if from_left:
-        inner = lambda t: _neg_cumulative(p, lo, t) if t > lo else 0.0
-    else:
-        inner = lambda t: _neg_cumulative(p, t, hi) if t < hi else 0.0
-    pts = [lo] + p.breakpoints_between(lo, hi) + [hi]
+    anchor = hi if from_left else lo
+    f = lambda xi: abs(anchor - xi) * negative_part(p.weight, xi)
+    pts = _split_points(p.weight, lo, hi, p.pattern)
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = _sint.quad(inner, a, b, limit=100, epsabs=1e-13,
-                            epsrel=1e-10)
+        val, _ = _sint.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-12)
         total += val
     return total
 
@@ -165,61 +160,41 @@ def compute_mu_r(p, r, K0, mu_sharp):
 
 def compute_delta(p):
     """Per-hump window widths delta+_j (after tau_j) and delta-_j (before
-    sigma_j) satisfying delta * e^{|c| delta} < |I+_j| / 2 and fitting in
-    the adjacent negativity interval, shrunk until the negative part has
-    positive mass on the window."""
+    sigma_j).  Both sides take one rule: the width of the adjacent
+    negativity interval, capped by the root of delta e^{|c| delta} =
+    |I+_j| / 2, then halved until a- has positive mass on the window.
+    A side with no negativity interval gets NaN; only a Neumann weight
+    that starts or ends with positivity has one."""
     pat = p.pattern
-    T = pat.period
-    dplus, dminus = [], []
 
-    def cap_from_transcendental(half_len):
-        if p.c == 0:
-            return half_len
-        f = lambda d: d * math.exp(abs(p.c) * d) - half_len
-        hi = half_len
-        if f(hi) <= 0:
-            return hi
-        return _sopt.brentq(f, 0.0, hi, xtol=1e-14)
-
-    def shrink_until_mass(lo_fn, d):
+    def width(edge, gap, side, cap):
+        # the window on ``side`` (+1 after, -1 before) of ``edge``
+        if gap <= 0:
+            return math.nan
+        d = min(cap, gap) * (1.0 - 1e-12)
         for _ in range(60):
-            if d <= 0:
-                raise PatternError("cannot find a window with negative mass")
-            lo, hi = lo_fn(d)
-            if _neg_cumulative(p, lo, hi) > 0:
+            lo, hi = sorted((edge, edge + side * d))
+            if integrate_weight(p.weight, lo, hi, part="-", pattern=pat) > 0:
                 return d
             d *= 0.5
         raise PatternError("cannot find a window with negative mass")
 
-    for j in range(pat.m):
-        plo, phi = pat.pos_intervals()[j]
-        half = (phi - plo) / 2.0
-        # window after tau_j inside I-_j
-        gap_plus = pat.sigma[j + 1] - pat.tau[j]
-        if gap_plus <= 0:
-            if pat.mode == "neumann":
-                dplus.append(math.nan)  # weight ends with positivity
-            else:
-                raise PatternError("no negativity interval after tau_%d" % j)
+    dplus, dminus = [], []
+    for j, (plo, phi) in enumerate(pat.pos_intervals()):
+        cap = half = (phi - plo) / 2.0
+        f = lambda d: d * math.exp(abs(p.c) * d) - half
+        if f(half) > 0:  # that is, c != 0
+            cap = _sopt.brentq(f, 0.0, half, xtol=1e-14)
+        # the negativity interval before hump j starts at the previous
+        # tau, wrapped around the period, or at t = 0 in a Neumann window
+        if j > 0:
+            before = pat.tau[j - 1]
+        elif pat.mode == "periodic":
+            before = pat.tau[-1] - pat.period
         else:
-            d = min(cap_from_transcendental(half), gap_plus) * (1.0 - 1e-12)
-            d = shrink_until_mass(lambda d: (pat.tau[j], pat.tau[j] + d), d)
-            dplus.append(d)
-        # window before sigma_j inside the preceding negativity interval
-        if j == 0:
-            gap_minus = pat.sigma[0] + T - pat.tau[-1] if pat.mode == "periodic" \
-                else pat.sigma[0] - 0.0
-        else:
-            gap_minus = pat.sigma[j] - pat.tau[j - 1]
-        if gap_minus <= 0:
-            if pat.mode == "neumann":
-                dminus.append(math.nan)  # weight starts with positivity
-            else:
-                raise PatternError("no negativity interval before sigma_%d" % j)
-        else:
-            d = min(cap_from_transcendental(half), gap_minus) * (1.0 - 1e-12)
-            d = shrink_until_mass(lambda d: (pat.sigma[j] - d, pat.sigma[j]), d)
-            dminus.append(d)
+            before = 0.0
+        dplus.append(width(pat.tau[j], pat.sigma[j + 1] - pat.tau[j], 1, cap))
+        dminus.append(width(pat.sigma[j], pat.sigma[j] - before, -1, cap))
     return dplus, dminus
 
 
@@ -243,7 +218,7 @@ def estimate_R_star(p, r, search_config=None):
     sup = 0.0
     probes = {p.mu, mu_sharp * 1.05 + 1e-6}
     for mu in probes:
-        q = type(p)(p.weight, p.pattern, mu, p.c, p.g, p.boundary)
+        q = replace(p, mu=mu)
         if p.boundary == "neumann":
             recs = shooting.find_neumann_solutions(q, sc)
         else:
@@ -270,22 +245,16 @@ def compute_mu_star(p, search_config=None, R_star=None):
     gamma_big = _gamma_min(p.g, r, R_star)
     dplus, dminus = compute_delta(p)
     pat = p.pattern
-    mu_plus, mu_minus = [], []
-    for j in range(pat.m):
-        dp = dplus[j]
-        if math.isnan(dp):
-            mu_plus.append(math.nan)
-        else:
-            dd = _neg_double_integral(p, pat.tau[j], pat.tau[j] + dp,
-                                      from_left=True)
-            mu_plus.append(R_star * math.exp(abs(p.c) * dp) / (gamma_big * dd))
-        dm = dminus[j]
-        if math.isnan(dm):
-            mu_minus.append(math.nan)
-        else:
-            dd = _neg_double_integral(p, pat.sigma[j] - dm, pat.sigma[j],
-                                      from_left=False)
-            mu_minus.append(R_star * math.exp(abs(p.c) * dm) / (gamma_big * dd))
+
+    def mu_side(d, lo, hi, from_left):
+        if math.isnan(d):
+            return math.nan
+        dd = _neg_double_integral(p, lo, hi, from_left=from_left)
+        return R_star * math.exp(abs(p.c) * d) / (gamma_big * dd)
+
+    mu_plus = [mu_side(d, t, t + d, True) for d, t in zip(dplus, pat.tau)]
+    mu_minus = [mu_side(d, s - d, s, False)
+                for d, s in zip(dminus, pat.sigma)]
     mu_star = max([mu_r] + [v for v in mu_plus + mu_minus
                             if not math.isnan(v)])
     report = BoundsReport(

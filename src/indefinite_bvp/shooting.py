@@ -62,6 +62,9 @@ class SearchConfig:
         for name in ("u_min", "residual_tol", "rtol", "atol"):
             if not getattr(self, name) > 0:
                 raise DomainError("%s must be positive" % name)
+        # the log grid runs from u_min up to u_max; nan is out of range
+        if not self.u_max > self.u_min:
+            raise DomainError("u_max must exceed u_min")
 
 
 @dataclass
@@ -746,18 +749,33 @@ def coded_multiplicity(p, k, mu_target, sc=None, base=None):
     """Coded kT-periodic solutions at a large weight scaling mu_target.
 
     Finds (or takes via ``base``) the 1-periodic solutions at the
-    problem's own mu, continues one branch to mu_target, then polishes a
-    coded seed for every nonzero binary word of length k there.  The
-    direct grid search is useless at extreme mu (the period map stretches
-    beyond screening resolution), which is why the search is staged this
-    way.  Returns (records, problem at mu_target).
+    problem's own mu, continues the large one (every hump above the
+    level r of :func:`adaptive_levels`; on a tie the larger sup-norm) to
+    mu_target, then polishes a coded seed for every nonzero binary word
+    of length k there.  The direct grid search is useless at extreme mu
+    (the period map stretches beyond screening resolution), which is why
+    the search is staged this way.  Returns (records, problem at
+    mu_target).
     """
     sc = sc or SearchConfig()
     if base is None:
         base = find_periodic_solutions(p, 1, sc)
     if not base:
         raise SolverError("no 1-periodic solution to continue from")
-    rec = max(base, key=lambda r: r.sup_norm)
+    r, R = adaptive_levels(base, p)
+    large = []
+    for rec in base:
+        try:
+            # classify a copy: the caller's records keep their codes
+            code = classify_code(replace(rec), p, r, R)
+        except UnclassifiableError:
+            continue
+        if all(code):
+            large.append(rec)
+    if not large:
+        raise SolverError("no 1-periodic solution with every hump above "
+                          "r=%g to continue from" % r)
+    rec = max(large, key=lambda b: b.sup_norm)
     hi = track_in_mu(p, rec, mu_target, sc)
     if hi is None:
         raise SolverError("continuation to mu=%g lost the branch"

@@ -412,7 +412,9 @@ def test_bad_value_exit(command, text, key, tmp_path, capsys):
     # solve_ivp rejects a negative tolerance
     ("atol = -1\n", "atol must be positive"),
     ("u_count = 0\n", "grid counts must be positive"),
-], ids=["u_min", "atol", "u_count"])
+    # nor end it at 0
+    ("u_max = 0\n", "u_max must exceed u_min"),
+], ids=["u_min", "atol", "u_count", "u_max"])
 def test_out_of_range_search_value_exit(text, named, tmp_path, capsys):
     # a [search] value outside its range is a configuration error (exit
     # 2), not a traceback or a numerical failure

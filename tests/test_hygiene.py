@@ -2,8 +2,9 @@
 every import sits at module level, every module-level private helper has
 a caller, every dataclass field is read somewhere, the expression
 compiler is the only place that runs generated code, ``solve_ivp`` is
-called from a fixed set of integrators, and ``__all__`` lists exactly
-the names the package imports.
+called from a fixed set of integrators, ``__all__`` lists exactly
+the names the package imports, and every layer the benchmark tracer
+wraps exists in the package.
 
 No linter ships with the toolchain, so these AST scans keep unused
 imports, orphaned helpers and write-only fields from creeping back into
@@ -12,7 +13,11 @@ the library modules.
 
 import ast
 import collections
+import importlib
+import importlib.util
 import pathlib
+import sys
+import types
 
 import pytest
 
@@ -260,3 +265,43 @@ def test_all_matches_the_package_imports():
     imported = [alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(indefinite_bvp.__all__) == sorted(imported)
+
+
+TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+# layers the tracer still lists after the package dropped their function
+DROPPED_LAYERS = ["shooting._local_refine"]
+
+
+def unresolved_layers(layers):
+    """Names of the traced layers whose attribute the tracer's ``install``
+    would not find: a module attribute, or a class attribute for an
+    ``attr`` of the form ``Class.method``."""
+    missing = []
+    for layer in layers:
+        module = importlib.import_module(layer.module)
+        owner_name, _, attr = layer.attr.rpartition(".")
+        owner = getattr(module, owner_name, None) if owner_name else module
+        if owner is None or attr not in vars(owner):
+            missing.append(layer.name)
+    return missing
+
+
+def test_scan_flags_unresolved_layers():
+    layer = lambda name, attr: types.SimpleNamespace(
+        name=name, module="indefinite_bvp.integrator", attr=attr)
+    layers = [layer("fn", "integrate"), layer("gone", "_gone"),
+              layer("method", "ProblemSpec.forcing"),
+              layer("no_method", "ProblemSpec.gone"),
+              layer("no_class", "Gone.forcing")]
+    assert unresolved_layers(layers) == ["gone", "no_method", "no_class"]
+
+
+def test_benchmark_layers_resolve(monkeypatch):
+    # a refactor that deletes a function the benchmark wraps would
+    # otherwise only show up as a layer the tracer lists as absent
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    # the tracer's dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    assert unresolved_layers(tracer.LAYERS) == DROPPED_LAYERS

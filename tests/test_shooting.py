@@ -10,7 +10,8 @@ import pytest
 from indefinite_bvp import shooting
 from indefinite_bvp.bounds import compute_mu_sharp
 from indefinite_bvp.errors import (DegreeUndefinedError, DivergenceError,
-                                   DomainError, UnclassifiableError)
+                                   DomainError, SolverError,
+                                   UnclassifiableError)
 from indefinite_bvp.integrator import (BLOWUP_NORM, ProblemSpec, State,
                                        Trajectory, flow, integrate)
 from indefinite_bvp.nonlinearity import NonlinearitySpec
@@ -57,6 +58,10 @@ def test_search_config_validation():
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError, match=key):
                 SearchConfig(**{key: bad})
+    # u_max bounds the log grid from above; nan is out of range too
+    for bad in (0.0, -1.0, math.nan, SearchConfig().u_min):
+        with pytest.raises(DomainError, match="u_max"):
+            SearchConfig(u_max=bad)
 
 
 def test_mode_mismatch():
@@ -429,6 +434,34 @@ def test_continuation_ends_at_the_gate(fig2_k1, monkeypatch):
     assert shooting.track_in_mu(p, rec, 1.1 * p.mu, sc) is None
     assert len(gated) == 1
     assert gated[0][0].mu == pytest.approx(1.1 * p.mu)
+
+
+def test_coded_multiplicity_continues_the_all_ones_record(monkeypatch):
+    # two unequal humps at mu = 10: the 01 record has the largest sup-norm,
+    # but the large profile to continue is 11
+    w = WeightSpec.from_expression("sin(2*t)*(1+0.3*sin(t))", 2 * math.pi)
+    p = ProblemSpec.build(w, 10.0, 0.0, NonlinearitySpec.power(2))
+    sc = SearchConfig(u_min=1e-3, u_max=5.0, u_count=32, y_count=24,
+                      screen_steps=600, max_candidates=20)
+    base = find_periodic_solutions(p, 1, sc)
+    levels = adaptive_levels(base, p)
+    codes = {classify_code(replace(b), p, *levels): b for b in base}
+    assert max(base, key=lambda b: b.sup_norm) is codes[(0, 1)]
+    continued = []
+
+    def lose_branch(q, rec, mu_target, sc=None):
+        continued.append(rec)
+        return None
+
+    monkeypatch.setattr(shooting, "track_in_mu", lose_branch)
+    with pytest.raises(SolverError, match="lost the branch"):
+        shooting.coded_multiplicity(p, 2, 1e3, sc, base=base)
+    assert continued == [codes[(1, 1)]]
+    assert all(b.code is None for b in base)
+    # without an all-ones record there is no large profile to continue
+    with pytest.raises(SolverError, match="every hump above"):
+        shooting.coded_multiplicity(p, 2, 1e3, sc, base=[codes[(0, 1)]])
+    assert len(continued) == 1
 
 
 def _same_state(a, b):
