@@ -4,6 +4,13 @@ never straddle a sign change of the weight.
 The scalar field uses the standard extension g~ of the nonlinearity to
 negative arguments: the forcing term is a_mu(t) g(u) for u >= 0 and -u for
 u < 0, so that nontrivial fixed points of the period map are positive.
+
+:func:`integrate` runs one DOP853 stepper on the Python floats (u, u'):
+the Dormand–Prince 8(5,3) pair with the step control and dense output of
+Hairer, Nørsett and Wanner, *Solving ODEs I*, §II.4 and §II.10, and the
+rules of scipy's ``DOP853`` (its tableau, initial step, error norm,
+step factors and minimum step), without the generic ``solve_ivp`` loop
+and its per-call array handling.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize as _sopt
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .errors import ConfigurationError, DivergenceError, DomainError
 from .expressions import quiet_fp
@@ -24,6 +31,32 @@ from .weight import (SignPattern, WeightSpec, a_mu_scalar, a_mu_vector,
 BLOWUP_NORM = 1e8
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+
+
+def _nonzero(row):
+    """(index, coefficient) of the nonzero entries of a tableau row."""
+    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+
+
+# the DOP853 tableau as Python floats: stages 1..11 of a step, the weights
+# of the 8th-order solution and of the 5th- and 3rd-order error estimates,
+# and the three extra stages of the dense output
+_N = _dop.N_STAGES
+_STAGES = tuple((float(_dop.C[s]), _nonzero(_dop.A[s, :s]))
+                for s in range(1, _N))
+_B = _nonzero(_dop.B)
+_E5 = _nonzero(_dop.E5)
+_E3 = _nonzero(_dop.E3)
+_EXTRA = tuple((float(_dop.C[s]), _nonzero(_dop.A[s, :s]))
+               for s in range(_N + 1, _dop.N_STAGES_EXTENDED))
+# scipy's step control: rtol floor, safety, factor bounds, 1 / (order + 1)
+# of the 7th-order error estimator
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_EXPONENT = -1.0 / 8.0
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -51,8 +84,9 @@ class ProblemSpec:
     once, at construction: the scalar pair that :meth:`rhs` calls (its
     a_mu also serves :meth:`forcing` at a float t) and the vector pair
     behind :meth:`a_mu_at`, :meth:`forcing` and :meth:`extended`.
-    :meth:`rhs` is the field of :func:`integrate`; :meth:`forcing` is the
-    field of the one batched flow, :func:`shooting._batch_flow`.
+    :meth:`rhs`, a pair of floats, is the field of the float DOP853
+    stepper of :func:`integrate`; :meth:`forcing` is the field of the one
+    batched flow, :func:`shooting._batch_flow`.
     """
 
     weight: WeightSpec
@@ -122,24 +156,64 @@ class ProblemSpec:
         return np.where(u >= 0.0, a * self._g_vec(np.maximum(u, 0.0)), -u)
 
     def rhs(self, t, state):
-        """Planar field at a float t: the scalar branch of :meth:`forcing`,
-        with the same bits."""
+        """Planar field (u', y') at a float t as a pair of floats: the
+        scalar branch of :meth:`forcing`, with the same bits."""
         u, y = state
-        f = -u if u < 0.0 else self._a_mu(t) * self._g(u)
-        return np.array([y, -self.c * y - f])
+        f = -u if u < 0.0 else float(self._a_mu(t) * self._g(u))
+        return y, -self.c * y - f
+
+
+class _DenseDOP853:
+    """DOP853 dense output of one smooth piece: the interpolant of every
+    accepted step, evaluated at any t by one ``searchsorted``.  A step end
+    belongs to the step before it.
+
+    Built from the piece's ``steps`` (start, length, start state and the
+    16 stages of each) and its step ends ``us``, ``ys``: each step keeps
+    the seven rows F of scipy's ``Dop853DenseOutput``.
+    """
+
+    def __init__(self, steps, us, ys):
+        self.t_old, self.h, u_old, y_old, ku, ky = (
+            np.array(col) for col in zip(*steps))
+        K = np.stack([ku, ky], axis=-1)                   # (n, 16, 2)
+        self.y_old = np.column_stack([u_old, y_old])      # (n, 2)
+        delta = np.column_stack([us[1:], ys[1:]]) - self.y_old
+        h = self.h[:, None]
+        f_old, f_new = K[:, 0], K[:, _N]
+        F = np.empty((len(self.h), _dop.INTERPOLATOR_POWER, 2))
+        F[:, 0] = delta
+        F[:, 1] = h * f_old - delta
+        F[:, 2] = 2 * delta - h * (f_new + f_old)
+        F[:, 3:] = h[..., None] * np.einsum("rk,nkc->nrc", _dop.D, K)
+        self.F = F                                        # (n, 7, 2)
+
+    def __call__(self, t):
+        """(u, y) at t: shape (2,) for a scalar t, (2, m) for an array."""
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.t_old, t, side="left") - 1,
+                    0, len(self.h) - 1)
+        x = ((t - self.t_old[i]) / self.h[i])[..., None]
+        F = self.F[i]
+        y = np.zeros(x.shape[:-1] + (2,))
+        for r in range(F.shape[-2] - 1, -1, -1):
+            y += F[..., r, :]
+            y *= x if r % 2 == 0 else 1.0 - x
+        return (y + self.y_old[i]).T
 
 
 class Trajectory:
     """Dense numerical solution over [t0, t1] with breakpoint-aligned steps.
 
-    ``segments`` holds one scipy dense-output interpolant per smooth piece
-    of the weight, so evaluation anywhere in the span is available.
+    ``segments`` holds one dense interpolant per smooth piece of the
+    weight, as ``(lo, hi, callable t -> (2, m))``, so evaluation anywhere
+    in the span is available.
     """
 
     def __init__(self, times, states, segments):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self.segments = segments  # list of (lo, hi, OdeSolution)
+        self.segments = segments  # list of (lo, hi, callable)
         if np.any(np.diff(self.times) <= 0):
             # duplicate joints are dropped by the builder; keep the guard
             raise DomainError("trajectory times must be strictly increasing")
@@ -179,57 +253,154 @@ class Trajectory:
                 fh.write("%.17g,%.17g,%.17g\n" % (t, u, y))
 
 
+def _initial_step(rhs, t, u, y, fu, fy, t_end, rtol, atol):
+    """scipy's ``select_initial_step`` for the 7th-order error estimator
+    (Hairer, Nørsett and Wanner, §II.4), on floats."""
+    length = t_end - t
+    su = atol + abs(u) * rtol
+    sy = atol + abs(y) * rtol
+    d0 = math.hypot(u / su, y / sy) / _SQRT2
+    d1 = math.hypot(fu / su, fy / sy) / _SQRT2
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    f1u, f1y = rhs(t + h0, (u + h0 * fu, y + h0 * fy))
+    d2 = math.hypot((f1u - fu) / su, (f1y - fy) / sy) / _SQRT2 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        # d2 first: a nan d2 gives a nan h1, which min() passes over
+        h1 = (0.01 / max(d2, d1)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, length)
+
+
+def _diverged(reason, t, u, y):
+    return DivergenceError("%s near t=%.6g" % (reason, t), last_time=t,
+                           last_state=(u, y))
+
+
+def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
+    """DOP853 over one smooth piece [t, t_end] from the state (u, y).
+
+    Returns the accepted step ends (start included) as lists ``ts``,
+    ``us``, ``ys`` and, with ``dense``, the :class:`_DenseDOP853` of the
+    piece; the three extra stages of the dense output are computed only
+    then, after a step is accepted, so they never change the steps.
+    Raises DivergenceError, with the last accepted time and state, when
+    |u| + |y| reaches ``BLOWUP_NORM`` or is not finite after a step, when
+    the field at the start is not finite, or when the step size falls
+    below scipy's minimum (ten spacings of the floats at t).
+    """
+    fu, fy = rhs(t, (u, y))
+    if not math.isfinite(fu + fy):
+        raise _diverged("field is not finite", t, u, y)
+    h_abs = _initial_step(rhs, t, u, y, fu, fy, t_end, rtol, atol)
+    ts, us, ys = [t], [u], [y]
+    steps = []
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise _diverged("step size fell below the minimum", t, u, y)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            ku, ky = [fu], [fy]
+            for c, row in _STAGES:
+                su = sy = 0.0
+                for j, a in row:
+                    su += a * ku[j]
+                    sy += a * ky[j]
+                du, dy = rhs(t + c * h, (u + su * h, y + sy * h))
+                ku.append(du)
+                ky.append(dy)
+            e5u = e5y = e3u = e3y = 0.0
+            for j, e in _E5:
+                e5u += e * ku[j]
+                e5y += e * ky[j]
+            for j, e in _E3:
+                e3u += e * ku[j]
+                e3y += e * ky[j]
+            su = sy = 0.0
+            for j, b in _B:
+                su += b * ku[j]
+                sy += b * ky[j]
+            u_new = u + h * su
+            y_new = y + h * sy
+            scale_u = atol + max(abs(u), abs(u_new)) * rtol
+            scale_y = atol + max(abs(y), abs(y_new)) * rtol
+            n5 = (e5u / scale_u) ** 2 + (e5y / scale_y) ** 2
+            n3 = (e3u / scale_u) ** 2 + (e3y / scale_y) ** 2
+            err = 0.0 if n5 == 0.0 and n3 == 0.0 else \
+                h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else \
+                    min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            # a nan error norm shrinks the step by _MIN_FACTOR
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+        if not abs(u_new) + abs(y_new) < BLOWUP_NORM:
+            raise _diverged("trajectory escaped the guard region", t_new,
+                            u_new, y_new)
+        fu, fy = rhs(t_new, (u_new, y_new))
+        ku.append(fu)
+        ky.append(fy)
+        if dense:
+            for c, row in _EXTRA:
+                su = sy = 0.0
+                for j, a in row:
+                    su += a * ku[j]
+                    sy += a * ky[j]
+                du, dy = rhs(t + c * h, (u + su * h, y + sy * h))
+                ku.append(du)
+                ky.append(dy)
+            steps.append((t, h, u, y, ku, ky))
+        t, u, y = t_new, u_new, y_new
+        ts.append(t)
+        us.append(u)
+        ys.append(y)
+    return ts, us, ys, (_DenseDOP853(steps, us, ys) if dense else None)
+
+
 def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
               dense=True):
     """Integrate the extended planar system over [t0, t1] with DOP853.
 
     Integration restarts exactly at every weight breakpoint in (t0, t1);
-    no accepted step interior contains a sign change of the weight.
-    Raises DivergenceError if |u| + |y| exceeds the blow-up guard.
-    ``dense=False`` builds no interpolant and returns the terminal state.
+    no accepted step interior contains a sign change of the weight.  Each
+    piece is one run of the float stepper :func:`_dop853` on
+    :meth:`ProblemSpec.rhs`; rtol is floored at 100 machine epsilons, as
+    in scipy.  Raises DivergenceError, naming the last accepted time and
+    state, if |u| + |y| reaches the blow-up guard, the field or the state
+    is not finite, or the step size falls below its minimum.
+    ``dense=False`` computes no dense stages and returns the terminal
+    state, bit for bit the last state of the dense integration.
     """
     if not t0 < t1:
         raise DomainError("need t0 < t1")
-    if isinstance(s0, State):
-        y0 = s0.as_array()
-    else:
-        y0 = np.asarray(s0, dtype=float)
-    breaks = p.breakpoints_between(t0, t1)
-    edges = [t0] + breaks + [t1]
-
-    def guard(t, y):
-        return abs(y[0]) + abs(y[1]) - BLOWUP_NORM
-
-    guard.terminal = True
-    guard.direction = 1
-
-    times = [t0]
-    states = [y0.copy()]
+    if not atol > 0:
+        raise DomainError("atol must be positive")
+    rtol = max(rtol, _RTOL_FLOOR)
+    u, y = (s0.u, s0.y) if isinstance(s0, State) else s0
+    u, y = float(u), float(y)
+    edges = [float(e) for e in [t0] + p.breakpoints_between(t0, t1) + [t1]]
+    times, us, ys = [t0], [u], [y]
     segments = []
-    y_cur = y0
     # p.rhs calls expressions unguarded: one guard for the whole flow
     with quiet_fp():
         for lo, hi in zip(edges[:-1], edges[1:]):
-            sol = solve_ivp(p.rhs, (lo, hi), y_cur, method="DOP853",
-                            rtol=rtol, atol=atol, dense_output=dense,
-                            events=guard)
-            if sol.status == 1 or not sol.success:
-                t_last = float(sol.t[-1])
-                raise DivergenceError(
-                    "trajectory escaped the guard region near t=%.6g"
-                    % t_last, last_time=t_last,
-                    last_state=tuple(sol.y[:, -1]))
-            segments.append((lo, hi, sol.sol))
-            times.extend(sol.t[1:])
-            states.extend(sol.y[:, 1:].T)
-            y_cur = sol.y[:, -1]
+            ts, pu, py, piece = _dop853(p.rhs, lo, hi, u, y, rtol, atol,
+                                        dense)
+            u, y = pu[-1], py[-1]
+            if dense:
+                times.extend(ts[1:])
+                us.extend(pu[1:])
+                ys.extend(py[1:])
+                segments.append((lo, hi, piece))
     if not dense:
-        return np.asarray(y_cur)
-    # drop accidental duplicate nodes at the joints
-    times = np.asarray(times)
-    states = np.asarray(states)
-    keep = np.concatenate(([True], np.diff(times) > 0))
-    return Trajectory(times[keep], states[keep], segments)
+        return np.array([u, y])
+    return Trajectory(times, np.column_stack([us, ys]), segments)
 
 
 def flow(p, s0, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):

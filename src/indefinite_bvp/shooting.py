@@ -11,7 +11,7 @@ Every flow of many rows goes through one batched DOP853 kernel,
 :func:`_batch_flow`: the Newton rows, each on its own segment, and the
 window flow :func:`flow_many` behind the winding numbers, one call per
 weight piece with all rows at one shared time.  Single trajectories use
-:func:`integrator.integrate`.
+the float DOP853 stepper of :func:`integrator.integrate`.
 
 All Newton seeds of a search are polished in lockstep.  Each merged
 round flows the pending evaluation of every unfinished seed in one

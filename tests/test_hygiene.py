@@ -2,7 +2,8 @@
 every import sits at module level, every module-level private helper has
 a caller, every dataclass field is read somewhere, the expression
 compiler is the only place that runs generated code, ``solve_ivp`` is
-called from a fixed set of integrators, ``__all__`` lists exactly
+called from a fixed set of integrators, scipy's private ``_ivp`` package
+is imported once, ``__all__`` lists exactly
 the names the package imports, and every layer the benchmark tracer
 wraps exists in the package.
 
@@ -250,13 +251,57 @@ def test_scan_flags_solve_ivp_callers():
 
 
 def test_solve_ivp_call_sites():
-    # one scalar DOP853 path, one batched kernel, and the two integrations
-    # of other equations: a new call site is a new integrator
+    # one batched kernel and the two integrations of other equations (the
+    # scalar DOP853 path has its own stepper): a new call site is a new
+    # integrator
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
     assert solve_ivp_callers(sources) == [
-        "eigen.prufer_angle_sweep", "integrator.integrate",
-        "radial.direct_radial_integration", "shooting._batch_flow"]
+        "eigen.prufer_angle_sweep", "radial.direct_radial_integration",
+        "shooting._batch_flow"]
+
+
+PRIVATE_IVP = "scipy.integrate._ivp"
+
+
+def private_ivp_imports(sources):
+    """``module:line`` of every import, in ``sources`` (module name ->
+    source), of scipy's private ``scipy.integrate._ivp`` package or one of
+    its modules."""
+    hits = []
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + ["%s.%s" % (node.module, a.name)
+                                               for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n == PRIVATE_IVP or n.startswith(PRIVATE_IVP + ".")
+                   for n in names):
+                hits.append("%s:%d" % (mod, node.lineno))
+    return sorted(hits)
+
+
+def test_scan_flags_private_ivp_imports():
+    sources = {
+        "a": ("from scipy.integrate._ivp import dop853_coefficients\n"
+              "from scipy.integrate import solve_ivp\n"),
+        "b": "import scipy.integrate._ivp.rk as rk\n",
+        "c": "from scipy.integrate import _ivp\n",
+        "d": "from scipy.integrate._ivp.common import norm\n",
+    }
+    assert private_ivp_imports(sources) == ["a:1", "b:1", "c:1", "d:1"]
+
+
+def test_private_ivp_has_one_entry_point():
+    # the scalar stepper takes scipy's DOP853 tableau from the private
+    # package; nothing else may reach into it
+    sources = {f.stem: f.read_text(encoding="utf-8")
+               for f in PACKAGE.glob("*.py")}
+    hits = private_ivp_imports(sources)
+    assert len(hits) == 1 and hits[0].startswith("integrator:")
 
 
 def test_all_matches_the_package_imports():

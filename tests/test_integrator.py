@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from indefinite_bvp import integrator, shooting
 from indefinite_bvp.errors import DivergenceError, DomainError
@@ -74,24 +75,36 @@ def test_flow_matches_integrate():
     assert end.y == pytest.approx(float(traj.eval(1.0)[1]), abs=1e-10)
 
 
+def counting_rhs(monkeypatch):
+    """Patch ``ProblemSpec.rhs`` to count its calls; returns the count."""
+    calls = [0]
+    rhs = ProblemSpec.rhs
+
+    def counted(self, t, state):
+        calls[0] += 1
+        return rhs(self, t, state)
+
+    monkeypatch.setattr(ProblemSpec, "rhs", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig2"])
 def test_flow_builds_no_interpolant(name, monkeypatch):
-    # flow asks DOP853 for no dense output; the step sequence, and so the
-    # terminal state, is bit for bit that of the dense integration
+    # flow computes no dense stages: the dense integration makes exactly
+    # three more field evaluations per accepted step, and the step
+    # sequence, so the terminal state, is bit for bit the same
     p = get_preset(name).problem
     s0 = State(0.1, 0.0 if p.boundary == "neumann" else 0.4)
     span = (0.0, 2 * p.period)
-    end = integrate(p, s0, *span).states[-1]
-    dense = []
-    solve = integrator.solve_ivp
-
-    def spy(*args, **kwargs):
-        dense.append(kwargs["dense_output"])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(integrator, "solve_ivp", spy)
+    calls = counting_rhs(monkeypatch)
+    traj = integrate(p, s0, *span)
+    n_dense = calls[0]
+    calls[0] = 0
     s1 = flow(p, s0, span)
-    assert len(dense) > 1 and not any(dense)
+    steps = len(traj.times) - 1
+    assert len(traj.segments) > 1 and steps > 10
+    assert n_dense - calls[0] == 3 * steps
+    end = traj.states[-1]
     assert np.array([s1.u, s1.y]).tobytes() == end.tobytes()
 
 
@@ -109,7 +122,9 @@ def test_blowup_guard():
     p = fig2_problem()
     with pytest.raises(DivergenceError) as exc:
         integrate(p, State(50.0, 0.0), 0.5, 1.0)
-    assert exc.value.last_time is not None
+    assert 0.5 < exc.value.last_time <= 1.0
+    u, y = exc.value.last_state
+    assert abs(u) + abs(y) >= integrator.BLOWUP_NORM
 
 
 def test_trajectory_span_and_samples():
@@ -286,7 +301,8 @@ def test_expression_problem_pickles():
                     GS["expression"], "neumann")
     q = pickle.loads(pickle.dumps(p))
     state = np.array([0.4, -0.1])
-    assert q.rhs(0.3, state).tobytes() == p.rhs(0.3, state).tobytes()
+    assert np.array(q.rhs(0.3, state)).tobytes() == \
+        np.array(p.rhs(0.3, state)).tobytes()
 
 
 def test_expression_weight_integrates_without_warnings():
@@ -317,3 +333,141 @@ def test_kink_inside_a_piece_is_left_to_step_control():
         split = flow(p, flow(p, s0, (0.0, 0.3), **tol), (0.3, 1.0), **tol)
         assert abs(whole.states[-1, 0] - split.u) < 1e-9
         assert abs(whole.states[-1, 1] - split.y) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the float DOP853 stepper against scipy's solve_ivp
+
+
+def scipy_oracle(p, s0, t0, t1, rtol, atol):
+    """solve_ivp(method="DOP853") restarted at the same breakpoints with
+    the same tolerances: the terminal state and a dense evaluator, or None
+    when the orbit reaches the blow-up guard."""
+    def field(t, z):
+        return np.array(p.rhs(t, z))
+
+    def guard(t, z):
+        return abs(z[0]) + abs(z[1]) - integrator.BLOWUP_NORM
+
+    guard.terminal = True
+    edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
+    z, sols = np.array(s0, dtype=float), []
+    with np.errstate(all="ignore"):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            sol = solve_ivp(field, (lo, hi), z, method="DOP853", rtol=rtol,
+                            atol=atol, dense_output=True, events=guard)
+            if sol.status != 0:
+                return None
+            sols.append((lo, hi, sol.sol))
+            z = sol.y[:, -1]
+
+    def dense(ts):
+        out = np.empty((len(ts), 2))
+        for lo, hi, sol in sols:
+            mask = (ts >= lo) & (ts <= hi)
+            out[mask] = sol(ts[mask]).T
+        return out
+
+    return z, dense
+
+
+def fig1_expression_problem():
+    w = WeightSpec.from_expression(
+        "max(sin(3*pi*t), 0) - 7*max(-sin(3*pi*t), 0)", 1.0)
+    g = NonlinearitySpec.from_expression("100*s*atan(s)")
+    return ProblemSpec.build(w, 1.0, 0.0, g, boundary="neumann")
+
+
+def kinked_table_problem():
+    w = WeightSpec.from_table([0.0, 0.3, 0.5, 1.0], [1.0, 3.0, -2.0])
+    return ProblemSpec.build(w, 2.0, 0.0, NonlinearitySpec.power(2))
+
+
+def fig2_friction_problem():
+    p = fig2_problem()
+    return ProblemSpec(p.weight, p.pattern, p.mu, 0.5, p.g, p.boundary)
+
+
+ORACLE_CASES = {
+    "fig1-expression": (fig1_expression_problem, (0.07, 0.0), 1.0),
+    "fig2-2T": (fig2_problem, (0.1, 0.4), 2.0),
+    "fig2-c0.5": (fig2_friction_problem, (0.1, 0.4), 1.0),
+    "kinked-table": (kinked_table_problem, (0.5, 0.2), 1.0),
+    "linear-cosine": (linear_problem, (1.0, 0.0), math.pi / 2),
+}
+
+
+def assert_matches_scipy(p, s0, t1, rtol=1e-10, atol=1e-12):
+    oracle = scipy_oracle(p, s0, 0.0, t1, rtol, atol)
+    try:
+        traj = integrate(p, s0, 0.0, t1, rtol=rtol, atol=atol)
+    except DivergenceError:
+        assert oracle is None
+        return
+    assert oracle is not None
+    z, dense = oracle
+    end = traj.states[-1]
+    assert np.all(np.abs(end - z) <= 1e-9 * (1.0 + np.abs(z))), (end, z)
+    ts = np.linspace(0.0, t1, 257)
+    assert np.max(np.abs(traj.eval(ts) - dense(ts))) <= 1e-8
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_scalar_dop853_matches_scipy(case):
+    build, s0, t1 = ORACLE_CASES[case]
+    assert_matches_scipy(build(), s0, t1)
+
+
+@given(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+@settings(max_examples=25, deadline=None)
+@example(0.0, 0.0, 0.0)
+def test_scalar_dop853_matches_scipy_property(u0, y0, c):
+    p = fig2_problem()
+    p = ProblemSpec(p.weight, p.pattern, p.mu, c, p.g, p.boundary)
+    assert_matches_scipy(p, (u0, y0), 1.0)
+
+
+def test_nan_field_raises_in_bounded_calls(monkeypatch):
+    # a g that is nan above u = 1.5 makes every step that reaches it fail
+    # its error test; the step shrinks to scipy's minimum and the flow
+    # stops with a DivergenceError instead of looping
+    w = WeightSpec.from_callable(lambda t: np.ones_like(np.asarray(
+        t, dtype=float)), 1.0)
+    g = NonlinearitySpec.from_callable(
+        lambda s: np.where(np.asarray(s) > 1.5, np.nan, -10.0 * np.asarray(s)))
+    hump = SignPattern(1, (0.0, 1.0), (1.0,), mode="neumann")
+    p = ProblemSpec(w, hump, 1.0, 0.0, g, "neumann")
+    calls = counting_rhs(monkeypatch)
+    for s0 in (State(1.0, 2.0), State(2.0, 0.0)):
+        calls[0] = 0
+        with pytest.raises(DivergenceError) as exc:
+            integrate(p, s0, 0.0, 1.0)
+        assert calls[0] < 20000
+        assert 0.0 <= exc.value.last_time < 1.0
+        assert np.all(np.isfinite(exc.value.last_state))
+
+
+def test_rtol_is_floored_as_in_scipy():
+    p = fig2_problem()
+    floor = 100 * np.finfo(float).eps
+    a = flow(p, State(0.1, 0.4), (0.0, 1.0), rtol=1e-20)
+    b = flow(p, State(0.1, 0.4), (0.0, 1.0), rtol=floor)
+    assert (a.u, a.y) == (b.u, b.y)
+
+
+def test_trajectory_eval_at_joints_and_step_ends():
+    # the interpolant of a step ends where the next one (or the next
+    # piece) starts; a scalar t gives shape (2,), an array (n, 2)
+    p = fig2_problem()
+    traj = integrate(p, State(0.1, 0.4), 0.0, 2.0)
+    for (_, hi, left), (lo, _, right) in zip(traj.segments,
+                                             traj.segments[1:]):
+        assert hi == lo
+        assert np.max(np.abs(left(hi) - right(lo))) < 1e-12
+    ends = traj.times[1:-1]
+    after = np.nextafter(ends, np.inf)
+    assert np.max(np.abs(traj.eval(ends) - traj.eval(after))) < 1e-12
+    assert np.max(np.abs(traj.eval(traj.times) - traj.states)) < 1e-12
+    assert traj.eval(0.25).shape == (2,)
+    assert traj.eval(np.linspace(0.0, 2.0, 7)).shape == (7, 2)
+    assert traj.eval([0.25]).shape == (1, 2)
