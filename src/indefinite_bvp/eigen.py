@@ -18,7 +18,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import BracketingError, ConfigurationError, HypothesisError
-from .weight import evaluate
+from .expressions import quiet_fp
+from .weight import evaluate_scalar
 
 LAMBDA_CAP = 1e12
 _ANGLE_RTOL = 1e-10     # DOP853 tolerances of the angle flow
@@ -31,7 +32,8 @@ class EigenProblem:
     """Weighted eigenvalue problem on [alpha, beta].
 
     ``weight_fn`` is evaluated at absolute times in [alpha, beta]; the
-    weight must be nonnegative and not identically zero there.
+    weight must be nonnegative and not identically zero there.  The angle
+    flow calls it inside :func:`expressions.quiet_fp`.
     """
 
     weight_fn: object
@@ -57,11 +59,11 @@ class EigenProblem:
         """Eigenvalue problem on the i-th positivity interval of ``p``.
 
         No sign change lies strictly inside a hump, so the angle flow
-        needs no restart there.
+        needs no restart there.  The weight is the compiled scalar
+        evaluator :func:`weight.evaluate_scalar`.
         """
         lo, hi = p.pattern.pos_intervals()[i]
-        return cls(lambda t: evaluate(p.weight, t), lo, hi, p.c,
-                   left_bc, right_bc)
+        return cls(evaluate_scalar(p.weight), lo, hi, p.c, left_bc, right_bc)
 
 
 def prufer_angle_sweep(ep, lam):
@@ -77,8 +79,10 @@ def prufer_angle_sweep(ep, lam):
         s, co = math.sin(th[0]), math.cos(th[0])
         return [co * co / ect + ect * lam * a * s * s]
 
-    sol = solve_ivp(rhs, (ep.alpha, ep.beta), [theta0], method="DOP853",
-                    rtol=_ANGLE_RTOL, atol=_ANGLE_ATOL)
+    # weight_fn may call an expression unguarded: one guard for the sweep
+    with quiet_fp():
+        sol = solve_ivp(rhs, (ep.alpha, ep.beta), [theta0], method="DOP853",
+                        rtol=_ANGLE_RTOL, atol=_ANGLE_ATOL)
     if not sol.success:
         raise BracketingError("angle integration failed")
     return float(sol.y[0, -1])

@@ -32,6 +32,23 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^(),]))"
 )
 
+
+def _maximum(a, b):
+    """np.maximum, by a branch on two floats: nan from either side, and
+    the second operand on ties, so _maximum(0.0, -0.0) is -0.0 as in
+    numpy.  Arrays and other types take the ufunc."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a if a > b or a != a else b
+    return np.maximum(a, b)
+
+
+def _minimum(a, b):
+    """np.minimum, by a branch on two floats; see :func:`_maximum`."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a if a < b or a != a else b
+    return np.minimum(a, b)
+
+
 _FUNCTIONS = {
     "sin": (1, np.sin),
     "cos": (1, np.cos),
@@ -40,8 +57,8 @@ _FUNCTIONS = {
     "atan": (1, np.arctan),
     "arctan": (1, np.arctan),
     "sqrt": (1, lambda x: np.sqrt(np.maximum(x, 0.0))),
-    "max": (2, np.maximum),
-    "min": (2, np.minimum),
+    "max": (2, _maximum),
+    "min": (2, _minimum),
 }
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}

@@ -138,13 +138,14 @@ class ProblemSpec:
     def forcing(self, t, u):
         """Extended forcing f~(t, u): a_mu(t) g(u) for u >= 0, -u below.
 
-        At a float t, a_mu is evaluated once, by the compiled scalar
-        evaluator of :meth:`rhs` (the same bits as the vector one), and
-        applied to every entry of u; as in :meth:`rhs`, an expression
-        weight is then called without its floating-point guard, so a
-        caller that wants quiet inf/nan runs inside
-        :func:`expressions.quiet_fp` (:func:`shooting._batch_flow` does).
-        An array t takes the vector evaluator, one a_mu per entry.
+        An array t, as in the per-row times of
+        :func:`shooting._batch_flow`, takes the vector evaluator, one
+        a_mu per entry.  At a float t, a_mu is evaluated once, by the
+        compiled scalar evaluator of :meth:`rhs` (the same bits as the
+        vector one), and applied to every entry of u; as in :meth:`rhs`,
+        an expression weight is then called without its floating-point
+        guard, so a caller that wants quiet inf/nan runs inside
+        :func:`expressions.quiet_fp`.
         """
         a = self._a_mu(t) if np.ndim(t) == 0 else self._a_mu_vec(t)
         out = self.extended(a, np.asarray(u, dtype=float))

@@ -7,11 +7,11 @@ multiple-shooting Newton on the accurate adaptive integrator.  Accepted
 solutions are classified by the binary code of their hump maxima and
 cross-checked by an independent verification pass.
 
-Every flow of many rows goes through one batched DOP853 kernel,
-:func:`_batch_flow`: the Newton rows, each on its own segment, and the
-window flow :func:`flow_many` behind the winding numbers, one call per
-weight piece with all rows at one shared time.  Single trajectories use
-the float DOP853 stepper of :func:`integrator.integrate`.
+The Newton rows, each on its own segment, and the residual of
+:func:`verify_solution` go through one batched DOP853 kernel,
+:func:`_batch_flow`.  Single trajectories, and the vertices of the
+winding-number polylines one at a time, use the float DOP853 stepper of
+:func:`integrator.integrate`.
 
 All Newton seeds of a search are polished in lockstep.  Each merged
 round flows the pending evaluation of every unfinished seed in one
@@ -154,20 +154,6 @@ def poincare_map(p, s0, k=1, sc=None):
     return flow(p, s0, (0.0, k * p.period), rtol=sc.rtol, atol=sc.atol)
 
 
-def flow_many(p, Z, t0, t1, sc):
-    """Terminal states of the m rows of Z (shape (m, 2)) flowed together
-    over the window [t0, t1] at one shared time t: one :func:`_batch_flow`
-    per weight piece, restarted at every breakpoint as in
-    :func:`integrator.integrate`.  Raises the DivergenceError of the
-    piece in which a row escapes."""
-    if not t0 < t1:
-        raise DomainError("need t0 < t1")
-    edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        Z = _batch_flow(p, Z, lo, hi - lo, sc)
-    return Z
-
-
 _GROWTH_CAP = 7.0
 _FD_STEP = 1e-7         # relative difference-quotient step in Newton
 _DEDUP_TOL = 1e-6       # relative initial-state distance of duplicates
@@ -180,7 +166,6 @@ _LEVEL_R_FACTOR = 10.0  # R over the largest hump maximum
 _MAX_MU_STEPS = 200     # continuation steps, accepted or rejected
 _WINDING_MIN_DISP = 1e-9    # displacement that leaves the degree undefined
 _WINDING_MAX_POINTS = 4096  # curve vertices before refinement gives up
-_WINDING_LOOKAHEAD = 3      # dyadic levels flowed under each split edge
 
 
 def _g_slope(g, amp):
@@ -221,11 +206,9 @@ def _batch_flow(p, Z, t0s, lens, sc):
     Row j of Z (shape (m, 2)) is integrated from t0s[j] over length
     lens[j].  All rows advance together in tau in [0, L], L = max(lens),
     row j at rate lens[j] / L, so its time is t0s[j] + tau lens[j] / L.
-    For one window shared by all rows (scalar t0s and lens) the rate is 1,
-    and each RHS evaluation takes a_mu once (:meth:`ProblemSpec.forcing`
-    at a float t).  No segment may contain a weight breakpoint.  The
-    shared error norm averages over rows, so the tolerances are tightened
-    by sqrt(m) to keep the per-row accuracy of the scalar path.
+    No segment may contain a weight breakpoint.  The shared error norm
+    averages over rows, so the tolerances are tightened by sqrt(m) to
+    keep the per-row accuracy of the scalar path.
 
     Raises DivergenceError when a row's |u| + |y| reaches the blow-up
     guard of :func:`integrator.integrate` or the integration fails; its
@@ -234,10 +217,9 @@ def _batch_flow(p, Z, t0s, lens, sc):
     Z = np.asarray(Z, dtype=float)
     m = len(Z)
     span = float(np.max(lens))
-    # [()] makes scalars numpy floats, cheaper per RHS than 0-d arrays
-    t0s = np.asarray(t0s, dtype=float)[()]
-    rate = (np.asarray(lens, dtype=float) / span)[()]
-    rates = np.repeat(np.broadcast_to(rate, m), 2)
+    t0s = np.asarray(t0s, dtype=float)
+    rate = np.asarray(lens, dtype=float) / span
+    rates = np.repeat(rate, 2)
     c = p.c
 
     def rhs(tau, y):
@@ -254,7 +236,8 @@ def _batch_flow(p, Z, t0s, lens, sc):
     blowup.terminal = True
     blowup.direction = 1
     scale = 1.0 / math.sqrt(m)
-    # forcing at a float t calls expressions unguarded: one guard here
+    # quiet inf/nan, as in integrator.integrate, for a row on its way out
+    # of the guard region
     with quiet_fp():
         sol = _sint.solve_ivp(rhs, (0.0, span), Z.ravel(), method="DOP853",
                               rtol=max(sc.rtol * scale, 1e-13),
@@ -263,7 +246,7 @@ def _batch_flow(p, Z, t0s, lens, sc):
     if sol.status != 0 or not np.all(np.isfinite(y)):
         size = np.abs(y[0::2]) + np.abs(y[1::2])
         row = int(np.argmax(np.where(np.isfinite(size), size, np.inf)))
-        t_last = float(np.broadcast_to(t0s + sol.t[-1] * rate, m)[row])
+        t_last = float(t0s[row] + sol.t[-1] * rate[row])
         raise DivergenceError(
             "row %d escaped the guard region near t=%.6g" % (row, t_last),
             last_time=t_last, last_state=tuple(y[2 * row:2 * row + 2]),
@@ -826,22 +809,12 @@ def winding_number(p, k, curve, sc=None):
     polyline of initial states.
 
     The polyline is refined (midpoint insertion in state space) until all
-    successive displacement-angle increments are below pi/2.  Each
-    refinement round that needs a vertex not flowed yet makes one
-    :func:`flow_many` call over [0, kT].  That call also flows, under
-    every edge the previous round split, the next ``_WINDING_LOOKAHEAD``
-    dyadic levels of midpoints (the midpoint itself, then the midpoints
-    of its halves, ...), so the rounds that split near the same spot
-    again find their vertices flowed.  The lookahead changes neither the
-    final polyline nor the result.
+    successive displacement-angle increments are below pi/2.  Every
+    vertex is flowed once, by :func:`poincare_map` over [0, kT] at the
+    search tolerances, when a refinement round first needs it.
 
-    Only polyline vertices can leave the degree undefined: a
-    DegreeUndefinedError names the vertex (u, y) whose trajectory
-    diverged or whose displacement vanished.  When a round's flow
-    diverges with lookahead points in it, the round's vertices are
-    flowed again alone and the lookahead ends for this curve.  A
-    lookahead point whose displacement vanishes is never looked at
-    unless it becomes a vertex.
+    A DegreeUndefinedError names the vertex (u, y) whose trajectory
+    diverged or whose displacement vanished.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -855,82 +828,43 @@ def winding_number(p, k, curve, sc=None):
     return int(round(sum(deltas) / (2 * math.pi)))
 
 
-def _dyadic_points(a, b, levels):
-    """The 2**levels - 1 midpoints of the first ``levels`` dyadic levels
-    under the edge (a, b), with the refinement's 0.5 * (a + b) so that
-    they are the refinement's points bit for bit."""
-    if levels == 0:
-        return []
-    mid = 0.5 * (a + b)
-    return [mid] + _dyadic_points(a, mid, levels - 1) + \
-        _dyadic_points(mid, b, levels - 1)
-
-
 def _refined_polyline(p, k, pts, sc):
     """(final polyline, displacement-angle increment of each of its
     edges) of the refinement in :func:`winding_number`."""
-    cache = {}      # (u, y) -> (angle, length) of the displacement
-    split = []      # the edges (a, b) the previous round split
-    levels = _WINDING_LOOKAHEAD
+    cache = {}      # (u, y) -> displacement angle
 
-    def key(q):
-        return float(q[0]), float(q[1])
-
-    def store(batch):
-        imgs = flow_many(p, np.array(batch), 0.0, k * p.period, sc)
-        for q, img in zip(batch, imgs):
-            d = img - q
-            cache[key(q)] = (math.atan2(d[1], d[0]), math.hypot(d[0], d[1]))
-
-    def store_vertices(batch):
-        try:
-            store(batch)
-        except DivergenceError as exc:
-            raise DegreeUndefinedError(
-                "trajectory from curve vertex (u, y) = (%.17g, %.17g) "
-                "diverged" % tuple(batch[exc.row])) from exc
-
-    while True:
-        todo = {key(q): q for q in pts if key(q) not in cache}
-        if todo:
-            need = len(todo)
-            for a, b in split:
-                for q in _dyadic_points(a, b, levels):
-                    if key(q) not in cache:
-                        todo.setdefault(key(q), q)
-            batch = list(todo.values())
-            if len(batch) == need:
-                store_vertices(batch)
-            else:
-                try:
-                    store(batch)
-                except DivergenceError:
-                    # a lookahead point may be the one that escaped; the
-                    # vertices alone decide, and the lookahead ends
-                    levels = 1
-                    store_vertices(batch[:need])
-        angles = []
-        for q in pts:
-            angle, length = cache[key(q)]
+    def angle(q):
+        u, y = float(q[0]), float(q[1])
+        if (u, y) not in cache:
+            try:
+                img = poincare_map(p, (u, y), k, sc)
+            except DivergenceError as exc:
+                raise DegreeUndefinedError(
+                    "trajectory from curve vertex (u, y) = (%.17g, %.17g) "
+                    "diverged" % (u, y)) from exc
+            du, dy = img.u - u, img.y - y
+            length = math.hypot(du, dy)
             if length < _WINDING_MIN_DISP:
                 raise DegreeUndefinedError(
                     "displacement vanishes at curve vertex (u, y) = "
-                    "(%.17g, %.17g): |d| = %.3g" % (q[0], q[1], length))
-            angles.append(angle)
+                    "(%.17g, %.17g): |d| = %.3g" % (u, y, length))
+            cache[u, y] = math.atan2(dy, du)
+        return cache[u, y]
+
+    while True:
+        angles = [angle(q) for q in pts]
         n = len(pts)
         deltas = [(angles[(i + 1) % n] - angles[i] + math.pi)
                   % (2 * math.pi) - math.pi for i in range(n)]
-        refined, split = [], []
+        refined = []
         for i, q in enumerate(pts):
             refined.append(q)
             if abs(deltas[i]) >= math.pi / 2:
-                nxt = pts[(i + 1) % n]
-                refined.append(0.5 * (q + nxt))
-                split.append((q, nxt))
-        if not split:
+                refined.append(0.5 * (q + pts[(i + 1) % n]))
+        if len(refined) == n:
             return pts, deltas
         if len(refined) > _WINDING_MAX_POINTS:
-            a, _ = split[0]
+            a = next(q for q, d in zip(pts, deltas) if abs(d) >= math.pi / 2)
             raise DegreeUndefinedError(
                 "curve refinement did not converge: %d vertices, the edge "
                 "from curve vertex (u, y) = (%.17g, %.17g) still turns by "

@@ -136,25 +136,38 @@ def a_mu(w, mu, t):
     return np.maximum(a, 0.0) - mu * np.maximum(-a, 0.0)
 
 
+def evaluate_scalar(w):
+    """Compiled t -> a(t) for a float t, with the same bits as
+    :func:`evaluate` at that point.  An expression weight is called
+    without its floating-point guard, so the caller runs inside
+    :func:`expressions.quiet_fp`."""
+    T = w.period
+    fn = unguarded(w.fn)
+
+    def a_at(t):
+        # x // 1.0 is np.floor(x) down to the sign of zero, so this is
+        # evaluate's periodic reduction
+        return float(fn(t - T * ((t / T) // 1.0)))
+
+    return a_at
+
+
 def a_mu_scalar(w, mu):
     """Compiled t -> a+(t) - mu * a-(t) for a float t, with the same bits
     as :func:`a_mu` at that point.
 
     The two-part form is a for a > 0, 0.0 for a = +-0.0, and
     0.0 - mu * (-a) = mu * a exactly for a < 0; ``a + 0.0`` and
-    ``mu * a`` give the same bits.  An expression weight is called
-    without its floating-point guard, so the caller runs inside
+    ``mu * a`` give the same bits.  The weight comes from
+    :func:`evaluate_scalar`, so the caller runs inside
     :func:`expressions.quiet_fp`.
     """
     if not mu > 0:
         raise DomainError("mu must be positive")
-    T = w.period
-    fn = unguarded(w.fn)
+    a_at = evaluate_scalar(w)
 
     def a_mu_at(t):
-        # x // 1.0 is np.floor(x) down to the sign of zero, so this is
-        # evaluate's periodic reduction
-        a = float(fn(t - T * ((t / T) // 1.0)))
+        a = a_at(t)
         return mu * a if a < 0.0 else a + 0.0
 
     return a_mu_at

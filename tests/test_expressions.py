@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from indefinite_bvp.errors import ConfigurationError
 from indefinite_bvp.expressions import (_FUNCTIONS, Expression,
-                                        parse_expression)
+                                        parse_expression, unguarded)
 
 
 def test_fig_nonlinearity_text():
@@ -78,6 +78,37 @@ def test_scalar_matches_array_element(src):
     vec = e(ts)
     for i, t in enumerate(ts):
         assert np.float64(e(float(t))).tobytes() == vec[i].tobytes(), t
+
+
+EDGE_VALUES = [0.0, -0.0, 1.5, -1.5, math.inf, -math.inf, math.nan,
+               -math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -2.225073858507201e-308, np.float64(1.5), np.float64(-0.0),
+               0, 1, -2]
+
+
+@pytest.mark.parametrize("name, ufunc", [("max", np.maximum),
+                                         ("min", np.minimum)])
+def test_scalar_max_min_are_the_ufuncs(name, ufunc):
+    # the scalar branch gives the ufunc's bits on every pair: nan from
+    # either side, the second operand on ties (so the sign of zero),
+    # infinities, subnormals and int/float mixes
+    fn = _FUNCTIONS[name][1]
+    for a in EDGE_VALUES:
+        for b in EDGE_VALUES:
+            got, want = fn(a, b), ufunc(a, b)
+            assert np.float64(got).tobytes() == \
+                np.float64(want).tobytes(), (a, b)
+    assert math.copysign(1.0, fn(0.0, -0.0)) == -1.0
+    assert math.copysign(1.0, fn(-0.0, 0.0)) == 1.0
+
+
+def test_fig1_weight_scalar_matches_vector():
+    e = parse_expression("max(sin(3*pi*t), 0) - 7*max(-sin(3*pi*t), 0)")
+    ts = np.linspace(0.0, 1.0, 257)
+    vec = e(ts)
+    fn = unguarded(e)
+    for i, t in enumerate(ts):
+        assert np.float64(fn(float(t))).tobytes() == vec[i].tobytes(), t
 
 
 @pytest.mark.parametrize("src", ["__import__('os')", "t.real",

@@ -1,6 +1,6 @@
 """Static hygiene of the package sources: every imported name is used,
-every import sits at module level, every module-level private helper has
-a caller, every dataclass field is read somewhere, the expression
+every import sits at module level, every module-level private helper and
+constant has a reader, every dataclass field is read somewhere, the expression
 compiler is the only place that runs generated code, ``solve_ivp`` is
 called from a fixed set of integrators, scipy's private ``_ivp`` package
 is imported once, ``__all__`` lists exactly
@@ -117,24 +117,35 @@ def _referenced_name(node):
     return None
 
 
+def _defined_names(node):
+    """Names a module-level statement defines: a function or class, or
+    the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    return []
+
+
 def orphaned_private_defs(sources):
-    """``module.name`` of every module-level private function or class
-    that nothing in ``sources`` (module name -> source) refers to outside
-    its own definition."""
+    """``module.name`` of every module-level private function, class or
+    constant (``_NAME = ...``) that nothing in ``sources`` (module name ->
+    source) refers to outside its own definition."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     refs = collections.Counter(
         _referenced_name(n) for tree in trees.values() for n in ast.walk(tree))
     orphans = []
     for mod, tree in trees.items():
         for node in tree.body:
-            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")):
-                continue
-            own = sum(_referenced_name(n) == node.name for n in ast.walk(node))
-            if refs[node.name] == own:
-                orphans.append("%s.%s" % (mod, node.name))
+            for name in _defined_names(node):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                own = sum(_referenced_name(n) == name for n in ast.walk(node))
+                if refs[name] == own:
+                    orphans.append("%s.%s" % (mod, name))
     return sorted(orphans)
 
 
@@ -149,6 +160,19 @@ def test_scan_flags_orphaned_private_defs():
         "b": "from . import a\nx = a._Shared\n",
     }
     assert orphaned_private_defs(sources) == ["a._Lonely", "a._recursive"]
+
+
+def test_scan_flags_orphaned_private_constants():
+    sources = {
+        "a": ("_USED = 3\n_LEFTOVER = 3  # no reader\n"
+              "_SELF = [0]\n_SELF = _SELF + [1]\n"
+              "_PAIR, _SPARE = 1, 2\n_TYPED: int = 4\n"
+              "_SHARED = 5\n__version__ = '1'\nPUBLIC = 6\n"
+              "def f():\n    _LOCAL = 1\n    return _USED + _PAIR\n"),
+        "b": "from . import a\nx = a._SHARED\n",
+    }
+    assert orphaned_private_defs(sources) == [
+        "a._LEFTOVER", "a._SPARE", "a._TYPED"]
 
 
 def test_no_orphaned_private_defs():

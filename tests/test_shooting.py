@@ -609,7 +609,7 @@ def test_lockstep_polish_isolates_a_diverging_seed(fig2_k1, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# window flow and winding numbers
+# winding numbers
 
 
 def fig1_expression_problem():
@@ -619,58 +619,64 @@ def fig1_expression_problem():
     return ProblemSpec.build(w, 1.0, 0.0, g, boundary="neumann")
 
 
-FLOW_CASES = {
-    # name: (problem, window, weight pieces in the window)
-    "fig2_k2": (lambda: fig2().problem, (0.0, 2.0), 4),
-    "fig1_expression": (fig1_expression_problem, (0.0, 1.0), 3),
-    "friction": (lambda: replace(fig2().problem, c=0.5), (0.0, 1.0), 2),
+VERTEX_CASES = {
+    # name: (problem, k, curve center, radius); each curve is refined
+    "fig2_k2": (lambda: fig2().problem, 2,
+                (0.032390361403572515, 0.01930884642626691), 0.01),
+    "fig1_expression": (fig1_expression_problem, 1, (0.0, 0.0), 0.1),
+    "friction": (lambda: replace(fig2().problem, c=0.5), 1, (0.0, 0.0),
+                 0.1),
 }
 
 
-FLOW_ROWS = np.array([[0.032390361403572515, 0.01930884642626691],
-                      [0.10957344410844336, 0.46778278796529815],
-                      [0.05, -0.2], [0.3, 0.0], [-0.1, 0.2], [0.0, 0.0],
-                      [1e-3, 0.5]])
+def circle(center, rad, n=12):
+    angs = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    return [center + rad * np.array([math.cos(a), math.sin(a)])
+            for a in angs]
 
 
-@pytest.mark.parametrize("case", sorted(FLOW_CASES))
-def test_flow_many_matches_flow(case, monkeypatch):
-    # every row of the window flow is the scalar flow of that row, and
-    # each weight piece is one DOP853 call.  At the default tolerances
-    # the scalar flow itself is off by up to 3e-9 over fig2's two
-    # expanding periods, so both flows run 100 times tighter.
-    make, (t0, t1), pieces = FLOW_CASES[case]
-    p = make()
-    sc = SearchConfig(rtol=1e-12, atol=1e-14)
-    Z = FLOW_ROWS
-    solves = []
-    solve_ivp = shooting._sint.solve_ivp
-
-    def counting(fun, t_span, *args, **kwargs):
-        solves.append(t_span)
-        return solve_ivp(fun, t_span, *args, **kwargs)
-
-    monkeypatch.setattr(shooting._sint, "solve_ivp", counting)
-    out = shooting.flow_many(p, Z, t0, t1, sc)
-    assert len(solves) == pieces
-    monkeypatch.undo()
-    for z, got in zip(Z, out):
-        want = flow(p, State(*z), (t0, t1), rtol=sc.rtol, atol=sc.atol)
-        tol = 1e-9 * (1.0 + float(np.hypot(want.u, want.y)))
-        assert abs(got[0] - want.u) < tol and abs(got[1] - want.y) < tol
+def record_circle(rec):
+    z = np.array([rec.initial.u, rec.initial.y])
+    return circle(z, 2e-3 * (1.0 + float(np.hypot(*z))))
 
 
-def test_flow_many_names_the_escaping_row(fig2_k1):
+@pytest.mark.parametrize("case", sorted(VERTEX_CASES))
+def test_winding_vertex_is_its_scalar_flow(case):
+    # the angle increments of the refined polyline are those of each
+    # vertex's own scalar flow over [0, kT] at the search tolerances,
+    # bit for bit, and they add up to the winding number
+    make, k, center, rad = VERTEX_CASES[case]
+    p, sc = make(), SearchConfig()
+    curve = circle(np.array(center), rad)
+    pts, deltas = shooting._refined_polyline(p, k, curve, sc)
+    assert len(pts) > len(curve)
+    angles = []
+    for q in pts:
+        img = flow(p, State(*q), (0.0, k * p.period), rtol=sc.rtol,
+                   atol=sc.atol)
+        angles.append(math.atan2(img.y - q[1], img.u - q[0]))
+    n = len(pts)
+    assert deltas == [(angles[(i + 1) % n] - angles[i] + math.pi)
+                      % (2 * math.pi) - math.pi for i in range(n)]
+    assert winding_number(p, k, curve, sc) == \
+        int(round(sum(deltas) / (2 * math.pi)))
+
+
+def test_winding_vertex_escape_chains_the_divergence(fig2_k1):
     # g grows linearly at infinity, so 1e7 times the orbit grows about
-    # tenfold per period and leaves the guard region in the third
+    # tenfold per period and leaves the guard region in the third: the
+    # error names that vertex and keeps the flow's own error as its cause
     p, sc, recs = fig2_k1
     z = np.array([recs[0].initial.u, recs[0].initial.y])
-    with pytest.raises(DivergenceError) as err:
-        shooting.flow_many(p, [z, 1e7 * z, 1.01 * z], 0.0, 3.0, sc)
-    assert err.value.row == 1
-    assert 2.0 < err.value.last_time < 3.0
-    assert abs(err.value.last_state[0]) + abs(err.value.last_state[1]) \
-        == pytest.approx(BLOWUP_NORM)
+    curve = [1.01 * z, 1e7 * z, 1.02 * z]
+    with pytest.raises(DegreeUndefinedError, match="diverged") as err:
+        winding_number(p, 3, curve, sc)
+    assert "(u, y) = (%.17g, %.17g)" % tuple(curve[1]) in str(err.value)
+    cause = err.value.__cause__
+    assert isinstance(cause, DivergenceError)
+    assert 2.0 < cause.last_time < 3.0
+    assert abs(cause.last_state[0]) + abs(cause.last_state[1]) \
+        >= BLOWUP_NORM
 
 
 def test_batch_flow_names_the_escaping_row(fig2_k1):
@@ -692,102 +698,32 @@ def test_batch_flow_names_the_escaping_row(fig2_k1):
         == pytest.approx(BLOWUP_NORM)
 
 
-@pytest.mark.parametrize("case", sorted(FLOW_CASES))
-def test_batch_flow_scalar_window_is_per_row_window(case):
-    # one window given as scalars takes a_mu once per RHS, given as
-    # per-row arrays it takes the vector a_mu of every row: the same bits
-    make, (t0, t1), _ = FLOW_CASES[case]
-    p = make()
-    sc = SearchConfig()
-    Z, m = FLOW_ROWS, len(FLOW_ROWS)
-    edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        one = shooting._batch_flow(p, Z, lo, hi - lo, sc)
-        rows = shooting._batch_flow(p, Z, np.full(m, lo), np.full(m, hi - lo),
-                                    sc)
-        assert one.tobytes() == rows.tobytes()
-        Z = one
-
-
-def circle(center, rad, n=12):
-    angs = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    return [center + rad * np.array([math.cos(a), math.sin(a)])
-            for a in angs]
-
-
-def record_circle(rec):
-    z = np.array([rec.initial.u, rec.initial.y])
-    return circle(z, 2e-3 * (1.0 + float(np.hypot(*z))))
-
-
-def spy_winding(monkeypatch):
-    """Record the final polyline of every winding number and the row
-    count of every window flow."""
-    polylines, flows = [], []
-    refine, flow_many = shooting._refined_polyline, shooting.flow_many
+def test_winding_flows_each_vertex_once(fig2_k1, fig2_k2, monkeypatch):
+    # one poincare_map call per distinct vertex of the final polyline:
+    # a refinement round flows only the vertices it adds
+    p, sc, _ = fig2_k1
+    polylines, calls = [], []
+    refine = shooting._refined_polyline
 
     def refine_spy(*args):
         pts, deltas = refine(*args)
-        polylines.append(np.array(pts))
+        polylines.append(pts)
         return pts, deltas
 
-    def flow_spy(p, Z, *args):
-        flows.append(len(Z))
-        return flow_many(p, Z, *args)
+    def map_spy(p, s0, k, sc):
+        calls.append(tuple(s0))
+        return poincare_map(p, s0, k, sc)
 
     monkeypatch.setattr(shooting, "_refined_polyline", refine_spy)
-    monkeypatch.setattr(shooting, "flow_many", flow_spy)
-    return polylines, flows
-
-
-def test_winding_lookahead_is_invisible(fig2_k1, fig2_k2, monkeypatch):
-    # the lookahead only moves flows earlier: the same final polylines
-    # and winding numbers as refining one level per flow, in at most half
-    # as many flows
-    p, sc, _ = fig2_k1
-    polylines, flows = spy_winding(monkeypatch)
-    runs = {}
-    for levels in (1, 3):
-        monkeypatch.setattr(shooting, "_WINDING_LOOKAHEAD", levels)
-        del polylines[:], flows[:]
-        ws = [winding_number(p, 2, record_circle(rec), sc)
-              for rec in fig2_k2]
-        runs[levels] = (ws, list(polylines), len(flows))
-    (w1, poly1, calls1), (w3, poly3, calls3) = runs[1], runs[3]
-    assert w3 == w1 and sorted(abs(w) for w in w3) == [1, 1, 1]
-    assert [len(a) for a in poly3] == [len(a) for a in poly1]
-    assert all(np.array_equal(a, b) for a, b in zip(poly3, poly1))
-    assert 2 * calls3 <= calls1
-
-
-@pytest.mark.parametrize("fault", ["diverge", "vanish"])
-def test_speculative_failure_does_not_leak(fault, fig2_k1, fig2_k2,
-                                           monkeypatch):
-    # a lookahead point that never becomes a vertex diverges, or has a
-    # vanishing displacement: the winding number and the final polyline
-    # stay the same and nothing raises
-    p, sc, _ = fig2_k1
-    curve = record_circle(fig2_k2[0])
-    polylines, _ = spy_winding(monkeypatch)
-    want = winding_number(p, 2, curve, sc)
-    final = {tuple(q) for q in polylines[-1]}
-    faults = []
-    flow_many = shooting.flow_many
-
-    def faulty(p, Z, *args):
-        out = flow_many(p, Z, *args)
-        spare = [i for i, q in enumerate(Z) if tuple(q) not in final]
-        if spare and fault == "diverge":
-            faults.append(len(Z))
-            raise DivergenceError("lookahead point escaped", row=spare[0])
-        out[spare] = np.asarray(Z)[spare]
-        faults.extend(spare)
-        return out
-
-    monkeypatch.setattr(shooting, "flow_many", faulty)
-    assert winding_number(p, 2, curve, sc) == want
-    assert np.array_equal(polylines[-1], polylines[0])
-    assert faults
+    monkeypatch.setattr(shooting, "poincare_map", map_spy)
+    for rec in fig2_k2:
+        curve = record_circle(rec)
+        del calls[:]
+        assert abs(winding_number(p, 2, curve, sc)) == 1
+        final = {(float(q[0]), float(q[1])) for q in polylines[-1]}
+        assert len(final) > len(curve)
+        assert len(calls) == len(set(calls)) == len(final)
+        assert set(calls) == final
 
 
 def test_winding_errors_name_the_vertex(fig2_k1, monkeypatch):
