@@ -726,6 +726,79 @@ def test_winding_flows_each_vertex_once(fig2_k1, fig2_k2, monkeypatch):
         assert set(calls) == final
 
 
+def bisected_polyline(p, k, curve, sc):
+    """Reference refinement: bisect each edge on its own until its
+    displacement-angle increment is below pi/2."""
+    def angle(q):
+        img = poincare_map(p, (float(q[0]), float(q[1])), k, sc)
+        return math.atan2(img.y - q[1], img.u - q[0])
+
+    def edge(a, b):
+        d = (angle(b) - angle(a) + math.pi) % (2 * math.pi) - math.pi
+        if abs(d) < math.pi / 2:
+            return [a]
+        m = 0.5 * (a + b)
+        return edge(a, m) + edge(m, b)
+
+    n = len(curve)
+    return [q for i in range(n) for q in edge(curve[i], curve[(i + 1) % n])]
+
+
+def test_winding_lookahead_is_invisible(fig2_k1, fig2_k2):
+    # with no lookahead the refinement rounds still build the polyline of
+    # bisecting every edge on its own, vertex for vertex and bit for bit
+    p, sc, _ = fig2_k1
+    for rec in fig2_k2:
+        curve = record_circle(rec)
+        pts, deltas = shooting._refined_polyline(p, 2, curve, sc)
+        want = bisected_polyline(p, 2, curve, sc)
+        assert len(pts) == len(want) > len(curve)
+        assert np.array_equal(np.array(pts), np.array(want))
+        assert abs(winding_number(p, 2, curve, sc)) == 1
+        assert all(abs(d) < math.pi / 2 for d in deltas)
+
+
+@pytest.mark.parametrize("fault", ["diverge", "vanish"])
+def test_speculative_failure_does_not_leak(fault, fig2_k1, fig2_k2,
+                                           monkeypatch):
+    # a fault planted on every state off the final polyline never fires,
+    # since no such state is flowed: the winding number and the polyline
+    # stay the same and nothing raises.  The same fault planted on one
+    # refined vertex does fire, and the error names that vertex.
+    p, sc, _ = fig2_k1
+    curve = record_circle(fig2_k2[0])
+    want = winding_number(p, 2, curve, sc)
+    final, _ = shooting._refined_polyline(p, 2, curve, sc)
+    fired = []
+
+    def planted(on):
+        def faulty(p, s0, k, sc):
+            if on(s0):
+                fired.append(s0)
+                if fault == "diverge":
+                    raise DivergenceError("planted escape")
+                return State(*s0)
+            return poincare_map(p, s0, k, sc)
+        monkeypatch.setattr(shooting, "poincare_map", faulty)
+
+    vertices = {(float(q[0]), float(q[1])) for q in final}
+    planted(lambda s0: s0 not in vertices)
+    assert winding_number(p, 2, curve, sc) == want
+    pts, _ = shooting._refined_polyline(p, 2, curve, sc)
+    assert np.array_equal(np.array(pts), np.array(final))
+    assert not fired
+
+    added = next(q for q in final
+                 if not any(np.array_equal(q, c) for c in curve))
+    target = (float(added[0]), float(added[1]))
+    planted(lambda s0: s0 == target)
+    match = "diverged" if fault == "diverge" else r"\|d\| = 0"
+    with pytest.raises(DegreeUndefinedError, match=match) as err:
+        winding_number(p, 2, curve, sc)
+    assert fired == [target]
+    assert "(u, y) = (%.17g, %.17g)" % target in str(err.value)
+
+
 def test_winding_errors_name_the_vertex(fig2_k1, monkeypatch):
     p, sc, recs = fig2_k1
     # the trivial solution is a fixed point: the displacement at the
