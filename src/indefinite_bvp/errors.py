@@ -34,8 +34,9 @@ class DivergenceError(SolverError):
     Attributes
     ----------
     last_time : float
-        Last time at which the state was still finite and inside the guard.
-        In a flow of many rows, the real time of the escaped row.
+        Time of the reported state: the end of the step that left the
+        guard region, or the last accepted step when the integration
+        failed.  In a flow of many rows, the real time of the escaped row.
     last_state : tuple
         State at ``last_time``.
     row : int

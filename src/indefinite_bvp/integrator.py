@@ -10,7 +10,10 @@ the Dormand–Prince 8(5,3) pair with the step control and dense output of
 Hairer, Nørsett and Wanner, *Solving ODEs I*, §II.4 and §II.10, and the
 rules of scipy's ``DOP853`` (its tableau, initial step, error norm,
 step factors and minimum step), without the generic ``solve_ivp`` loop
-and its per-call array handling.
+and its per-call array handling.  :func:`flow_rows` is its batched twin
+on numpy rows: many segment flows in one step sequence, the steps of
+``solve_ivp``'s DOP853 bit for bit, with the weight evaluated once per
+step.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _EXPONENT = -1.0 / 8.0
 _SQRT2 = math.sqrt(2.0)
+# the step fractions of stages 1..11 and of the step end, for the batched
+# kernel, which steps with scipy's tableau arrays themselves
+_C_STEP = np.append(_dop.C[1:_N], 1.0)
 
 
 @dataclass(frozen=True)
@@ -81,12 +87,14 @@ class ProblemSpec:
 
     The pattern fixes the window [0, period] and the breakpoints at which
     every integrator restarts.  The evaluators of a_mu and g are built
-    once, at construction: the scalar pair that :meth:`rhs` calls (its
-    a_mu also serves :meth:`forcing` at a float t) and the vector pair
-    behind :meth:`a_mu_at`, :meth:`forcing` and :meth:`extended`.
-    :meth:`rhs`, a pair of floats, is the field of the float DOP853
-    stepper of :func:`integrate`; :meth:`forcing` is the field of the one
-    batched flow, :func:`shooting._batch_flow`.
+    once, at construction: the scalar pair that :meth:`rhs` calls and the
+    vector pair behind :meth:`a_mu_at`, :meth:`forcing` and
+    :meth:`extended`.  :meth:`rhs`, a pair of floats, is the field of the
+    float DOP853 stepper of :func:`integrate`; :meth:`extended`, from
+    weight values that :meth:`a_mu_at` gives once per step, is the field
+    of the batched kernel :func:`flow_rows` and of the RK4 screen.  Both
+    g evaluators call an expression g without its floating-point guard,
+    so their callers run inside :func:`expressions.quiet_fp`.
     """
 
     weight: WeightSpec
@@ -105,7 +113,7 @@ class ProblemSpec:
         object.__setattr__(self, "_g", g_scalar(self.g))
         object.__setattr__(self, "_a_mu_vec", a_mu_vector(self.weight,
                                                           self.mu))
-        object.__setattr__(self, "_g_vec", g_vector(self.g))
+        object.__setattr__(self, "_g_vec", g_vector(self.g, guarded=False))
 
     def __reduce__(self):
         # the compiled closures do not pickle; the fields rebuild them
@@ -136,29 +144,23 @@ class ProblemSpec:
         return float(out) if out.ndim == 0 else out
 
     def forcing(self, t, u):
-        """Extended forcing f~(t, u): a_mu(t) g(u) for u >= 0, -u below.
-
-        An array t, as in the per-row times of
-        :func:`shooting._batch_flow`, takes the vector evaluator, one
-        a_mu per entry.  At a float t, a_mu is evaluated once, by the
-        compiled scalar evaluator of :meth:`rhs` (the same bits as the
-        vector one), and applied to every entry of u; as in :meth:`rhs`,
-        an expression weight is then called without its floating-point
-        guard, so a caller that wants quiet inf/nan runs inside
-        :func:`expressions.quiet_fp`.
+        """Extended forcing f~(t, u) entry by entry of the float arrays t
+        and u: a_mu(t) g(u) for u >= 0, -u below, one a_mu per entry (a
+        float t or u broadcasts), with the bits of the forcing inside
+        :meth:`rhs`; as there, an expression g is called unguarded.
         """
-        a = self._a_mu(t) if np.ndim(t) == 0 else self._a_mu_vec(t)
-        out = self.extended(a, np.asarray(u, dtype=float))
+        out = self.extended(self._a_mu_vec(t), np.asarray(u, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def extended(self, a, u):
         """f~ from weight values a = a_mu(t) at a float array u: a g(u)
-        for u >= 0, -u below.  :meth:`forcing` and the screen share it."""
+        for u >= 0, -u below.  :meth:`forcing`, the screen and
+        :func:`flow_rows` share it."""
         return np.where(u >= 0.0, a * self._g_vec(np.maximum(u, 0.0)), -u)
 
     def rhs(self, t, state):
-        """Planar field (u', y') at a float t as a pair of floats: the
-        scalar branch of :meth:`forcing`, with the same bits."""
+        """Planar field (u', y') at a float t as a pair of floats, with
+        the bits of :meth:`forcing` at that point."""
         u, y = state
         f = -u if u < 0.0 else float(self._a_mu(t) * self._g(u))
         return y, -self.c * y - f
@@ -362,6 +364,137 @@ def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
         us.append(u)
         ys.append(y)
     return ts, us, ys, (_DenseDOP853(steps, us, ys) if dense else None)
+
+
+def _rms(x):
+    """scipy's RMS norm of a vector."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _squared_norm(x):
+    """``np.linalg.norm(x) ** 2`` of a float vector, by its operations."""
+    return np.sqrt(x.dot(x)) ** 2
+
+
+def flow_rows(p, Z, t0s, lens, rtol, atol):
+    """Endpoint states of m independent segment flows, all rows in one
+    DOP853 integration: the batched twin of :func:`_dop853`.
+
+    Row j of Z (shape (m, 2)) is integrated from t0s[j] over length
+    lens[j].  All rows advance together in tau in [0, L], L = max(lens),
+    row j at rate lens[j] / L, so its time is t0s[j] + tau lens[j] / L.
+    No segment may contain a weight breakpoint.
+
+    The steps are those of scipy's ``solve_ivp(method="DOP853")`` on the
+    interleaved vector (u_0, y_0, u_1, y_1, ...), operation for
+    operation: its initial step, its stages as ``K[:s].T @ A[s, :s]``,
+    its RMS error norm, step factors, minimum step and last-step clip.
+    That norm averages over rows, so the tolerances are tightened by
+    sqrt(m) to keep the per-row accuracy of the scalar path.  The weight
+    is evaluated once per attempted step, at the row times of its 11
+    stages and its end.
+
+    Raises DivergenceError when the largest |u| + |y| over the rows
+    reaches ``BLOWUP_NORM`` in a step, from below; its ``row`` names the
+    escaped row, with that row's real time and state at the end of the
+    step.  Also when the field at the start is not finite, the step size
+    falls below its minimum (with the last accepted state) or the final
+    state is not finite; then ``row`` is the largest row.  Raises
+    ValueError for a row that is not finite.
+    """
+    Z = np.asarray(Z, dtype=float)
+    m = len(Z)
+    span = float(np.max(lens))
+    t0s = np.asarray(t0s, dtype=float)
+    rate = np.asarray(lens, dtype=float) / span
+    rates = np.repeat(rate, 2)
+    c = p.c
+    shrink = 1.0 / math.sqrt(m)
+    rtol = max(rtol * shrink, 1e-13)
+    atol = atol * shrink
+    y = Z.ravel()
+    if not np.isfinite(y).all():
+        raise ValueError("every initial row must be finite")
+
+    def field(a, z, out):
+        """(u', y') of the rows z, weight values a, into out."""
+        v = z[1::2]
+        out[0::2] = v
+        out[1::2] = -c * v - p.extended(a, z[0::2])
+        out *= rates
+        return out
+
+    def escaped(reason, tau, z):
+        size = np.abs(z[0::2]) + np.abs(z[1::2])
+        row = int(np.argmax(np.where(np.isfinite(size), size, np.inf)))
+        t_row = float(t0s[row] + tau * rate[row])
+        return DivergenceError(
+            "row %d %s near t=%.6g" % (row, reason, t_row),
+            last_time=t_row, last_state=tuple(z[2 * row:2 * row + 2]),
+            row=row)
+
+    # K[0] holds the field at the current state; K[_N] the field at the
+    # end of the attempted step
+    K = np.empty((_N + 1, 2 * m))
+    tau = 0.0
+    # p.extended calls g unguarded: one guard for the whole flow
+    with quiet_fp():
+        f = field(p.a_mu_at(t0s + tau * rate), y, K[0])
+        if not np.isfinite(f).all():
+            raise escaped("field is not finite", tau, y)
+        # scipy's select_initial_step for the 7th-order error estimator
+        scale = atol + np.abs(y) * rtol
+        d0 = _rms(y / scale)
+        d1 = _rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+        f1 = field(p.a_mu_at(t0s + h0 * rate), y + h0 * f,
+                   np.empty(2 * m))
+        d2 = _rms((f1 - f) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+        h_abs = min(100 * h0, h1, span)
+        size_old = np.max(np.abs(y[0::2]) + np.abs(y[1::2]))
+        while tau < span:
+            min_step = 10.0 * (math.nextafter(tau, math.inf) - tau)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise escaped("step size fell below the minimum", tau,
+                                  y)
+                t_new = min(tau + h_abs, span)
+                h = t_new - tau
+                h_abs = abs(h)
+                a = p.a_mu_at(t0s + (tau + _C_STEP * h)[:, None] * rate)
+                for s in range(1, _N):
+                    dz = np.dot(K[:s].T, _dop.A[s, :s]) * h
+                    field(a[s - 1], y + dz, K[s])
+                y_new = y + h * np.dot(K[:-1].T, _dop.B)
+                field(a[-1], y_new, K[_N])
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                n5 = _squared_norm(np.dot(K.T, _dop.E5) / scale)
+                n3 = _squared_norm(np.dot(K.T, _dop.E3) / scale)
+                err = 0.0 if n5 == 0 and n3 == 0 else \
+                    np.abs(h) * n5 / np.sqrt((n5 + 0.01 * n3) * len(scale))
+                if err < 1:
+                    factor = _MAX_FACTOR if err == 0 else \
+                        min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                # a nan error norm shrinks the step by _MIN_FACTOR
+                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+                rejected = True
+            K[0] = K[_N]
+            tau, y = t_new, y_new
+            size = np.max(np.abs(y[0::2]) + np.abs(y[1::2]))
+            if size_old <= BLOWUP_NORM <= size:
+                raise escaped("escaped the guard region", tau, y)
+            size_old = size
+    if not np.isfinite(y).all():
+        raise escaped("state is not finite", tau, y)
+    return y.reshape(m, 2)
 
 
 def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,

@@ -105,10 +105,12 @@ def g_unchecked(g, s):
     return float(out) if out.ndim == 0 else out
 
 
-def g_vector(g):
+def g_vector(g, guarded=True):
     """Compiled s -> g(s) for a float array s >= 0 that the caller has
-    clamped: :func:`g_unchecked` with its kernel built once."""
-    raw = _kernel(g)
+    clamped: :func:`g_unchecked` with its kernel built once.
+    ``guarded=False`` calls an expression g without its floating-point
+    guard, for a caller that runs inside :func:`expressions.quiet_fp`."""
+    raw = _kernel(g, guarded)
     return lambda s: np.where(s == 0.0, 0.0, raw(s))
 
 

@@ -8,8 +8,9 @@ solutions are classified by the binary code of their hump maxima and
 cross-checked by an independent verification pass.
 
 The Newton rows, each on its own segment, and the residual of
-:func:`verify_solution` go through one batched DOP853 kernel,
-:func:`_batch_flow`.  Single trajectories, and the vertices of the
+:func:`verify_solution` go through one batched flow, :func:`_batch_flow`,
+on the in-house DOP853 kernel :func:`integrator.flow_rows`; nothing here
+calls ``solve_ivp``.  Single trajectories, and the vertices of the
 winding-number polylines one at a time, use the float DOP853 stepper of
 :func:`integrator.integrate`.
 
@@ -27,14 +28,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate as _sint
 from scipy import optimize as _sopt
 
 from .errors import (DegreeUndefinedError, DivergenceError, DomainError,
                      SolverError, UnclassifiableError)
-from .expressions import quiet_fp
-from .integrator import (BLOWUP_NORM, State, Trajectory, flow, integrate,
-                         max_on_interval)
+from .integrator import (BLOWUP_NORM, State, Trajectory, flow, flow_rows,
+                         integrate, max_on_interval)
 from .nonlinearity import g_eval
 from .weight import k_fold_pattern
 
@@ -135,8 +134,8 @@ def screen_flow(p, states, t0, t1, steps_per_unit=1200):
                 k4u, k4y = deriv(a_start[i + 1], u + h * k3u, y + h * k3y)
                 u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
                 y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-                dead = ~np.isfinite(u) | ~np.isfinite(y) | \
-                    (np.abs(u) + np.abs(y) > BLOWUP_NORM)
+                # nan, inf or escaped
+                dead = ~(np.abs(u) + np.abs(y) <= BLOWUP_NORM)
                 u[dead] = np.nan
                 y[dead] = np.nan
     return np.column_stack([u, y])
@@ -200,58 +199,18 @@ def _segment_nodes(p, k, traj):
 
 
 def _batch_flow(p, Z, t0s, lens, sc):
-    """Endpoint states of m independent segment flows in one DOP853 call,
-    the one batched integrator.
+    """Endpoint states of m independent segment flows, row j of Z from
+    t0s[j] over lens[j], at the search tolerances: the one batched flow
+    of the Newton rows and of :func:`verify_solution`, on the DOP853
+    kernel :func:`integrator.flow_rows`.
 
-    Row j of Z (shape (m, 2)) is integrated from t0s[j] over length
-    lens[j].  All rows advance together in tau in [0, L], L = max(lens),
-    row j at rate lens[j] / L, so its time is t0s[j] + tau lens[j] / L.
-    No segment may contain a weight breakpoint.  The shared error norm
-    averages over rows, so the tolerances are tightened by sqrt(m) to
-    keep the per-row accuracy of the scalar path.
-
-    Raises DivergenceError when a row's |u| + |y| reaches the blow-up
-    guard of :func:`integrator.integrate` or the integration fails; its
-    ``row`` names the escaped row, with that row's real time and state.
+    No segment may contain a weight breakpoint.  Raises DivergenceError
+    when a row's |u| + |y| reaches the blow-up guard of
+    :func:`integrator.integrate` or the integration fails; its ``row``
+    names the escaped row, with that row's real time and state at the
+    end of the step.
     """
-    Z = np.asarray(Z, dtype=float)
-    m = len(Z)
-    span = float(np.max(lens))
-    t0s = np.asarray(t0s, dtype=float)
-    rate = np.asarray(lens, dtype=float) / span
-    rates = np.repeat(rate, 2)
-    c = p.c
-
-    def rhs(tau, y):
-        v = y[1::2]
-        out = np.empty_like(y)
-        out[0::2] = v
-        out[1::2] = -c * v - p.forcing(t0s + tau * rate, y[0::2])
-        out *= rates
-        return out
-
-    def blowup(tau, y):
-        return float(np.max(np.abs(y[0::2]) + np.abs(y[1::2]))) - BLOWUP_NORM
-
-    blowup.terminal = True
-    blowup.direction = 1
-    scale = 1.0 / math.sqrt(m)
-    # quiet inf/nan, as in integrator.integrate, for a row on its way out
-    # of the guard region
-    with quiet_fp():
-        sol = _sint.solve_ivp(rhs, (0.0, span), Z.ravel(), method="DOP853",
-                              rtol=max(sc.rtol * scale, 1e-13),
-                              atol=sc.atol * scale, events=blowup)
-    y = sol.y[:, -1]
-    if sol.status != 0 or not np.all(np.isfinite(y)):
-        size = np.abs(y[0::2]) + np.abs(y[1::2])
-        row = int(np.argmax(np.where(np.isfinite(size), size, np.inf)))
-        t_last = float(t0s[row] + sol.t[-1] * rate[row])
-        raise DivergenceError(
-            "row %d escaped the guard region near t=%.6g" % (row, t_last),
-            last_time=t_last, last_state=tuple(y[2 * row:2 * row + 2]),
-            row=row)
-    return y.reshape(m, 2)
+    return flow_rows(p, Z, t0s, lens, sc.rtol, sc.atol)
 
 
 def _orbit_seed(p, s0, k, sc):

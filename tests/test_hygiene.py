@@ -275,14 +275,13 @@ def test_scan_flags_solve_ivp_callers():
 
 
 def test_solve_ivp_call_sites():
-    # one batched kernel and the two integrations of other equations (the
-    # scalar DOP853 path has its own stepper): a new call site is a new
+    # the two integrations of other equations (the scalar and batched
+    # DOP853 paths have their own steppers): a new call site is a new
     # integrator
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
     assert solve_ivp_callers(sources) == [
-        "eigen.prufer_angle_sweep", "radial.direct_radial_integration",
-        "shooting._batch_flow"]
+        "eigen.prufer_angle_sweep", "radial.direct_radial_integration"]
 
 
 PRIVATE_IVP = "scipy.integrate._ivp"

@@ -13,6 +13,7 @@ from scipy.integrate import solve_ivp
 
 from indefinite_bvp import integrator, shooting
 from indefinite_bvp.errors import DivergenceError, DomainError
+from indefinite_bvp.expressions import Expression
 from indefinite_bvp.integrator import (ProblemSpec, State, flow, integrate,
                                        max_on_interval)
 from indefinite_bvp.nonlinearity import NonlinearitySpec
@@ -220,9 +221,9 @@ points = st.tuples(
 @settings(max_examples=400, deadline=None)
 @example("callable", "power", [(2.0, 0.5), (-0.0, 0.0)], 0.0, 7.0, 0.0)
 def test_scalar_rhs_matches_vector_forcing(wname, gname, pts, y, mu, c):
-    # the scalar branch of rhs is the extended forcing, bit for bit, at
-    # every point of a batch, for u < 0, u = 0, u > 0 and any t; so is
-    # the forcing of the whole batch at one float t
+    # rhs is the extended forcing, bit for bit, at every point of a
+    # batch, for u < 0, u = 0, u > 0 and any t; so is the forcing of the
+    # whole batch at one time, as the screen takes it
     p = ProblemSpec(WEIGHTS[wname], PATTERNS[wname], mu, c, GS[gname],
                     "neumann")
     t_vec = np.array([t for t, _ in pts])
@@ -233,7 +234,8 @@ def test_scalar_rhs_matches_vector_forcing(wname, gname, pts, y, mu, c):
         assert bits(du) == bits(y)
         assert bits(dy) == bits(-c * y - f_vec[j]), (t, u)
         at_t = p.forcing(np.full(len(pts), t), u_vec)
-        assert p.forcing(t, u_vec).tobytes() == at_t.tobytes(), t
+        for v, f in zip(u_vec, at_t):
+            assert bits(p.rhs(t, (v, y))[1]) == bits(-c * y - f), (t, v)
 
 
 @pytest.mark.parametrize("wname", sorted(WEIGHTS))
@@ -250,13 +252,13 @@ def test_compiled_a_mu_matches_two_part_form(wname):
 
 def reference_screen(p, states, t0, t1, steps_per_unit):
     """The fixed-step RK4 screen written plainly: every stage calls
-    p.forcing(t, u) at its own time."""
+    p.forcing at its own time, for every row."""
     u = states[:, 0].astype(float).copy()
     y = states[:, 1].astype(float).copy()
     edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
 
     def deriv(t, u, y):
-        return y, -p.c * y - p.forcing(t, u)
+        return y, -p.c * y - p.forcing(np.full(len(u), t), u)
 
     with np.errstate(all="ignore"):
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -293,6 +295,26 @@ def test_screen_flow_matches_reference_rk4(wname, gname):
     got = shooting.screen_flow(p, states, t0, t1, steps_per_unit=60)
     assert got.tobytes() == want.tobytes()
     assert np.isnan(got[-1]).all()
+
+
+def test_screen_calls_an_expression_g_unguarded(monkeypatch):
+    # the screen runs inside one floating-point guard, so its forcing
+    # calls an expression g without the guard of Expression.__call__
+    p = ProblemSpec(WEIGHTS["sine"], PATTERNS["sine"], 7.0, 0.3,
+                    GS["expression"], "neumann")
+    calls = []
+    original = Expression.__call__
+
+    def spy(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(Expression, "__call__", spy)
+    states = np.array([[0.5, 0.0], [-0.2, 0.4], [1e-3, 2.0]])
+    want = reference_screen(p, states, 0.05, 0.65, 60)
+    got = shooting.screen_flow(p, states, 0.05, 0.65, steps_per_unit=60)
+    assert calls == []
+    assert got.tobytes() == want.tobytes()
 
 
 def test_expression_problem_pickles():

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from indefinite_bvp import shooting
 from indefinite_bvp.bounds import compute_mu_sharp
@@ -15,7 +16,9 @@ from indefinite_bvp.errors import (DegreeUndefinedError, DivergenceError,
 from indefinite_bvp.integrator import (BLOWUP_NORM, ProblemSpec, State,
                                        Trajectory, flow, integrate)
 from indefinite_bvp.nonlinearity import NonlinearitySpec
-from indefinite_bvp.presets import fig1, fig2, multiplicity_m3
+from indefinite_bvp.expressions import quiet_fp
+from indefinite_bvp.presets import (fig1, fig2, multiplicity_m2,
+                                    multiplicity_m3)
 from indefinite_bvp.shooting import (SearchConfig, _segment_nodes,
                                      adaptive_levels, classify_code,
                                      find_neumann_solutions,
@@ -694,8 +697,87 @@ def test_batch_flow_names_the_escaping_row(fig2_k1):
         shooting._batch_flow(p, rows, t0s, lens, sc)
     assert err.value.row == 3
     assert t0s[3] <= err.value.last_time <= t0s[3] + lens[3]
+    # the state at the end of the step that left the guard region
     assert abs(err.value.last_state[0]) + abs(err.value.last_state[1]) \
-        == pytest.approx(BLOWUP_NORM)
+        >= BLOWUP_NORM
+    # solve_ivp with its blow-up event names the same row
+    assert solve_ivp_flow(p, rows, t0s, lens, sc) == 3
+
+
+def solve_ivp_flow(p, Z, t0s, lens, sc):
+    """The batched flow as scipy's solve_ivp runs it, the oracle of
+    _batch_flow: DOP853 on the interleaved rows with the same field, the
+    tolerances tightened by sqrt(m) and a terminal blow-up event.
+    Returns the end rows, or the index of the row that escaped."""
+    Z = np.asarray(Z, dtype=float)
+    m = len(Z)
+    span = float(np.max(lens))
+    rate = np.asarray(lens, dtype=float) / span
+    rates = np.repeat(rate, 2)
+
+    def rhs(tau, z):
+        out = np.empty_like(z)
+        out[0::2] = z[1::2]
+        out[1::2] = -p.c * z[1::2] - p.forcing(t0s + tau * rate, z[0::2])
+        return out * rates
+
+    def blowup(tau, z):
+        return float(np.max(np.abs(z[0::2]) + np.abs(z[1::2]))) \
+            - BLOWUP_NORM
+
+    blowup.terminal = True
+    blowup.direction = 1
+    scale = 1.0 / math.sqrt(m)
+    with quiet_fp():
+        sol = solve_ivp(rhs, (0.0, span), Z.ravel(), method="DOP853",
+                        rtol=max(sc.rtol * scale, 1e-13),
+                        atol=sc.atol * scale, events=blowup)
+    z = sol.y[:, -1]
+    if sol.status != 0 or not np.all(np.isfinite(z)):
+        size = np.abs(z[0::2]) + np.abs(z[1::2])
+        return int(np.argmax(np.where(np.isfinite(size), size, np.inf)))
+    return z.reshape(m, 2)
+
+
+def expression_weight_problem():
+    w = WeightSpec.from_expression("sin(2*pi*t) + 0.4*cos(4*pi*t)", 1.0)
+    return ProblemSpec.build(w, 7.0, 0.2, NonlinearitySpec.arctan_scaled(100))
+
+
+def merged_request(seeds):
+    """Rows, starts and lengths of the pending Newton requests of
+    ``seeds``, merged as in a lockstep round."""
+    return [np.concatenate([getattr(s, a) for s in seeds])
+            for a in ("rows", "t0s", "lens")]
+
+
+@pytest.mark.parametrize("case", ["fig2_k1", "fig2_k2", "fig2_friction",
+                                  "expression_weight", "m2"])
+def test_batch_flow_matches_solve_ivp(case, fig2_k1, fig2_k2):
+    # Newton-shaped rows flowed by the in-house kernel end bit for bit
+    # where solve_ivp ends them
+    p, sc, k1 = fig2_k1
+    if case in ("fig2_k1", "fig2_k2"):
+        recs = k1 if case == "fig2_k1" else fig2_k2
+        seeds = [shooting._Seed(1.01 * r.node_states, r.nodes, sc)
+                 for r in recs]
+    else:
+        # the first request of orbit seeds propagated from a few states
+        if case == "fig2_friction":
+            p, k, states = replace(p, c=0.5), 1, [(0.1, 0.4), (0.3, 0.0)]
+        elif case == "expression_weight":
+            p, k, states = expression_weight_problem(), 1, [(0.1, 0.2),
+                                                            (0.3, 0.0)]
+        else:
+            pre = multiplicity_m2()
+            p, sc, k, states = pre.problem, pre.search, 2, [(1.0, 0.5),
+                                                            (0.1, -0.2)]
+        seeds = [shooting._Seed(*shooting._orbit_seed(p, q, k, sc), sc)
+                 for q in states]
+    rows, t0s, lens = merged_request(seeds)
+    want = solve_ivp_flow(p, rows, t0s, lens, sc)
+    got = shooting._batch_flow(p, rows, t0s, lens, sc)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_winding_flows_each_vertex_once(fig2_k1, fig2_k2, monkeypatch):
