@@ -76,11 +76,16 @@ def parse_nonlinearity(src):
     m = _CALL_RE.match(src)
     if m and m.group(1) in ("power", "arctan_scaled", "clamp0"):
         name, inner = m.group(1), m.group(2)
+        if name == "clamp0":
+            return NonlinearitySpec.from_expression(inner, clamp=True)
+        try:
+            value = float(inner)
+        except ValueError as exc:
+            raise ConfigurationError(
+                "bad argument in nonlinearity shorthand %r: %s" % (src, exc))
         if name == "power":
-            return NonlinearitySpec.power(float(inner))
-        if name == "arctan_scaled":
-            return NonlinearitySpec.arctan_scaled(float(inner))
-        return NonlinearitySpec.from_expression(inner, clamp=True)
+            return NonlinearitySpec.power(value)
+        return NonlinearitySpec.arctan_scaled(value)
     return NonlinearitySpec.from_expression(src)
 
 
@@ -133,15 +138,22 @@ def problem_from_config(cp, mu_override=None):
         sec = _read_section(cp, "problem", _PRESET_KEYS)
         if mu_override is not None:
             sec["mu"] = mu_override
-        preset = get_preset(sec.pop("preset"), **sec)
+        try:
+            preset = get_preset(sec.pop("preset"), **sec)
+        except DomainError as exc:
+            raise ConfigurationError("bad [problem] value: %s" % exc) \
+                from exc
         search = _search_from_config(cp, default=preset.search)
         return preset.problem, search, dict(cp["problem"])
     sec = _read_section(cp, "problem", _PROBLEM_KEYS, required=("weight",))
     w = parse_weight(sec["weight"], period=sec.get("period"))
     g = parse_nonlinearity(sec.get("g", "power(2)"))
     mu = mu_override if mu_override is not None else sec.get("mu", 1.0)
-    p = ProblemSpec.build(w, mu, sec.get("c", 0.0), g,
-                          boundary=sec.get("boundary", "periodic"))
+    try:
+        p = ProblemSpec.build(w, mu, sec.get("c", 0.0), g,
+                              boundary=sec.get("boundary", "periodic"))
+    except DomainError as exc:
+        raise ConfigurationError("bad [problem] value: %s" % exc) from exc
     return p, _search_from_config(cp), dict(cp["problem"])
 
 

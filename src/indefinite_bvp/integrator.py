@@ -28,8 +28,8 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from .errors import ConfigurationError, DivergenceError, DomainError
 from .expressions import quiet_fp
 from .nonlinearity import NonlinearitySpec, g_scalar, g_vector
-from .weight import (SignPattern, WeightSpec, a_mu_scalar, a_mu_vector,
-                     detect_sign_pattern)
+from .weight import (SignPattern, WeightSpec, a_mu_vector,
+                     detect_sign_pattern, evaluate_scalar)
 
 BLOWUP_NORM = 1e8
 DEFAULT_RTOL = 1e-10
@@ -86,15 +86,16 @@ class ProblemSpec:
     and boundary mode ("periodic" or "neumann").
 
     The pattern fixes the window [0, period] and the breakpoints at which
-    every integrator restarts.  The evaluators of a_mu and g are built
-    once, at construction: the scalar pair that :meth:`rhs` calls and the
-    vector pair behind :meth:`a_mu_at`, :meth:`forcing` and
-    :meth:`extended`.  :meth:`rhs`, a pair of floats, is the field of the
-    float DOP853 stepper of :func:`integrate`; :meth:`extended`, from
-    weight values that :meth:`a_mu_at` gives once per step, is the field
-    of the batched kernel :func:`flow_rows` and of the RK4 screen.  Both
-    g evaluators call an expression g without its floating-point guard,
-    so their callers run inside :func:`expressions.quiet_fp`.
+    every integrator restarts; mu must be positive and finite and c
+    finite.  The evaluators are built once, at construction: the float
+    field (one closure, see :func:`_float_field`), which :meth:`rhs`
+    calls and :func:`integrate` hands to the float DOP853 stepper, and
+    the vector a_mu and g behind :meth:`a_mu_at`, :meth:`forcing` and
+    :meth:`extended`.  :meth:`extended`, from weight values that
+    :meth:`a_mu_at` gives once per step, is the field of the batched
+    kernel :func:`flow_rows` and of the RK4 screen.  Both paths call an
+    expression g without its floating-point guard, so their callers run
+    inside :func:`expressions.quiet_fp`.
     """
 
     weight: WeightSpec
@@ -105,12 +106,14 @@ class ProblemSpec:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise DomainError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise DomainError("mu must be positive and finite")
+        if not math.isfinite(self.c):
+            raise DomainError("c must be finite")
         if self.boundary not in ("periodic", "neumann"):
             raise ConfigurationError("boundary must be periodic or neumann")
-        object.__setattr__(self, "_a_mu", a_mu_scalar(self.weight, self.mu))
-        object.__setattr__(self, "_g", g_scalar(self.g))
+        object.__setattr__(self, "_field", _float_field(
+            self.weight, self.mu, self.c, self.g))
         object.__setattr__(self, "_a_mu_vec", a_mu_vector(self.weight,
                                                           self.mu))
         object.__setattr__(self, "_g_vec", g_vector(self.g, guarded=False))
@@ -155,15 +158,52 @@ class ProblemSpec:
     def extended(self, a, u):
         """f~ from weight values a = a_mu(t) at a float array u: a g(u)
         for u >= 0, -u below.  :meth:`forcing`, the screen and
-        :func:`flow_rows` share it."""
-        return np.where(u >= 0.0, a * self._g_vec(np.maximum(u, 0.0)), -u)
+        :func:`flow_rows` share it.
+
+        One branch-free form, ``a g(max(u, 0)) - min(u, 0)``.  For u >= 0
+        it is a g(u) - 0.0, which is a g(u) exactly, -0.0 included; for
+        u < 0 (and u = -inf) g(+0.0) = +0.0, so it is +-0.0 - u = -u
+        exactly.  Only the sign and payload of a nan can differ from the
+        two-branch form, and no caller reads them: the screen overwrites
+        its dead rows with nan and :func:`flow_rows` raises on a state
+        that is not finite.
+        """
+        return a * self._g_vec(np.maximum(u, 0.0)) - np.minimum(u, 0.0)
 
     def rhs(self, t, state):
         """Planar field (u', y') at a float t as a pair of floats, with
-        the bits of :meth:`forcing` at that point."""
+        the bits of :meth:`forcing` at that point: the closure that
+        :func:`integrate` steps on."""
+        return self._field(t, state)
+
+
+def _float_field(weight, mu, c, g):
+    """The planar field (u', y') at a float t and a pair of floats (u, y),
+    as one closure over the compiled weight and g.  Its forcing is -u
+    below u = 0 and a_mu(t) g(u) from u = 0 on, with the bits of
+    :meth:`ProblemSpec.forcing` at that point.
+
+    a_mu is ``mu * a`` for a < 0 and ``a + 0.0`` otherwise.  The
+    two-part form a+ - mu a- is a for a > 0, 0.0 for a = +-0.0, and
+    0.0 - mu * (-a) = mu * a exactly for a < 0; ``a + 0.0`` and
+    ``mu * a`` give those bits, signed zeros included.  The weight comes
+    from :func:`weight.evaluate_scalar` and g from
+    :func:`nonlinearity.g_scalar`, both unguarded, so the caller runs
+    inside :func:`expressions.quiet_fp`.
+    """
+    a_at = evaluate_scalar(weight)
+    g_at = g_scalar(g)
+
+    def field(t, state):
         u, y = state
-        f = -u if u < 0.0 else float(self._a_mu(t) * self._g(u))
-        return y, -self.c * y - f
+        if u < 0.0:
+            f = -u
+        else:
+            a = a_at(t)
+            f = float((mu * a if a < 0.0 else a + 0.0) * g_at(u))
+        return y, -c * y - f
+
+    return field
 
 
 class _DenseDOP853:
@@ -407,7 +447,6 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
     span = float(np.max(lens))
     t0s = np.asarray(t0s, dtype=float)
     rate = np.asarray(lens, dtype=float) / span
-    rates = np.repeat(rate, 2)
     c = p.c
     shrink = 1.0 / math.sqrt(m)
     rtol = max(rtol * shrink, 1e-13)
@@ -419,9 +458,8 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
     def field(a, z, out):
         """(u', y') of the rows z, weight values a, into out."""
         v = z[1::2]
-        out[0::2] = v
-        out[1::2] = -c * v - p.extended(a, z[0::2])
-        out *= rates
+        np.multiply(v, rate, out=out[0::2])
+        np.multiply(-c * v - p.extended(a, z[0::2]), rate, out=out[1::2])
         return out
 
     def escaped(reason, tau, z):
@@ -503,11 +541,12 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
 
     Integration restarts exactly at every weight breakpoint in (t0, t1);
     no accepted step interior contains a sign change of the weight.  Each
-    piece is one run of the float stepper :func:`_dop853` on
-    :meth:`ProblemSpec.rhs`; rtol is floored at 100 machine epsilons, as
-    in scipy.  Raises DivergenceError, naming the last accepted time and
-    state, if |u| + |y| reaches the blow-up guard, the field or the state
-    is not finite, or the step size falls below its minimum.
+    piece is one run of the float stepper :func:`_dop853` on the
+    problem's float field (the closure behind :meth:`ProblemSpec.rhs`);
+    rtol is floored at 100 machine epsilons, as in scipy.  Raises
+    DivergenceError, naming the last accepted time and state, if
+    |u| + |y| reaches the blow-up guard, the field or the state is not
+    finite, or the step size falls below its minimum.
     ``dense=False`` computes no dense stages and returns the terminal
     state, bit for bit the last state of the dense integration.
     """
@@ -521,10 +560,10 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     edges = [float(e) for e in [t0] + p.breakpoints_between(t0, t1) + [t1]]
     times, us, ys = [t0], [u], [y]
     segments = []
-    # p.rhs calls expressions unguarded: one guard for the whole flow
+    # the field calls expressions unguarded: one guard for the whole flow
     with quiet_fp():
         for lo, hi in zip(edges[:-1], edges[1:]):
-            ts, pu, py, piece = _dop853(p.rhs, lo, hi, u, y, rtol, atol,
+            ts, pu, py, piece = _dop853(p._field, lo, hi, u, y, rtol, atol,
                                         dense)
             u, y = pu[-1], py[-1]
             if dense:

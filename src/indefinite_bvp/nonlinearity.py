@@ -109,8 +109,16 @@ def g_vector(g, guarded=True):
     """Compiled s -> g(s) for a float array s >= 0 that the caller has
     clamped: :func:`g_unchecked` with its kernel built once.
     ``guarded=False`` calls an expression g without its floating-point
-    guard, for a caller that runs inside :func:`expressions.quiet_fp`."""
+    guard, for a caller that runs inside :func:`expressions.quiet_fp`.
+
+    The power and arctan_scaled kernels map +0.0 to +0.0 themselves, so
+    they are returned without the g(0) = 0 rule; a clamp
+    ``np.maximum(u, 0.0)`` never gives -0.0 (at s = -0.0 an odd integer
+    power would give -0.0).  The expression, clamped and callable kinds
+    keep the rule."""
     raw = _kernel(g, guarded)
+    if g.kind in ("power", "arctan_scaled"):
+        return raw
     return lambda s: np.where(s == 0.0, 0.0, raw(s))
 
 

@@ -106,7 +106,9 @@ def screen_flow(p, states, t0, t1, steps_per_unit=1200):
 
     a_mu is evaluated once per weight piece, at every stage time the
     step loop reaches (t, t + h/2 and t + h, the next step's t), so each
-    stage is one :meth:`ProblemSpec.extended` call.
+    stage is one :meth:`ProblemSpec.extended` call, which has no branch
+    on the sign of u.  A row that diverges reads nan, whatever the sign
+    or payload of the nan the field gave.
     """
     u = states[:, 0].astype(float).copy()
     y = states[:, 1].astype(float).copy()

@@ -152,31 +152,11 @@ def evaluate_scalar(w):
     return a_at
 
 
-def a_mu_scalar(w, mu):
-    """Compiled t -> a+(t) - mu * a-(t) for a float t, with the same bits
-    as :func:`a_mu` at that point.
-
-    The two-part form is a for a > 0, 0.0 for a = +-0.0, and
-    0.0 - mu * (-a) = mu * a exactly for a < 0; ``a + 0.0`` and
-    ``mu * a`` give the same bits.  The weight comes from
-    :func:`evaluate_scalar`, so the caller runs inside
-    :func:`expressions.quiet_fp`.
-    """
-    if not mu > 0:
-        raise DomainError("mu must be positive")
-    a_at = evaluate_scalar(w)
-
-    def a_mu_at(t):
-        a = a_at(t)
-        return mu * a if a < 0.0 else a + 0.0
-
-    return a_mu_at
-
-
 def a_mu_vector(w, mu):
     """Compiled t -> a+(t) - mu * a-(t) for an array t, with the same bits
-    as :func:`a_mu`: the one-branch form of :func:`a_mu_scalar`, taken
-    elementwise, after :func:`evaluate`'s periodic reduction."""
+    as :func:`a_mu`: ``mu * a`` where a < 0 and ``a + 0.0`` elsewhere, which
+    is the two-part form exactly, signed zeros included, after
+    :func:`evaluate`'s periodic reduction."""
     if not mu > 0:
         raise DomainError("mu must be positive")
     T = w.period

@@ -443,3 +443,35 @@ def test_subharmonic_word_must_be_bits(word, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigurationError"
     assert repr(word) in err["message"]
+
+
+@pytest.mark.parametrize("g", ["power(abc)", "arctan_scaled()"])
+def test_bad_nonlinearity_shorthand_exit(g, tmp_path, capsys):
+    # an argument that is not a number is a configuration error (exit 2),
+    # not a traceback
+    path = write_config(tmp_path, "[problem]\nweight = sine(6.283185307179586)"
+                        "\nperiod = 1\ng = %s\n" % g)
+    assert main(["solve", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert repr(g) in err["message"]
+
+
+@pytest.mark.parametrize("text", ["mu = inf\n", "c = nan\n", "c = inf\n",
+                                  "c = -inf\n"])
+def test_non_finite_mu_or_c_exit(text, tmp_path, capsys):
+    # a non-finite mu or c is refused before any flow: exit 2, not an
+    # empty solution list or an overflow
+    path = write_config(tmp_path, "[problem]\nweight = sine(6.283185307179586)"
+                        "\nperiod = 1\ng = arctan_scaled(100)\n" + text)
+    assert main(["solve", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "[problem]" in err["message"]
+
+
+def test_non_finite_preset_mu_exit(tmp_path, capsys):
+    path = write_config(tmp_path, "[problem]\npreset = fig2\nmu = inf\n")
+    assert main(["solve", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"

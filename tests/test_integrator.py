@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from indefinite_bvp import integrator, shooting
+from indefinite_bvp import integrator, nonlinearity, shooting
 from indefinite_bvp.errors import DivergenceError, DomainError
 from indefinite_bvp.expressions import Expression
 from indefinite_bvp.integrator import (ProblemSpec, State, flow, integrate,
@@ -76,16 +76,19 @@ def test_flow_matches_integrate():
     assert end.y == pytest.approx(float(traj.eval(1.0)[1]), abs=1e-10)
 
 
-def counting_rhs(monkeypatch):
-    """Patch ``ProblemSpec.rhs`` to count its calls; returns the count."""
+def counting_rhs(monkeypatch, p):
+    """Wrap the float field that ``p`` compiled at construction, the
+    closure :func:`integrate` steps on, to count its calls; returns the
+    count."""
     calls = [0]
-    rhs = ProblemSpec.rhs
+    field = p._field
 
-    def counted(self, t, state):
+    def counted(t, state):
         calls[0] += 1
-        return rhs(self, t, state)
+        return field(t, state)
 
-    monkeypatch.setattr(ProblemSpec, "rhs", counted)
+    # the dataclass is frozen: swap the instance's closure in its __dict__
+    monkeypatch.setitem(vars(p), "_field", counted)
     return calls
 
 
@@ -97,7 +100,7 @@ def test_flow_builds_no_interpolant(name, monkeypatch):
     p = get_preset(name).problem
     s0 = State(0.1, 0.0 if p.boundary == "neumann" else 0.4)
     span = (0.0, 2 * p.period)
-    calls = counting_rhs(monkeypatch)
+    calls = counting_rhs(monkeypatch, p)
     traj = integrate(p, s0, *span)
     n_dense = calls[0]
     calls[0] = 0
@@ -171,6 +174,17 @@ def test_integrate_bad_span():
         integrate(p, State(1.0, 0.0), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("mu, c", [
+    (0.0, 0.0), (-1.0, 0.0), (math.inf, 0.0), (math.nan, 0.0),
+    (7.0, math.nan), (7.0, math.inf), (7.0, -math.inf)])
+def test_mu_and_c_must_be_finite(mu, c):
+    # an infinite mu overflows the segment grid of multiple shooting and a
+    # non-finite c makes every flow fail: both are refused at construction
+    w = WeightSpec.sine(TWO_PI, period=1.0)
+    with pytest.raises(DomainError):
+        ProblemSpec.build(w, mu, c, NonlinearitySpec.power(2))
+
+
 def test_build_aligns_pattern():
     w = WeightSpec.sine(TWO_PI, period=1.0).shifted(0.7)
     p = ProblemSpec.build(w, 7.0, 0.0, NonlinearitySpec.power(2))
@@ -207,6 +221,40 @@ GS = {
 
 def bits(x):
     return np.float64(x).tobytes()
+
+
+def two_branch_forcing(g, a, u):
+    """Oracle: the extended forcing in two ``np.where`` branches, g(0) = 0
+    by rule, a g(u) for u >= 0 and -u below."""
+    raw = nonlinearity._kernel(g)
+    s = np.maximum(u, 0.0)
+    return np.where(u >= 0.0, a * np.where(s == 0.0, 0.0, raw(s)), -u)
+
+
+@pytest.mark.parametrize("gname", sorted(GS))
+def test_extended_matches_two_branch_form(gname):
+    # the branch-free a g(max(u, 0)) - min(u, 0) has the bits of the
+    # two-branch form at signed zeros, subnormals, u < 0 and +-inf, for
+    # every g kind; a nan only has to stay a nan
+    p = ProblemSpec(WEIGHTS["sine"], PATTERNS["sine"], 7.0, 0.0, GS[gname],
+                    "neumann")
+    us = np.array([0.0, -0.0, 5e-324, -5e-324, -1.0, 0.3, 7.0, math.inf,
+                   -math.inf])
+    # long enough for numpy's vector loops as well as its tail loops
+    u = np.tile(us, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for a in (0.0, -0.0, -7.3, 2.5):
+            want = two_branch_forcing(GS[gname], a, u)
+            assert p.extended(a, u).tobytes() == want.tobytes(), a
+            assert np.isnan(p.extended(a, np.array([math.nan]))).all()
+
+
+@pytest.mark.parametrize("gname", ["power", "arctan_scaled"])
+def test_analytic_g_maps_zero_to_zero(gname):
+    # the analytic kinds drop the g(0) = 0 rule: their kernels give +0.0
+    g = nonlinearity.g_vector(GS[gname])
+    assert g(np.zeros(3)).tobytes() == np.zeros(3).tobytes()
 
 
 points = st.tuples(
@@ -459,7 +507,7 @@ def test_nan_field_raises_in_bounded_calls(monkeypatch):
         lambda s: np.where(np.asarray(s) > 1.5, np.nan, -10.0 * np.asarray(s)))
     hump = SignPattern(1, (0.0, 1.0), (1.0,), mode="neumann")
     p = ProblemSpec(w, hump, 1.0, 0.0, g, "neumann")
-    calls = counting_rhs(monkeypatch)
+    calls = counting_rhs(monkeypatch, p)
     for s0 in (State(1.0, 2.0), State(2.0, 0.0)):
         calls[0] = 0
         with pytest.raises(DivergenceError) as exc:
