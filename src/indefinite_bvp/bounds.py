@@ -20,7 +20,7 @@ from .nonlinearity import eta as _eta
 from .nonlinearity import gamma_min as _gamma_min
 from .nonlinearity import gamma_ratio as _gamma_ratio
 from .nonlinearity import limit_estimates
-from .weight import _split_points, integrate_weight, negative_part
+from .weight import integrate_weight, negative_part, split_points
 
 ETA_SAFETY = 0.5
 MU_R_SAFETY = 1.01
@@ -88,7 +88,7 @@ def _neg_double_integral(p, lo, hi, from_left=True):
     """
     anchor = hi if from_left else lo
     f = lambda xi: abs(anchor - xi) * negative_part(p.weight, xi)
-    pts = _split_points(p.weight, lo, hi, p.pattern)
+    pts = split_points(p.weight, lo, hi, p.pattern)
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
         val, _ = _sint.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-12)

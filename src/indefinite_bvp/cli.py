@@ -78,14 +78,12 @@ def parse_nonlinearity(src):
         name, inner = m.group(1), m.group(2)
         if name == "clamp0":
             return NonlinearitySpec.from_expression(inner, clamp=True)
+        build = getattr(NonlinearitySpec, name)
         try:
-            value = float(inner)
-        except ValueError as exc:
+            return build(float(inner))
+        except (ValueError, ConfigurationError) as exc:
             raise ConfigurationError(
                 "bad argument in nonlinearity shorthand %r: %s" % (src, exc))
-        if name == "power":
-            return NonlinearitySpec.power(value)
-        return NonlinearitySpec.arctan_scaled(value)
     return NonlinearitySpec.from_expression(src)
 
 

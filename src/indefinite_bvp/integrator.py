@@ -206,80 +206,59 @@ def _float_field(weight, mu, c, g):
     return field
 
 
-class _DenseDOP853:
-    """DOP853 dense output of one smooth piece: the interpolant of every
-    accepted step, evaluated at any t by one ``searchsorted``.  A step end
-    belongs to the step before it.
-
-    Built from the piece's ``steps`` (start, length, start state and the
-    16 stages of each) and its step ends ``us``, ``ys``: each step keeps
-    the seven rows F of scipy's ``Dop853DenseOutput``.
-    """
-
-    def __init__(self, steps, us, ys):
-        self.t_old, self.h, u_old, y_old, ku, ky = (
-            np.array(col) for col in zip(*steps))
-        K = np.stack([ku, ky], axis=-1)                   # (n, 16, 2)
-        self.y_old = np.column_stack([u_old, y_old])      # (n, 2)
-        delta = np.column_stack([us[1:], ys[1:]]) - self.y_old
-        h = self.h[:, None]
-        f_old, f_new = K[:, 0], K[:, _N]
-        F = np.empty((len(self.h), _dop.INTERPOLATOR_POWER, 2))
-        F[:, 0] = delta
-        F[:, 1] = h * f_old - delta
-        F[:, 2] = 2 * delta - h * (f_new + f_old)
-        F[:, 3:] = h[..., None] * np.einsum("rk,nkc->nrc", _dop.D, K)
-        self.F = F                                        # (n, 7, 2)
-
-    def __call__(self, t):
-        """(u, y) at t: shape (2,) for a scalar t, (2, m) for an array."""
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.t_old, t, side="left") - 1,
-                    0, len(self.h) - 1)
-        x = ((t - self.t_old[i]) / self.h[i])[..., None]
-        F = self.F[i]
-        y = np.zeros(x.shape[:-1] + (2,))
-        for r in range(F.shape[-2] - 1, -1, -1):
-            y += F[..., r, :]
-            y *= x if r % 2 == 0 else 1.0 - x
-        return (y + self.y_old[i]).T
-
-
 class Trajectory:
     """Dense numerical solution over [t0, t1] with breakpoint-aligned steps.
 
-    ``segments`` holds one dense interpolant per smooth piece of the
-    weight, as ``(lo, hi, callable t -> (2, m))``, so evaluation anywhere
-    in the span is available.
+    ``times`` are the step ends, t0 first; ``states`` the state each of
+    the n steps starts from, then the final state; ``F``, (n, 7, 2), the
+    rows of scipy's ``Dop853DenseOutput`` of each step.  A time equal to
+    a step start belongs to the step that starts there, and t1 to the
+    last step.
     """
 
-    def __init__(self, times, states, segments):
+    def __init__(self, times, states, F):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self.segments = segments  # list of (lo, hi, callable)
+        self.F = np.asarray(F, dtype=float)
+        n = len(self.times) - 1
+        if n < 1 or self.states.shape != (n + 1, 2) or \
+                self.F.shape != (n, _dop.INTERPOLATOR_POWER, 2):
+            raise DomainError("a trajectory of n >= 1 steps needs n + 1 "
+                              "times and states and n blocks of rows")
         if np.any(np.diff(self.times) <= 0):
-            # duplicate joints are dropped by the builder; keep the guard
             raise DomainError("trajectory times must be strictly increasing")
+
+    @classmethod
+    def join(cls, trajs):
+        """The trajectories ``trajs``, each starting where the one before
+        ends, as one.  At each joint it keeps the state the later piece
+        starts from; each piece's rows were built from its own end state,
+        so a defect at a joint stays inside the earlier piece's rows."""
+        last = trajs[-1]
+        return cls(
+            np.concatenate([t.times[:-1] for t in trajs] + [last.times[-1:]]),
+            np.concatenate([t.states[:-1] for t in trajs]
+                           + [last.states[-1:]]),
+            np.concatenate([t.F for t in trajs]))
 
     @property
     def span(self):
         return self.times[0], self.times[-1]
 
     def eval(self, t):
-        """Dense evaluation (u, y) at scalar or array t."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t_arr.size, 2))
-        bounds = np.array([seg[0] for seg in self.segments] +
-                          [self.segments[-1][1]])
-        idx = np.clip(np.searchsorted(bounds, t_arr, side="right") - 1,
-                      0, len(self.segments) - 1)
-        for i in np.unique(idx):
-            mask = idx == i
-            sol = self.segments[i][2]
-            out[mask] = sol(t_arr[mask]).T
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+        """Dense evaluation (u, y) at t: shape (2,) for a scalar t, (m, 2)
+        for an array of m times."""
+        t = np.asarray(t, dtype=float)
+        times = self.times
+        i = np.clip(np.searchsorted(times, t, side="right") - 1,
+                    0, len(self.F) - 1)
+        x = ((t - times[i]) / (times[i + 1] - times[i]))[..., None]
+        F = self.F[i]
+        y = np.zeros(x.shape[:-1] + (2,))
+        for r in range(F.shape[-2] - 1, -1, -1):
+            y += F[..., r, :]
+            y *= x if r % 2 == 0 else 1.0 - x
+        return y + self.states[i]
 
     def sample(self, n=512):
         """(t, u, y) on a uniform grid of n points joined with the nodes."""
@@ -324,9 +303,10 @@ def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
     """DOP853 over one smooth piece [t, t_end] from the state (u, y).
 
     Returns the accepted step ends (start included) as lists ``ts``,
-    ``us``, ``ys`` and, with ``dense``, the :class:`_DenseDOP853` of the
-    piece; the three extra stages of the dense output are computed only
-    then, after a step is accepted, so they never change the steps.
+    ``us``, ``ys`` and the 16 stages (ku, ky) of each step, an empty
+    list unless ``dense``; the three extra stages of the dense output
+    are computed only then, after a step is accepted, so they never
+    change the steps.
     Raises DivergenceError, with the last accepted time and state, when
     |u| + |y| reaches ``BLOWUP_NORM`` or is not finite after a step, when
     the field at the start is not finite, or when the step size falls
@@ -337,7 +317,7 @@ def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
         raise _diverged("field is not finite", t, u, y)
     h_abs = _initial_step(rhs, t, u, y, fu, fy, t_end, rtol, atol)
     ts, us, ys = [t], [u], [y]
-    steps = []
+    stages = []
     while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -398,12 +378,29 @@ def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
                 du, dy = rhs(t + c * h, (u + su * h, y + sy * h))
                 ku.append(du)
                 ky.append(dy)
-            steps.append((t, h, u, y, ku, ky))
+            stages.append((ku, ky))
         t, u, y = t_new, u_new, y_new
         ts.append(t)
         us.append(u)
         ys.append(y)
-    return ts, us, ys, (_DenseDOP853(steps, us, ys) if dense else None)
+    return ts, us, ys, stages
+
+
+def _dense_rows(times, states, stages):
+    """The rows F, (n, 7, 2), of scipy's ``Dop853DenseOutput`` of n steps
+    from their ends ``times``, ``states`` and ``stages`` (ku, ky); a
+    step's h is ``times[i + 1] - times[i]``, the stepper's own float."""
+    ku, ky = (np.array(col) for col in zip(*stages))
+    K = np.stack([ku, ky], axis=-1)                       # (n, 16, 2)
+    delta = states[1:] - states[:-1]
+    h = np.diff(times)[:, None]
+    f_old, f_new = K[:, 0], K[:, _N]
+    F = np.empty((len(h), _dop.INTERPOLATOR_POWER, 2))
+    F[:, 0] = delta
+    F[:, 1] = h * f_old - delta
+    F[:, 2] = 2 * delta - h * (f_new + f_old)
+    F[:, 3:] = h[..., None] * np.einsum("rk,nkc->nrc", _dop.D, K)
+    return F
 
 
 def _rms(x):
@@ -547,6 +544,7 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     DivergenceError, naming the last accepted time and state, if
     |u| + |y| reaches the blow-up guard, the field or the state is not
     finite, or the step size falls below its minimum.
+    Returns the :class:`Trajectory` of the steps of every piece.
     ``dense=False`` computes no dense stages and returns the terminal
     state, bit for bit the last state of the dense integration.
     """
@@ -558,22 +556,22 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     u, y = (s0.u, s0.y) if isinstance(s0, State) else s0
     u, y = float(u), float(y)
     edges = [float(e) for e in [t0] + p.breakpoints_between(t0, t1) + [t1]]
-    times, us, ys = [t0], [u], [y]
-    segments = []
+    times, us, ys, stages = [t0], [u], [y], []
     # the field calls expressions unguarded: one guard for the whole flow
     with quiet_fp():
         for lo, hi in zip(edges[:-1], edges[1:]):
-            ts, pu, py, piece = _dop853(p._field, lo, hi, u, y, rtol, atol,
+            ts, pu, py, steps = _dop853(p._field, lo, hi, u, y, rtol, atol,
                                         dense)
             u, y = pu[-1], py[-1]
             if dense:
                 times.extend(ts[1:])
                 us.extend(pu[1:])
                 ys.extend(py[1:])
-                segments.append((lo, hi, piece))
+                stages.extend(steps)
     if not dense:
         return np.array([u, y])
-    return Trajectory(times, np.column_stack([us, ys]), segments)
+    times, states = np.array(times), np.column_stack([us, ys])
+    return Trajectory(times, states, _dense_rows(times, states, stages))
 
 
 def flow(p, s0, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):

@@ -35,15 +35,16 @@ class NonlinearitySpec:
 
     @classmethod
     def power(cls, p):
-        if not p > 1:
-            raise ConfigurationError("power kind needs exponent p > 1")
+        if not 1 < p < math.inf:
+            raise ConfigurationError("power kind needs a finite exponent "
+                                     "p > 1")
         return cls("power", (float(p),))
 
     @classmethod
     def arctan_scaled(cls, nu):
         """g(s) = nu * s * arctan(s)."""
-        if not nu > 0:
-            raise ConfigurationError("arctan_scaled needs nu > 0")
+        if not 0 < nu < math.inf:
+            raise ConfigurationError("arctan_scaled needs a finite nu > 0")
         return cls("arctan_scaled", (float(nu),))
 
     @classmethod

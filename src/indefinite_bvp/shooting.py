@@ -25,7 +25,7 @@ see the failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import optimize as _sopt
@@ -56,8 +56,16 @@ class SearchConfig:
     max_candidates: int = 60
 
     def __post_init__(self):
-        if self.u_count <= 0 or self.y_count <= 0:
-            raise DomainError("grid counts must be positive")
+        # every count is at least 1 and every float finite
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not value >= 1:
+                kind = "grid counts" if f.name.endswith("_count") \
+                    else "counts"
+                raise DomainError("%s must be positive: %s = %r"
+                                  % (kind, f.name, value))
+            if f.type == "float" and not math.isfinite(value):
+                raise DomainError("%s must be finite" % f.name)
         for name in ("u_min", "residual_tol", "rtol", "atol"):
             if not getattr(self, name) > 0:
                 raise DomainError("%s must be positive" % name)
@@ -412,20 +420,18 @@ def _polish_lockstep(p, seeds, sc):
 
 
 def _stitched_trajectory(p, z, nodes, sc):
-    """Trajectory assembled segment by segment from the matching states.
+    """The :meth:`Trajectory.join` of the flows of the segments
+    [nodes[j], nodes[j + 1]], each from its own node state z[j].
 
     Restarting each segment on its own node state keeps the later humps
-    accurate even when the full-window flow amplifies the node error.
+    accurate even when the full-window flow amplifies the node error.  At
+    each node the trajectory holds z[j], and the defect of the earlier
+    segment's end stays inside that segment's dense rows.
     """
-    times, states, segments = [], [], []
-    for j in range(len(nodes) - 1):
-        traj = integrate(p, State(float(z[j, 0]), float(z[j, 1])),
-                         nodes[j], nodes[j + 1], rtol=sc.rtol, atol=sc.atol)
-        drop = 1 if times else 0
-        times.extend(traj.times[drop:])
-        states.extend(traj.states[drop:])
-        segments.extend(traj.segments)
-    return Trajectory(times, states, segments)
+    return Trajectory.join([
+        integrate(p, State(float(z[j, 0]), float(z[j, 1])), nodes[j],
+                  nodes[j + 1], rtol=sc.rtol, atol=sc.atol)
+        for j in range(len(nodes) - 1)])
 
 
 def _accept(p, z, nodes, k, residual, sc, boundary):

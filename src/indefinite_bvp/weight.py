@@ -353,7 +353,10 @@ def k_fold_pattern(p, k):
                        origin_shift=p.origin_shift, mode="periodic")
 
 
-def _split_points(w, lo, hi, pattern=None):
+def split_points(w, lo, hi, pattern=None):
+    """lo, hi and every kink hint of ``w`` and breakpoint of ``pattern``
+    (repeated with the period) strictly between them, sorted: the ends of
+    the smooth pieces of the weight on [lo, hi]."""
     pts = {lo, hi}
     T = w.period
     sources = set(w.kink_hints)
@@ -383,7 +386,7 @@ def integrate_weight(w, lo, hi, part=None, pattern=None):
         f = lambda t: negative_part(w, t)
     else:
         raise DomainError("part must be None, '+' or '-'")
-    pts = _split_points(w, lo, hi, pattern)
+    pts = split_points(w, lo, hi, pattern)
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
         val, _ = _sint.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-12)

@@ -414,7 +414,16 @@ def test_bad_value_exit(command, text, key, tmp_path, capsys):
     ("u_count = 0\n", "grid counts must be positive"),
     # nor end it at 0
     ("u_max = 0\n", "u_max must exceed u_min"),
-], ids=["u_min", "atol", "u_count", "u_max"])
+    # no Newton start or no Newton step gave an empty solution list
+    ("max_candidates = 0\n", "max_candidates"),
+    ("newton_max_iter = 0\n", "newton_max_iter"),
+    # an infinite u_max gave an empty list after a geomspace warning
+    ("u_max = inf\n", "u_max must be finite"),
+    # the screen ran silently at its floor of 4 steps per piece
+    ("screen_steps = 0\n", "screen_steps"),
+    ("y_min = nan\n", "y_min must be finite"),
+], ids=["u_min", "atol", "u_count", "u_max", "max_candidates",
+        "newton_max_iter", "u_max_inf", "screen_steps", "y_min_nan"])
 def test_out_of_range_search_value_exit(text, named, tmp_path, capsys):
     # a [search] value outside its range is a configuration error (exit
     # 2), not a traceback or a numerical failure
@@ -445,10 +454,11 @@ def test_subharmonic_word_must_be_bits(word, tmp_path, capsys):
     assert repr(word) in err["message"]
 
 
-@pytest.mark.parametrize("g", ["power(abc)", "arctan_scaled()"])
+@pytest.mark.parametrize("g", ["power(abc)", "arctan_scaled()", "power(inf)",
+                               "arctan_scaled(inf)"])
 def test_bad_nonlinearity_shorthand_exit(g, tmp_path, capsys):
     # an argument that is not a number is a configuration error (exit 2),
-    # not a traceback
+    # not a traceback; an infinite one too, not an empty solution list
     path = write_config(tmp_path, "[problem]\nweight = sine(6.283185307179586)"
                         "\nperiod = 1\ng = %s\n" % g)
     assert main(["solve", "--config", path]) == 2

@@ -1,6 +1,7 @@
 """Static hygiene of the package sources: every imported name is used,
 every import sits at module level, every module-level private helper and
-constant has a reader, every dataclass field is read somewhere, the expression
+constant has a reader, every dataclass field is read somewhere, no
+module imports or reads another module's private names, the expression
 compiler is the only place that runs generated code, ``solve_ivp`` is
 called from a fixed set of integrators, scipy's private ``_ivp`` package
 is imported once, ``__all__`` lists exactly
@@ -325,6 +326,72 @@ def test_private_ivp_has_one_entry_point():
                for f in PACKAGE.glob("*.py")}
     hits = private_ivp_imports(sources)
     assert len(hits) == 1 and hits[0].startswith("integrator:")
+
+
+PACKAGE_NAME = "indefinite_bvp"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_cross_module_names(sources):
+    """``module:line other.name`` of every private name (``_name``, not a
+    dunder) of another package module that a module in ``sources``
+    (module name -> source) imports, or reads as an attribute of a
+    package module it imported.  Relative imports and absolute imports
+    from the package count alike."""
+    hits = []
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        modules = {}   # local name -> package module it is bound to
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                parent = node.module
+            elif node.level == 0 and node.module and \
+                    node.module.split(".")[0] == PACKAGE_NAME:
+                parent = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                if parent is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _is_private(alias.name):
+                    hits.append("%s:%d %s.%s" % (mod, node.lineno, parent,
+                                                 alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in modules and _is_private(node.attr):
+                hits.append("%s:%d %s.%s" % (mod, node.lineno,
+                                             modules[node.value.id],
+                                             node.attr))
+    return sorted(hits)
+
+
+def test_scan_flags_private_cross_module_names():
+    sources = {
+        "a": ("from .b import _hidden, public\n"
+              "from . import b\nfrom . import c as cc\n"
+              "x = b._helper(1) + cc._CONST + b.public + len(b.__name__)\n"
+              "def _own():\n    return _own\n"),
+        "b": ("import numpy as np\nfrom scipy import _lib\n"
+              "z = np._NoValue\nfrom .c import public as _alias\n"),
+        "c": "from indefinite_bvp.a import _thing\nimport indefinite_bvp\n",
+    }
+    assert private_cross_module_names(sources) == [
+        "a:1 b._hidden", "a:4 b._helper", "a:4 c._CONST", "c:1 a._thing"]
+
+
+def test_no_private_cross_module_names():
+    # a module reaches another only through its public names: shooting
+    # stitches trajectories with Trajectory.join, not with the
+    # integrator's row builder
+    sources = {f.stem: f.read_text(encoding="utf-8")
+               for f in PACKAGE.glob("*.py")}
+    assert private_cross_module_names(sources) == []
 
 
 def test_all_matches_the_package_imports():

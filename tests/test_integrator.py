@@ -14,8 +14,8 @@ from scipy.integrate import solve_ivp
 from indefinite_bvp import integrator, nonlinearity, shooting
 from indefinite_bvp.errors import DivergenceError, DomainError
 from indefinite_bvp.expressions import Expression
-from indefinite_bvp.integrator import (ProblemSpec, State, flow, integrate,
-                                       max_on_interval)
+from indefinite_bvp.integrator import (ProblemSpec, State, Trajectory, flow,
+                                       integrate, max_on_interval)
 from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.presets import get_preset
 from indefinite_bvp.weight import (SignPattern, WeightSpec, a_mu,
@@ -106,7 +106,8 @@ def test_flow_builds_no_interpolant(name, monkeypatch):
     calls[0] = 0
     s1 = flow(p, s0, span)
     steps = len(traj.times) - 1
-    assert len(traj.segments) > 1 and steps > 10
+    breaks = p.breakpoints_between(*span)
+    assert breaks and np.isin(breaks, traj.times).all() and steps > 10
     assert n_dense - calls[0] == 3 * steps
     end = traj.states[-1]
     assert np.array([s1.u, s1.y]).tobytes() == end.tobytes()
@@ -398,8 +399,7 @@ def test_kink_inside_a_piece_is_left_to_step_control():
     tol = dict(rtol=1e-10, atol=1e-12)
     for s0 in (State(1.0, 0.0), State(0.5, 0.2), State(0.2, 0.0)):
         whole = integrate(p, s0, 0.0, 1.0, **tol)
-        assert [seg[:2] for seg in whole.segments] == [(0.0, 0.5),
-                                                       (0.5, 1.0)]
+        assert 0.5 in whole.times and 0.3 not in whole.times
         split = flow(p, flow(p, s0, (0.0, 0.3), **tol), (0.3, 1.0), **tol)
         assert abs(whole.states[-1, 0] - split.u) < 1e-9
         assert abs(whole.states[-1, 1] - split.y) < 1e-9
@@ -530,10 +530,11 @@ def test_trajectory_eval_at_joints_and_step_ends():
     # piece) starts; a scalar t gives shape (2,), an array (n, 2)
     p = fig2_problem()
     traj = integrate(p, State(0.1, 0.4), 0.0, 2.0)
-    for (_, hi, left), (lo, _, right) in zip(traj.segments,
-                                             traj.segments[1:]):
-        assert hi == lo
-        assert np.max(np.abs(left(hi) - right(lo))) < 1e-12
+    breaks = p.breakpoints_between(0.0, 2.0)
+    assert breaks
+    for b in breaks:
+        before = np.nextafter(b, -np.inf)
+        assert np.max(np.abs(traj.eval(b) - traj.eval(before))) < 1e-12
     ends = traj.times[1:-1]
     after = np.nextafter(ends, np.inf)
     assert np.max(np.abs(traj.eval(ends) - traj.eval(after))) < 1e-12
@@ -541,3 +542,28 @@ def test_trajectory_eval_at_joints_and_step_ends():
     assert traj.eval(0.25).shape == (2,)
     assert traj.eval(np.linspace(0.0, 2.0, 7)).shape == (7, 2)
     assert traj.eval([0.25]).shape == (1, 2)
+
+
+def test_trajectory_shapes_are_checked():
+    # n steps take n + 1 times and states and n blocks of 7 rows; a
+    # mismatch would make eval extrapolate a wrong step silently
+    traj = integrate(fig2_problem(), State(0.1, 0.4), 0.0, 1.0)
+    t, s, F = traj.times, traj.states, traj.F
+    Trajectory(t, s, F)
+    for bad in ((t, s, F[:-1]), (t, s[:-1], F), (t[:1], s[:1], F[:0]),
+                (t, s, F[:, :6])):
+        with pytest.raises(DomainError, match="steps"):
+            Trajectory(*bad)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_trajectory_step_starts_are_its_states(name):
+    # a time equal to a step start belongs to the step that starts there,
+    # at x = 0: eval returns the stored state bit for bit, breakpoints
+    # included, and t1 is the last step at x = 1
+    p = get_preset(name).problem
+    traj = integrate(p, State(0.1, 0.0), 0.0, 2 * p.period)
+    assert len(traj.F) == len(traj.times) - 1 == len(traj.states) - 1
+    starts = traj.times[:-1]
+    assert traj.eval(starts).tobytes() == traj.states[:-1].tobytes()
+    assert np.abs(traj.eval(traj.times[-1]) - traj.states[-1]).max() < 1e-12

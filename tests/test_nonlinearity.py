@@ -35,6 +35,16 @@ def test_constructor_validation():
         NonlinearitySpec.arctan_scaled(0.0)
 
 
+@pytest.mark.parametrize("build", [NonlinearitySpec.power,
+                                   NonlinearitySpec.arctan_scaled])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_constructor_rejects_non_finite_parameter(build, value):
+    # an infinite or nan exponent or scale is refused, not run to an
+    # empty solution list
+    with pytest.raises(ConfigurationError, match="finite"):
+        build(value)
+
+
 def test_negative_argument_rejected():
     g = NonlinearitySpec.power(2)
     with pytest.raises(DomainError):

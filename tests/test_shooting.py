@@ -50,6 +50,13 @@ def fig2_k2(fig2_k1):
     return find_periodic_solutions(p, 2, sc, base=base)
 
 
+@pytest.fixture(scope="module")
+def m2_k1():
+    pre = multiplicity_m2()
+    return pre.problem, pre.search, \
+        find_periodic_solutions(pre.problem, 1, pre.search)
+
+
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(u_count=0)
@@ -65,6 +72,19 @@ def test_search_config_validation():
     for bad in (0.0, -1.0, math.nan, SearchConfig().u_min):
         with pytest.raises(DomainError, match="u_max"):
             SearchConfig(u_max=bad)
+    # every count is at least 1: no Newton start, no Newton step or no
+    # screen step would give an empty search rather than an error
+    for key in ("u_count", "y_count", "newton_max_iter", "screen_steps",
+                "max_candidates"):
+        for bad in (0, -1):
+            with pytest.raises(DomainError, match=key):
+                SearchConfig(**{key: bad})
+    # every float is finite
+    for key in ("u_min", "u_max", "y_min", "y_max", "residual_tol", "rtol",
+                "atol"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match=key):
+                SearchConfig(**{key: bad})
 
 
 def test_mode_mismatch():
@@ -363,9 +383,31 @@ def test_coded_seeds_run_no_search(fig2_k1, monkeypatch):
 
 def _scaled(traj, factor):
     """``traj`` with u and u' multiplied by ``factor``."""
-    segments = [(lo, hi, lambda t, sol=sol: factor * sol(t))
-                for lo, hi, sol in traj.segments]
-    return Trajectory(traj.times, factor * traj.states, segments)
+    return Trajectory(traj.times, factor * traj.states, factor * traj.F)
+
+
+@pytest.mark.parametrize("case", ["fig2 k=2", "m2 k=1"])
+def test_stitched_trajectory_is_its_segment_flows(case, fig2_k1, fig2_k2,
+                                                  m2_k1):
+    # the join keeps each segment's own steps, start state and dense rows:
+    # inside segment j it is the integrate trajectory of that segment bit
+    # for bit, and at each node it returns the node state itself
+    p, sc, recs = m2_k1 if case == "m2 k=1" else fig2_k1[:2] + (fig2_k2,)
+    assert recs
+    rng = np.random.default_rng(0)
+    for rec in recs:
+        z, nodes = rec.node_states, rec.nodes
+        traj = shooting._stitched_trajectory(p, z, nodes, sc)
+        assert len(nodes) > 2
+        for j in range(len(nodes) - 1):
+            own = integrate(p, State(float(z[j, 0]), float(z[j, 1])),
+                            nodes[j], nodes[j + 1], rtol=sc.rtol,
+                            atol=sc.atol)
+            ts = rng.uniform(nodes[j], nodes[j + 1], 64)
+            assert traj.eval(ts).tobytes() == own.eval(ts).tobytes()
+        assert traj.eval(np.asarray(nodes[:-1])).tobytes() == z.tobytes()
+        starts = traj.times[:-1]
+        assert traj.eval(starts).tobytes() == traj.states[:-1].tobytes()
 
 
 def _diverged(traj):
