@@ -226,6 +226,15 @@ def _add_solutions(report, recs, p, sc, verify=False, trajectories=None):
 # subcommands
 
 
+def _require_at_least(args, flag, least):
+    """ConfigurationError naming ``--flag`` when its value is below
+    ``least``: an out-of-range argument, not a numerical failure."""
+    value = getattr(args, flag)
+    if value is not None and value < least:
+        raise ConfigurationError("--%s must be at least %d, got %d"
+                                 % (flag, least, value))
+
+
 def cmd_bounds(args):
     cp = load_config(args.config)
     p, search, resolved = problem_from_config(cp, args.mu)
@@ -238,6 +247,7 @@ def cmd_bounds(args):
 
 
 def cmd_solve(args):
+    _require_at_least(args, "k", 1)
     p, sc, resolved = problem_from_config(load_config(args.config), args.mu)
     report = _base_report(resolved, "solve")
     report["k"] = args.k
@@ -257,9 +267,11 @@ def cmd_neumann(args):
 
 
 def cmd_subharmonic(args):
+    _require_at_least(args, "k", 2)
     if args.enumerate:
         if args.m is None:
             raise ConfigurationError("--enumerate needs --m")
+        _require_at_least(args, "m", 1)
         targets = enumerate_class_representatives(args.m, args.k)
         report = _base_report({}, "subharmonic")
         report["k"] = args.k
@@ -276,10 +288,14 @@ def cmd_subharmonic(args):
                                  "got %r" % args.word)
     p, sc, resolved = problem_from_config(load_config(args.config), args.mu)
     if args.word:
-        targets = [CodeTarget(args.k, tuple(int(b) for b in args.word))]
+        try:
+            targets = [CodeTarget(args.k, tuple(int(b) for b in args.word))]
+        except DomainError as exc:
+            raise ConfigurationError("--word %s: %s" % (args.word, exc)) \
+                from exc
         if targets[0].m != p.pattern.m:
-            raise DomainError("target word does not match the weight "
-                              "pattern")
+            raise ConfigurationError("--word %s does not match the weight "
+                                     "pattern" % args.word)
     else:
         targets = enumerate_class_representatives(p.pattern.m, args.k)
     report = _base_report(resolved, "subharmonic")
@@ -298,6 +314,8 @@ def cmd_subharmonic(args):
 
 
 def cmd_lyndon(args):
+    _require_at_least(args, "n", 2)
+    _require_at_least(args, "k", 1)
     report = _base_report({}, "lyndon")
     report["n"] = args.n
     report["k"] = args.k

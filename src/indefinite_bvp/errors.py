@@ -36,11 +36,12 @@ class DivergenceError(SolverError):
     last_time : float
         Time of the reported state: the end of the step that left the
         guard region, or the last accepted step when the integration
-        failed.  In a flow of many rows, the real time of the escaped row.
+        failed.  In a flow of many rows, the real time of ``row``.
     last_state : tuple
         State at ``last_time``.
     row : int
-        In a flow of many rows, the row that escaped; None otherwise.
+        In a flow of many rows, the row that escaped and was frozen while
+        the others went on, or the largest row when the whole flow failed.
     """
 
     def __init__(self, message, last_time=None, last_state=None, row=None):

@@ -165,8 +165,8 @@ class ProblemSpec:
         u < 0 (and u = -inf) g(+0.0) = +0.0, so it is +-0.0 - u = -u
         exactly.  Only the sign and payload of a nan can differ from the
         two-branch form, and no caller reads them: the screen overwrites
-        its dead rows with nan and :func:`flow_rows` raises on a state
-        that is not finite.
+        its dead rows with nan and :func:`flow_rows` freezes a row that
+        is not finite.
         """
         return a * self._g_vec(np.maximum(u, 0.0)) - np.minimum(u, 0.0)
 
@@ -353,8 +353,13 @@ def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
             scale_y = atol + max(abs(y), abs(y_new)) * rtol
             n5 = (e5u / scale_u) ** 2 + (e5y / scale_y) ** 2
             n3 = (e3u / scale_u) ** 2 + (e3y / scale_y) ** 2
-            err = 0.0 if n5 == 0.0 and n3 == 0.0 else \
-                h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
+            try:
+                err = 0.0 if n5 == 0.0 and n3 == 0.0 else \
+                    h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
+            except ZeroDivisionError:
+                # n5 == 0 and 0.01 * n3 underflows: 0 / 0, which numpy
+                # (and so scipy) gives as nan, rejecting the step
+                err = math.nan
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else \
                     min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
@@ -431,12 +436,13 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
     is evaluated once per attempted step, at the row times of its 11
     stages and its end.
 
-    Raises DivergenceError when the largest |u| + |y| over the rows
-    reaches ``BLOWUP_NORM`` in a step, from below; its ``row`` names the
-    escaped row, with that row's real time and state at the end of the
-    step.  Also when the field at the start is not finite, the step size
-    falls below its minimum (with the last accepted state) or the final
-    state is not finite; then ``row`` is the largest row.  Raises
+    Returns (Y, escaped).  A row whose |u| + |y| is not below
+    ``BLOWUP_NORM`` at a step end is frozen at u = 0, where the extended
+    field and so its stages vanish, and the other rows go on; its row of
+    Y is nan, and ``escaped`` maps it to a DivergenceError with its real
+    time and state at the end of the step.  Raises DivergenceError when
+    the field at the start is not finite or the step size falls below
+    its minimum (with the last accepted state and the largest row), and
     ValueError for a row that is not finite.
     """
     Z = np.asarray(Z, dtype=float)
@@ -459,9 +465,10 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
         np.multiply(-c * v - p.extended(a, z[0::2]), rate, out=out[1::2])
         return out
 
-    def escaped(reason, tau, z):
-        size = np.abs(z[0::2]) + np.abs(z[1::2])
-        row = int(np.argmax(np.where(np.isfinite(size), size, np.inf)))
+    def escaped(reason, tau, z, row=None):
+        if row is None:
+            size = np.abs(z[0::2]) + np.abs(z[1::2])
+            row = int(np.argmax(np.where(np.isfinite(size), size, np.inf)))
         t_row = float(t0s[row] + tau * rate[row])
         return DivergenceError(
             "row %d %s near t=%.6g" % (row, reason, t_row),
@@ -471,6 +478,7 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
     # K[0] holds the field at the current state; K[_N] the field at the
     # end of the attempted step
     K = np.empty((_N + 1, 2 * m))
+    frozen = {}
     tau = 0.0
     # p.extended calls g unguarded: one guard for the whole flow
     with quiet_fp():
@@ -490,7 +498,6 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
         else:
             h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
         h_abs = min(100 * h0, h1, span)
-        size_old = np.max(np.abs(y[0::2]) + np.abs(y[1::2]))
         while tau < span:
             min_step = 10.0 * (math.nextafter(tau, math.inf) - tau)
             h_abs = max(h_abs, min_step)
@@ -523,13 +530,15 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
                 rejected = True
             K[0] = K[_N]
             tau, y = t_new, y_new
-            size = np.max(np.abs(y[0::2]) + np.abs(y[1::2]))
-            if size_old <= BLOWUP_NORM <= size:
-                raise escaped("escaped the guard region", tau, y)
-            size_old = size
-    if not np.isfinite(y).all():
-        raise escaped("state is not finite", tau, y)
-    return y.reshape(m, 2)
+            size = np.abs(y[0::2]) + np.abs(y[1::2])
+            if not np.max(size) < BLOWUP_NORM:
+                for row in np.flatnonzero(~(size < BLOWUP_NORM)):
+                    frozen[int(row)] = escaped("escaped the guard region",
+                                               tau, y, int(row))
+                    y[2 * row:2 * row + 2] = K[0, 2 * row:2 * row + 2] = 0.0
+    Y = y.reshape(m, 2)
+    Y[list(frozen)] = np.nan
+    return Y, frozen
 
 
 def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,

@@ -17,9 +17,9 @@ winding-number polylines one at a time, use the float DOP853 stepper of
 All Newton seeds of a search are polished in lockstep.  Each merged
 round flows the pending evaluation of every unfinished seed in one
 batched flow and hands each seed its rows; a seed whose polish has ended
-drops out.  When the merged flow diverges, the round's evaluations are
-flowed again one by one, so only the seeds that diverge on their own
-see the failure.
+drops out.  A row that leaves the guard region is frozen and named by
+the flow while the other rows go on, so only the seed that owns it sees
+the failure.
 """
 
 from __future__ import annotations
@@ -214,11 +214,10 @@ def _batch_flow(p, Z, t0s, lens, sc):
     of the Newton rows and of :func:`verify_solution`, on the DOP853
     kernel :func:`integrator.flow_rows`.
 
-    No segment may contain a weight breakpoint.  Raises DivergenceError
-    when a row's |u| + |y| reaches the blow-up guard of
-    :func:`integrator.integrate` or the integration fails; its ``row``
-    names the escaped row, with that row's real time and state at the
-    end of the step.
+    No segment may contain a weight breakpoint.  Returns (Y, escaped)
+    as :func:`integrator.flow_rows` does: ``escaped`` maps each row that
+    left the guard region to its DivergenceError, and that row of Y is
+    nan.  Raises DivergenceError when the whole integration fails.
     """
     return flow_rows(p, Z, t0s, lens, sc.rtol, sc.atol)
 
@@ -370,48 +369,34 @@ class _Seed:
         return fz - self.z[self.nxt], jac.reshape(2 * n, 2 * n)
 
 
-def _flow_requests(p, seeds, sc):
-    """Flowed rows of each seed's pending request, from one merged
-    batched flow.
-
-    When the merged flow diverges, each request is flowed alone, so only
-    the requests that diverge on their own get a DivergenceError in place
-    of their rows.
-    """
-    try:
-        out = _batch_flow(p, np.concatenate([s.rows for s in seeds]),
-                          np.concatenate([s.t0s for s in seeds]),
-                          np.concatenate([s.lens for s in seeds]), sc)
-    except DivergenceError as exc:
-        if len(seeds) == 1:
-            return [exc]
-        replies = []
-        for s in seeds:
-            try:
-                replies.append(_batch_flow(p, s.rows, s.t0s, s.lens, sc))
-            except DivergenceError as alone:
-                replies.append(alone)
-        return replies
-    return np.split(out, np.cumsum([len(s.rows) for s in seeds])[:-1])
-
-
 def _polish_lockstep(p, seeds, sc):
     """:func:`_newton_polish` of every (node states, nodes) pair in
     ``seeds``, in lockstep: [(z, defect) or None] in seed order.
 
     Each round stacks the pending request of every unfinished seed, with
     its own segment starts and lengths, into one :func:`_batch_flow`
-    call (a merged round) and hands each seed its rows.  A seed thus
-    follows its solo polish up to the flow tolerance, and a search makes
-    as many batched flows as its longest polish.  If the merged flow
-    diverges, every request of that round is flowed alone (see
-    :func:`_flow_requests`), so a diverging trial fails only its own seed.
+    call (a merged round) and hands each seed its rows, or the error of
+    its first escaped row.  A seed thus follows its solo polish up to the
+    flow tolerance, a diverging trial fails only its own seed, and a
+    search makes as many batched flows as its longest polish.  When the
+    whole flow fails, every seed of the round gets its error.
     """
     runs = [_Seed(z0, nodes, sc) for z0, nodes in seeds]
     active = runs
     while active:
-        replies = _flow_requests(p, active, sc)
-        active = [s for s, out in zip(active, replies) if s.reply(out)]
+        edges = np.cumsum([0] + [len(s.rows) for s in active])
+        try:
+            out, escaped = _batch_flow(
+                p, *(np.concatenate([getattr(s, a) for s in active])
+                     for a in ("rows", "t0s", "lens")), sc)
+        except DivergenceError as exc:
+            replies = [exc] * len(active)
+        else:
+            replies = [
+                next((escaped[r] for r in sorted(escaped) if lo <= r < hi),
+                     out[lo:hi])
+                for lo, hi in zip(edges[:-1], edges[1:])]
+        active = [s for s, reply in zip(active, replies) if s.reply(reply)]
     return [s.result for s in runs]
 
 
@@ -480,8 +465,8 @@ def _polish_seeds(p, k, seeds, sc):
 
     All seeds are polished together by :func:`_polish_lockstep`: each
     Newton round flows the pending requests of every seed in one merged
-    batched flow, and falls back to one flow per request when the merged
-    flow diverges.
+    batched flow, and a seed whose rows escape gets the error of its own
+    first escaped row.
     """
     found = []
     for (_, nodes), polished in zip(seeds, _polish_lockstep(p, seeds, sc)):
@@ -634,11 +619,15 @@ def track_in_mu(p, rec, mu_target, sc=None):
     polish the current node states at the trial mu, halve the step on
     failure or on collapse of the node states towards zero.  Returns the
     accepted record at mu_target, or None when the branch cannot be
-    followed or its final root is not accepted.
+    followed or its final root is not accepted.  Raises DomainError
+    unless 0 < mu_target < inf.
     """
     sc = sc or SearchConfig()
     if rec.boundary != "periodic":
         raise DomainError("continuation tracks periodic records")
+    if not 0.0 < mu_target < math.inf:
+        raise DomainError("mu_target must be positive and finite, got %r"
+                          % mu_target)
     k = rec.k
     z, nodes_cur = rec.node_states, rec.nodes
     mu = p.mu
@@ -873,7 +862,10 @@ def verify_solution(rec, p, r_star=None, sc=None):
     # residual
     if rec.boundary == "periodic":
         z, nodes = rec.node_states, rec.nodes
-        fz = _batch_flow(p, z, np.asarray(nodes[:-1]), np.diff(nodes), sc)
+        fz, escaped = _batch_flow(p, z, np.asarray(nodes[:-1]),
+                                  np.diff(nodes), sc)
+        if escaped:
+            raise escaped[min(escaped)]
         res = float(np.max(np.linalg.norm(
             fz - np.roll(z, -1, axis=0), axis=1)))
     else:

@@ -128,11 +128,39 @@ mu = 7
     assert err["error"] == "HypothesisError"
 
 
-def test_numerical_error_exit(capsys):
-    # a word with the wrong block length for the weight pattern
-    assert main(["subharmonic", "--enumerate", "--k", "1", "--m", "1"]) == 4
+def test_numerical_error_exit(tmp_path, capsys):
+    # strong friction keeps the Pruefer angle of the hump problem from
+    # reaching pi, so the eigenvalue bracket is never found: exit code 4
+    path = write_config(tmp_path, "[problem]\nweight = sine(6.283185307179586)"
+                        "\nperiod = 1\nc = 80\n")
+    assert main(["eigen", "--config", path]) == 4
     err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BracketingError"
     assert err["exit_code"] == 4
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--k", "0"], "--k"),
+    (["subharmonic", "--k", "1"], "--k"),
+    (["subharmonic", "--enumerate", "--k", "3", "--m", "0"], "--m"),
+    (["subharmonic", "--enumerate", "--k", "1", "--m", "1"], "--k"),
+    (["lyndon", "--n", "0", "--k", "3"], "--n"),
+    (["lyndon", "--n", "2", "--k", "0"], "--k"),
+    (["subharmonic", "--k", "2", "--word", "101"], "--word"),
+    (["subharmonic", "--k", "2", "--word", "00"], "--word"),
+    (["subharmonic", "--k", "2", "--word", "1010"], "--word"),
+], ids=["solve-k", "subharmonic-k", "enumerate-m", "enumerate-k",
+        "lyndon-n", "lyndon-k", "word-length", "word-zero", "word-humps"])
+def test_out_of_range_flag_exit(argv, flag, tmp_path, capsys):
+    # a flag value outside its range is a configuration error (exit 2)
+    # that names the flag, not a numerical failure
+    if argv[0] != "lyndon" and "--enumerate" not in argv:
+        argv = argv + ["--config", write_config(
+            tmp_path, "[problem]\npreset = fig2\n")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert err["message"].startswith(flag + " ")
 
 
 def test_eigen_command(tmp_path, capsys):

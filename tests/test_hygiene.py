@@ -233,11 +233,12 @@ def test_no_write_only_fields():
     assert write_only_fields(sources) == []
 
 
-def solve_ivp_callers(sources):
+def callers_of(called, sources):
     """``module.function`` (``module.Class.method`` for a method) of every
     module-level definition in ``sources`` (module name -> source) whose
-    body, nested functions included, calls ``solve_ivp`` by name or as an
-    attribute; ``module.<module>`` for a call outside any definition."""
+    body, nested functions included, calls the function named ``called``
+    by name or as an attribute; ``module.<module>`` for a call outside
+    any definition."""
     callers = set()
     for mod, src in sources.items():
         for node in ast.parse(src).body:
@@ -250,7 +251,7 @@ def solve_ivp_callers(sources):
                 scopes = [(getattr(node, "name", "<module>"), node)]
             for name, scope in scopes:
                 if any(isinstance(n, ast.Call)
-                       and _referenced_name(n.func) == "solve_ivp"
+                       and _referenced_name(n.func) == called
                        for n in ast.walk(scope)):
                     callers.add("%s.%s" % (mod, name))
     return sorted(callers)
@@ -271,8 +272,9 @@ def test_scan_flags_solve_ivp_callers():
         "b": ("import scipy.integrate\n"
               "scipy.integrate.solve_ivp(None, (0, 1), [0.0])\n"),
     }
-    assert solve_ivp_callers(sources) == ["a.K.m", "a.direct", "a.nested",
-                                          "b.<module>"]
+    assert callers_of("solve_ivp", sources) == ["a.K.m", "a.direct",
+                                                "a.nested", "b.<module>"]
+    assert callers_of("odeint", sources) == ["a.other"]
 
 
 def test_solve_ivp_call_sites():
@@ -281,8 +283,19 @@ def test_solve_ivp_call_sites():
     # integrator
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
-    assert solve_ivp_callers(sources) == [
+    assert callers_of("solve_ivp", sources) == [
         "eigen.prufer_angle_sweep", "radial.direct_radial_integration"]
+
+
+def test_batched_flow_call_sites():
+    # one batched path: the kernel sits behind _batch_flow, which the
+    # Newton rounds and the residual of verify_solution call; a second
+    # caller would be a second batched path
+    sources = {f.stem: f.read_text(encoding="utf-8")
+               for f in PACKAGE.glob("*.py")}
+    assert callers_of("flow_rows", sources) == ["shooting._batch_flow"]
+    assert callers_of("_batch_flow", sources) == [
+        "shooting._polish_lockstep", "shooting.verify_solution"]
 
 
 PRIVATE_IVP = "scipy.integrate._ivp"

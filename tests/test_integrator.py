@@ -491,6 +491,9 @@ def test_scalar_dop853_matches_scipy(case):
 @given(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 @settings(max_examples=25, deadline=None)
 @example(0.0, 0.0, 0.0)
+# the 3rd-order error term underflows to 0 with the 5th-order one: a nan
+# error norm, which rejects the step as in scipy, not a ZeroDivisionError
+@example(3.0060958824614716e-82, 0.0, 0.0)
 def test_scalar_dop853_matches_scipy_property(u0, y0, c):
     p = fig2_problem()
     p = ProblemSpec(p.weight, p.pattern, p.mu, c, p.g, p.boundary)
@@ -515,6 +518,33 @@ def test_nan_field_raises_in_bounded_calls(monkeypatch):
         assert calls[0] < 20000
         assert 0.0 <= exc.value.last_time < 1.0
         assert np.all(np.isfinite(exc.value.last_state))
+
+
+def test_flow_rows_freezes_an_escaped_row():
+    # a row that starts above the guard is named at the end of the first
+    # step, the smallest step end of every attempt; a row at u = 0, the
+    # state an escaped row is frozen at, stays exactly 0 beside it
+    p = fig2_problem()
+    ends = []
+    a_mu_at = p.a_mu_at
+
+    def recording(ts):
+        if np.ndim(ts) == 2:
+            ends.append(ts[-1, 0])
+        return a_mu_at(ts)
+
+    object.__setattr__(p, "a_mu_at", recording)
+    Z = np.array([[2e8, 0.0], [0.0, 0.0], [0.1, 0.4]])
+    Y, escaped = integrator.flow_rows(p, Z, [0.0, 0.0, 0.0], [0.5, 0.5, 0.5],
+                                      1e-10, 1e-12)
+    assert list(escaped) == [0]
+    err = escaped[0]
+    assert err.row == 0 and err.last_time == min(ends) < 0.5
+    assert abs(err.last_state[0]) + abs(err.last_state[1]) \
+        >= integrator.BLOWUP_NORM
+    assert np.isnan(Y[0]).all()
+    assert np.all(Y[1] == 0.0)
+    assert np.all(np.isfinite(Y[2]))
 
 
 def test_rtol_is_floored_as_in_scipy():

@@ -338,9 +338,10 @@ def test_jacobian_blocks_match_loop(fig2_k1, fig2_k2, monkeypatch):
     flow, solve = shooting._batch_flow, np.linalg.solve
 
     def recording(*args):
-        out = flow(*args)
+        out, escaped = flow(*args)
+        assert not escaped
         seen.setdefault("out", out.copy())
-        return out
+        return out, escaped
 
     def capture(a, b):
         seen.setdefault("jac", a.copy())
@@ -525,6 +526,17 @@ def test_continuation_downward_matches_search(fig2_k1):
     assert _same_state(out.initial, ref.initial)
 
 
+@pytest.mark.parametrize("mu_target", [math.nan, 0.0, -5.0])
+def test_continuation_rejects_a_bad_target(mu_target, fig2_k1, monkeypatch):
+    # a target outside (0, inf) is refused before any polish, not spent
+    # on 32 failing ones and reported as a lost branch
+    p, sc, recs = fig2_k1
+    rows = _counting_flows(monkeypatch)
+    with pytest.raises(DomainError, match="mu_target"):
+        shooting.track_in_mu(p, recs[0], mu_target, sc)
+    assert rows == []
+
+
 def test_continuation_shortens_rejected_steps(fig2_k1, monkeypatch):
     # a failed polish and a root collapsed to zero are both rejected: each
     # time the next trial mu moves closer to the current one, and the
@@ -635,22 +647,38 @@ def test_lockstep_polish_matches_solo_polishes(fig2_k1, monkeypatch):
 
 def test_lockstep_polish_isolates_a_diverging_seed(fig2_k1, monkeypatch):
     # a seed whose flow blows up is polished together with a good seed:
-    # the merged flow diverges, each request is then flowed alone, and
-    # the good seed gets exactly its solo result
+    # its rows are frozen and named inside the merged flow, it drops out,
+    # and the good seed goes on to its solo root, one flow per round
     p, sc, recs = fig2_k1
     rec = recs[0]
     good = (1.01 * rec.node_states, rec.nodes)
     bad = (1e7 * rec.node_states, rec.nodes)
     assert shooting._newton_polish(p, *bad, sc) is None
-    solo = shooting._newton_polish(p, *good, sc)
     rows = _counting_flows(monkeypatch)
+    solo = shooting._newton_polish(p, *good, sc)
+    solo_flows = len(rows)
+    del rows[:]
     out = shooting._polish_lockstep(p, [bad, good], sc)
     assert out[0] is None and out[1] is not None
     z, defect = out[1]
-    assert z.tobytes() == solo[0].tobytes() and defect == solo[1]
-    # the merged flow, then each request alone
+    # the first round flows the good rows beside the bad ones, so the
+    # good seed matches its solo polish to the flow tolerance, not in bits
+    assert np.max(np.abs(z - solo[0])) < 1e-12 and defect < sc.residual_tol
+    # the merged flow, then the good seed alone: as many flows as its solo
+    # polish, so no request is flowed twice
     n3 = 3 * (len(rec.nodes) - 1)
-    assert rows[:3] == [2 * n3, n3, n3]
+    assert rows == [2 * n3] + [n3] * (solo_flows - 1)
+
+
+def test_lockstep_rounds_only_shrink(monkeypatch):
+    # m2's base search has diverging trials in its merged rounds; each
+    # round is one flow, and a round flows no more rows than the one
+    # before it, since seeds only ever drop out
+    pre = multiplicity_m2()
+    rows = _counting_flows(monkeypatch)
+    find_periodic_solutions(pre.problem, 1, pre.search)
+    assert len(rows) > 1
+    assert all(a >= b for a, b in zip(rows, rows[1:])), rows
 
 
 # ---------------------------------------------------------------------------
@@ -735,13 +763,21 @@ def test_batch_flow_names_the_escaping_row(fig2_k1):
     rows[3] *= 1e7
     t0s = np.repeat(nodes[:-1], 3)
     lens = np.repeat(np.diff(nodes), 3)
-    with pytest.raises(DivergenceError) as err:
-        shooting._batch_flow(p, rows, t0s, lens, sc)
-    assert err.value.row == 3
-    assert t0s[3] <= err.value.last_time <= t0s[3] + lens[3]
+    Y, escaped = shooting._batch_flow(p, rows, t0s, lens, sc)
+    assert list(escaped) == [3]
+    err = escaped[3]
+    assert isinstance(err, DivergenceError) and err.row == 3
+    assert t0s[3] <= err.last_time <= t0s[3] + lens[3]
     # the state at the end of the step that left the guard region
-    assert abs(err.value.last_state[0]) + abs(err.value.last_state[1]) \
-        >= BLOWUP_NORM
+    assert abs(err.last_state[0]) + abs(err.last_state[1]) >= BLOWUP_NORM
+    assert np.isnan(Y[3]).all()
+    # the other rows go on: they end where a flow of them alone ends, up
+    # to the flow tolerance (the steps differ)
+    rest = [0, 1, 2, 4, 5]
+    alone, none = shooting._batch_flow(p, rows[rest], t0s[rest], lens[rest],
+                                       sc)
+    assert not none
+    assert np.max(np.abs(Y[rest] - alone)) < 1e-9
     # solve_ivp with its blow-up event names the same row
     assert solve_ivp_flow(p, rows, t0s, lens, sc) == 3
 
@@ -818,7 +854,8 @@ def test_batch_flow_matches_solve_ivp(case, fig2_k1, fig2_k2):
                  for q in states]
     rows, t0s, lens = merged_request(seeds)
     want = solve_ivp_flow(p, rows, t0s, lens, sc)
-    got = shooting._batch_flow(p, rows, t0s, lens, sc)
+    got, escaped = shooting._batch_flow(p, rows, t0s, lens, sc)
+    assert not escaped
     assert got.tobytes() == want.tobytes()
 
 
