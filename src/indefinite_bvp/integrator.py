@@ -87,15 +87,15 @@ class ProblemSpec:
 
     The pattern fixes the window [0, period] and the breakpoints at which
     every integrator restarts; mu must be positive and finite and c
-    finite.  The evaluators are built once, at construction: the float
-    field (one closure, see :func:`_float_field`), which :meth:`rhs`
-    calls and :func:`integrate` hands to the float DOP853 stepper, and
-    the vector a_mu and g behind :meth:`a_mu_at`, :meth:`forcing` and
-    :meth:`extended`.  :meth:`extended`, from weight values that
-    :meth:`a_mu_at` gives once per step, is the field of the batched
-    kernel :func:`flow_rows` and of the RK4 screen.  Both paths call an
-    expression g without its floating-point guard, so their callers run
-    inside :func:`expressions.quiet_fp`.
+    finite.  The evaluators are built once, at construction, one per
+    data layout: ``rhs``, the float field (one closure, see
+    :func:`_float_field`) that :func:`integrate` hands to the float
+    DOP853 stepper, and ``a_mu_at``, the vector a_mu of
+    :func:`weight.a_mu_vector`, whose values :meth:`extended` takes once
+    per step as the field of the batched kernel :func:`flow_rows` and of
+    the RK4 screen.  Both call an expression g without its
+    floating-point guard, so their callers run inside
+    :func:`expressions.quiet_fp`.
     """
 
     weight: WeightSpec
@@ -112,11 +112,11 @@ class ProblemSpec:
             raise DomainError("c must be finite")
         if self.boundary not in ("periodic", "neumann"):
             raise ConfigurationError("boundary must be periodic or neumann")
-        object.__setattr__(self, "_field", _float_field(
+        object.__setattr__(self, "rhs", _float_field(
             self.weight, self.mu, self.c, self.g))
-        object.__setattr__(self, "_a_mu_vec", a_mu_vector(self.weight,
-                                                          self.mu))
-        object.__setattr__(self, "_g_vec", g_vector(self.g, guarded=False))
+        object.__setattr__(self, "a_mu_at", a_mu_vector(self.weight,
+                                                        self.mu))
+        object.__setattr__(self, "_g_vec", g_vector(self.g))
 
     def __reduce__(self):
         # the compiled closures do not pickle; the fields rebuild them
@@ -141,24 +141,10 @@ class ProblemSpec:
     def breakpoints_between(self, lo, hi):
         return self.pattern.breakpoints_between(lo, hi)
 
-    def a_mu_at(self, t):
-        """a+(t) - mu * a-(t), with the bits of :func:`weight.a_mu`."""
-        out = self._a_mu_vec(t)
-        return float(out) if out.ndim == 0 else out
-
-    def forcing(self, t, u):
-        """Extended forcing f~(t, u) entry by entry of the float arrays t
-        and u: a_mu(t) g(u) for u >= 0, -u below, one a_mu per entry (a
-        float t or u broadcasts), with the bits of the forcing inside
-        :meth:`rhs`; as there, an expression g is called unguarded.
-        """
-        out = self.extended(self._a_mu_vec(t), np.asarray(u, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
     def extended(self, a, u):
         """f~ from weight values a = a_mu(t) at a float array u: a g(u)
-        for u >= 0, -u below.  :meth:`forcing`, the screen and
-        :func:`flow_rows` share it.
+        for u >= 0, -u below, bit for bit the forcing inside ``rhs``.
+        The screen and :func:`flow_rows` share it.
 
         One branch-free form, ``a g(max(u, 0)) - min(u, 0)``.  For u >= 0
         it is a g(u) - 0.0, which is a g(u) exactly, -0.0 included; for
@@ -170,18 +156,12 @@ class ProblemSpec:
         """
         return a * self._g_vec(np.maximum(u, 0.0)) - np.minimum(u, 0.0)
 
-    def rhs(self, t, state):
-        """Planar field (u', y') at a float t as a pair of floats, with
-        the bits of :meth:`forcing` at that point: the closure that
-        :func:`integrate` steps on."""
-        return self._field(t, state)
-
 
 def _float_field(weight, mu, c, g):
     """The planar field (u', y') at a float t and a pair of floats (u, y),
     as one closure over the compiled weight and g.  Its forcing is -u
     below u = 0 and a_mu(t) g(u) from u = 0 on, with the bits of
-    :meth:`ProblemSpec.forcing` at that point.
+    :meth:`ProblemSpec.extended` at a_mu(t) from ``a_mu_at``.
 
     a_mu is ``mu * a`` for a < 0 and ``a + 0.0`` otherwise.  The
     two-part form a+ - mu a- is a for a > 0, 0.0 for a = +-0.0, and
@@ -548,7 +528,7 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     Integration restarts exactly at every weight breakpoint in (t0, t1);
     no accepted step interior contains a sign change of the weight.  Each
     piece is one run of the float stepper :func:`_dop853` on the
-    problem's float field (the closure behind :meth:`ProblemSpec.rhs`);
+    problem's float field, the closure ``ProblemSpec.rhs``;
     rtol is floored at 100 machine epsilons, as in scipy.  Raises
     DivergenceError, naming the last accepted time and state, if
     |u| + |y| reaches the blow-up guard, the field or the state is not
@@ -569,7 +549,7 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     # the field calls expressions unguarded: one guard for the whole flow
     with quiet_fp():
         for lo, hi in zip(edges[:-1], edges[1:]):
-            ts, pu, py, steps = _dop853(p._field, lo, hi, u, y, rtol, atol,
+            ts, pu, py, steps = _dop853(p.rhs, lo, hi, u, y, rtol, atol,
                                         dense)
             u, y = pu[-1], py[-1]
             if dense:

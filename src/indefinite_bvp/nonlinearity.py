@@ -10,7 +10,7 @@ import numpy as np
 from scipy import optimize as _sopt
 
 from .errors import ConfigurationError, DomainError, HypothesisError
-from .expressions import Expression, unguarded
+from .expressions import Expression, quiet_fp, unguarded
 
 _GRID = 4096
 _REFINE_ROUNDS = 3
@@ -71,26 +71,28 @@ class NonlinearitySpec:
 
 
 def g_eval(g, s):
-    """Evaluate g(s) for s >= 0 (vectorized)."""
+    """Evaluate g(s) for s >= 0 (vectorized), inside one
+    :func:`expressions.quiet_fp`: an overflow or invalid operation gives
+    inf/nan without a warning, as in every integrator."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
         raise DomainError("g is defined for s >= 0 only")
-    return g_unchecked(g, s_arr)
+    with quiet_fp():
+        out = g_vector(g)(s_arr)
+    return float(out) if out.ndim == 0 else out
 
 
-def _kernel(g, guarded=True):
-    """g on s >= 0 as one callable, without the g(0) = 0 rule.
-
-    ``guarded=False`` calls an expression without its floating-point
-    guard (see :func:`expressions.unguarded`).
-    """
+def _kernel(g):
+    """g on s >= 0 as one callable, without the g(0) = 0 rule.  An
+    expression is called without its floating-point guard (see
+    :func:`expressions.unguarded`)."""
     if g.kind == "power":
         p = g.params[0]
         return lambda s: np.power(s, p)
     if g.kind == "arctan_scaled":
         nu = g.params[0]
         return lambda s: nu * s * np.arctan(s)
-    fn = g.fn if guarded else unguarded(g.fn)
+    fn = unguarded(g.fn)
     if g.kind == "clamped_expression":
         return lambda s: np.maximum(fn(s), 0.0)
     if g.kind == "expression":
@@ -99,25 +101,17 @@ def _kernel(g, guarded=True):
     return lambda s: np.asarray(fn(np.asarray(s, dtype=float)), dtype=float)
 
 
-def g_unchecked(g, s):
-    """:func:`g_eval` without the domain check, for callers that have
-    clamped their argument to s >= 0."""
-    out = g_vector(g)(np.asarray(s, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def g_vector(g, guarded=True):
+def g_vector(g):
     """Compiled s -> g(s) for a float array s >= 0 that the caller has
-    clamped: :func:`g_unchecked` with its kernel built once.
-    ``guarded=False`` calls an expression g without its floating-point
-    guard, for a caller that runs inside :func:`expressions.quiet_fp`.
+    clamped.  An expression g is called without its floating-point
+    guard, so the caller runs inside :func:`expressions.quiet_fp`.
 
     The power and arctan_scaled kernels map +0.0 to +0.0 themselves, so
     they are returned without the g(0) = 0 rule; a clamp
     ``np.maximum(u, 0.0)`` never gives -0.0 (at s = -0.0 an odd integer
     power would give -0.0).  The expression, clamped and callable kinds
     keep the rule."""
-    raw = _kernel(g, guarded)
+    raw = _kernel(g)
     if g.kind in ("power", "arctan_scaled"):
         return raw
     return lambda s: np.where(s == 0.0, 0.0, raw(s))
@@ -125,10 +119,10 @@ def g_vector(g, guarded=True):
 
 def g_scalar(g):
     """Compiled s -> g(s) for a float s >= 0 that the caller has clamped,
-    with the same bits as :func:`g_unchecked` at that point.  An
-    expression g is called without its floating-point guard, so the
-    caller runs inside :func:`expressions.quiet_fp`."""
-    raw = _kernel(g, guarded=False)
+    with the same bits as :func:`g_vector` at that point.  An expression
+    g is called without its floating-point guard, so the caller runs
+    inside :func:`expressions.quiet_fp`."""
+    raw = _kernel(g)
     return lambda s: 0.0 if s == 0.0 else raw(s)
 
 

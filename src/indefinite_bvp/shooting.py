@@ -587,6 +587,13 @@ def find_neumann_solutions(p, sc=None):
 # classification
 
 
+def _hump_maxima(rec, p):
+    """The maximum of u over each positivity interval of the record's
+    kT window, in order, one interval at a time."""
+    for lo, hi in k_fold_pattern(p.pattern, rec.k).pos_intervals():
+        yield max_on_interval(rec.trajectory, lo, hi)[1]
+
+
 def classify_code(rec, p, r, R):
     """Binary code of the solution: bit i is 1 when the maximum of u over
     positivity interval i lies in (r, R), 0 when it is below r.
@@ -596,10 +603,8 @@ def classify_code(rec, p, r, R):
     """
     if not 0 < r < R:
         raise DomainError("need 0 < r < R")
-    pat = k_fold_pattern(p.pattern, rec.k)
     bits = []
-    for (lo, hi) in pat.pos_intervals():
-        _, umax = max_on_interval(rec.trajectory, lo, hi)
+    for umax in _hump_maxima(rec, p):
         if abs(umax - r) < _LEVEL_MARGIN * (1.0 + r):
             raise UnclassifiableError(
                 "hump maximum %.8g sits on the classification level r=%.8g"
@@ -694,8 +699,12 @@ def coded_multiplicity(p, k, mu_target, sc=None, base=None):
     of length k there.  The direct grid search is useless at extreme mu
     (the period map stretches beyond screening resolution), which is why
     the search is staged this way.  Returns (records, problem at
-    mu_target).
+    mu_target).  Raises DomainError, before any search, unless
+    2 <= k <= ``_MAX_CODED_K``.
     """
+    if not 2 <= k <= _MAX_CODED_K:
+        raise DomainError("coded words are seeded for 2 <= k <= %d, got "
+                          "k=%r" % (_MAX_CODED_K, k))
     sc = sc or SearchConfig()
     if base is None:
         base = find_periodic_solutions(p, 1, sc)
@@ -732,12 +741,7 @@ def adaptive_levels(records, p):
     below the smallest maximum.  R is ``_LEVEL_R_FACTOR`` times the
     largest.
     """
-    maxima = []
-    for rec in records:
-        pat = k_fold_pattern(p.pattern, rec.k)
-        for (lo, hi) in pat.pos_intervals():
-            _, umax = max_on_interval(rec.trajectory, lo, hi)
-            maxima.append(umax)
+    maxima = [umax for rec in records for umax in _hump_maxima(rec, p)]
     if not maxima:
         raise DomainError("no solutions to infer levels from")
     vals = np.sort(np.asarray(maxima))

@@ -155,19 +155,31 @@ def evaluate_scalar(w):
 def a_mu_vector(w, mu):
     """Compiled t -> a+(t) - mu * a-(t) for an array t, with the same bits
     as :func:`a_mu`: ``mu * a`` where a < 0 and ``a + 0.0`` elsewhere, which
-    is the two-part form exactly, signed zeros included, after
-    :func:`evaluate`'s periodic reduction."""
+    is the two-part form exactly, signed zeros included, on the values
+    of :func:`evaluate`."""
     if not mu > 0:
         raise DomainError("mu must be positive")
-    T = w.period
-    fn = w.fn
 
     def a_mu_at(t):
-        t = np.asarray(t, dtype=float)
-        a = np.asarray(fn(t - T * np.floor(t / T)), dtype=float)
+        a = evaluate(w, t)
         return np.where(a < 0.0, mu * a, a + 0.0)
 
     return a_mu_at
+
+
+def _translates_between(points, T, lo, hi):
+    """The set of translates b + n*T of the points b that lie in (lo, hi)."""
+    out = set()
+    if not points:
+        return out
+    n0 = math.floor((lo - max(points)) / T)
+    n1 = math.ceil((hi - min(points)) / T)
+    for n in range(n0, n1 + 1):
+        for b in points:
+            t = b + n * T
+            if lo < t < hi:
+                out.add(t)
+    return out
 
 
 @dataclass(frozen=True)
@@ -235,17 +247,8 @@ class SignPattern:
 
     def breakpoints_between(self, lo, hi):
         """All pattern breakpoints and their period translates in (lo, hi)."""
-        T = self.period
-        base = self.breakpoints()
-        out = set()
-        n0 = math.floor((lo - base[-1]) / T)
-        n1 = math.ceil((hi - base[0]) / T)
-        for n in range(n0, n1 + 1):
-            for b in base:
-                t = b + n * T
-                if lo < t < hi:
-                    out.add(t)
-        return sorted(out)
+        return sorted(_translates_between(self.breakpoints(), self.period,
+                                          lo, hi))
 
 
 _ZERO_TOL = 1e-9      # samples with |a| <= this count as zero
@@ -357,19 +360,10 @@ def split_points(w, lo, hi, pattern=None):
     """lo, hi and every kink hint of ``w`` and breakpoint of ``pattern``
     (repeated with the period) strictly between them, sorted: the ends of
     the smooth pieces of the weight on [lo, hi]."""
-    pts = {lo, hi}
-    T = w.period
     sources = set(w.kink_hints)
     if pattern is not None:
         sources |= set(pattern.breakpoints())
-    for b in sources:
-        n0 = math.floor((lo - b) / T)
-        n1 = math.ceil((hi - b) / T)
-        for n in range(n0, n1 + 1):
-            t = b + n * T
-            if lo < t < hi:
-                pts.add(t)
-    return sorted(pts)
+    return sorted({lo, hi} | _translates_between(sources, w.period, lo, hi))
 
 
 def integrate_weight(w, lo, hi, part=None, pattern=None):

@@ -417,7 +417,7 @@ def test_all_matches_the_package_imports():
 
 TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
 # layers the tracer still lists after the package dropped their function
-DROPPED_LAYERS = ["shooting._local_refine"]
+DROPPED_LAYERS = ["shooting._local_refine", "integrator.forcing"]
 
 
 def unresolved_layers(layers):
@@ -438,7 +438,7 @@ def test_scan_flags_unresolved_layers():
     layer = lambda name, attr: types.SimpleNamespace(
         name=name, module="indefinite_bvp.integrator", attr=attr)
     layers = [layer("fn", "integrate"), layer("gone", "_gone"),
-              layer("method", "ProblemSpec.forcing"),
+              layer("method", "ProblemSpec.extended"),
               layer("no_method", "ProblemSpec.gone"),
               layer("no_class", "Gone.forcing")]
     assert unresolved_layers(layers) == ["gone", "no_method", "no_class"]

@@ -62,7 +62,7 @@ def test_linear_oracle_cosine():
 def test_extension_below_zero():
     p = linear_problem()
     # for u < 0 the forcing is -u regardless of the weight
-    assert p.forcing(0.3, -2.0) == pytest.approx(2.0)
+    assert p.extended(p.a_mu_at(0.3), -2.0) == pytest.approx(2.0)
     du, dy = p.rhs(0.0, np.array([-1.0, 0.0]))
     assert du == 0.0 and dy == pytest.approx(-1.0)
 
@@ -81,14 +81,14 @@ def counting_rhs(monkeypatch, p):
     closure :func:`integrate` steps on, to count its calls; returns the
     count."""
     calls = [0]
-    field = p._field
+    field = p.rhs
 
     def counted(t, state):
         calls[0] += 1
         return field(t, state)
 
     # the dataclass is frozen: swap the instance's closure in its __dict__
-    monkeypatch.setitem(vars(p), "_field", counted)
+    monkeypatch.setitem(vars(p), "rhs", counted)
     return calls
 
 
@@ -277,12 +277,12 @@ def test_scalar_rhs_matches_vector_forcing(wname, gname, pts, y, mu, c):
                     "neumann")
     t_vec = np.array([t for t, _ in pts])
     u_vec = np.array([u for _, u in pts])
-    f_vec = p.forcing(t_vec, u_vec)
+    f_vec = p.extended(p.a_mu_at(t_vec), u_vec)
     for j, (t, u) in enumerate(pts):
         du, dy = p.rhs(t, np.array([u, y]))
         assert bits(du) == bits(y)
         assert bits(dy) == bits(-c * y - f_vec[j]), (t, u)
-        at_t = p.forcing(np.full(len(pts), t), u_vec)
+        at_t = p.extended(p.a_mu_at(np.full(len(pts), t)), u_vec)
         for v, f in zip(u_vec, at_t):
             assert bits(p.rhs(t, (v, y))[1]) == bits(-c * y - f), (t, v)
 
@@ -301,13 +301,13 @@ def test_compiled_a_mu_matches_two_part_form(wname):
 
 def reference_screen(p, states, t0, t1, steps_per_unit):
     """The fixed-step RK4 screen written plainly: every stage calls
-    p.forcing at its own time, for every row."""
+    the extended forcing at its own time, for every row."""
     u = states[:, 0].astype(float).copy()
     y = states[:, 1].astype(float).copy()
     edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
 
     def deriv(t, u, y):
-        return y, -p.c * y - p.forcing(np.full(len(u), t), u)
+        return y, -p.c * y - p.extended(p.a_mu_at(np.full(len(u), t)), u)
 
     with np.errstate(all="ignore"):
         for lo, hi in zip(edges[:-1], edges[1:]):

@@ -2,6 +2,7 @@
 and grid oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from indefinite_bvp.errors import (ConfigurationError, DomainError,
                                    HypothesisError)
+from indefinite_bvp.expressions import quiet_fp
 from indefinite_bvp.nonlinearity import (NonlinearitySpec, eta, g_eval,
-                                         gamma_min, gamma_ratio,
+                                         g_vector, gamma_min, gamma_ratio,
                                          limit_estimates)
 
 
@@ -51,18 +53,47 @@ def test_negative_argument_rejected():
         g_eval(g, -1.0)
 
 
-@pytest.mark.parametrize("g", [
+EVERY_KIND = [
     NonlinearitySpec.power(2),
     NonlinearitySpec.arctan_scaled(100.0),
     NonlinearitySpec.from_expression("100*s*atan(s)"),
     NonlinearitySpec.from_expression("s*s - 0.5*s", clamp=True),
-    NonlinearitySpec.from_callable(lambda s: s ** 3)], ids=lambda g: g.kind)
+    NonlinearitySpec.from_callable(lambda s: s ** 3)]
+
+
+@pytest.mark.parametrize("g", EVERY_KIND, ids=lambda g: g.kind)
 def test_domain_check_every_kind(g):
-    # the unchecked evaluator serves the RHS; the public one still checks
+    # the compiled evaluator serves the RHS; the public one still checks
     with pytest.raises(DomainError):
         g_eval(g, -1e-3)
     with pytest.raises(DomainError):
         g_eval(g, np.array([0.1, -0.1]))
+
+
+@pytest.mark.parametrize("g", EVERY_KIND, ids=lambda g: g.kind)
+def test_g_eval_has_the_bits_of_g_vector(g):
+    # g_eval is the compiled vector evaluator behind the domain check, at
+    # zeros, subnormals, ordinary values and values that overflow
+    s = np.array([0.0, 5e-324, 1e-300, 1e-8, 0.3, 1.0, 7.5, 1e3, 1e200,
+                  math.inf])
+    with quiet_fp():
+        want = g_vector(g)(s)
+    assert g_eval(g, s).tobytes() == want.tobytes()
+    for x, w in zip(s, want):
+        got = g_eval(g, float(x))
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == w.tobytes(), x
+
+
+def test_g_eval_overflow_gives_no_warning():
+    # g_eval runs g inside one floating-point guard: a callable that
+    # overflows gives inf and no RuntimeWarning
+    g = NonlinearitySpec.from_callable(lambda s: np.expm1(s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = g_eval(g, np.array([1.0, 1e3]))
+        assert g_eval(g, 1e3) == math.inf
+    assert out[0] == np.expm1(1.0) and out[1] == math.inf
 
 
 def test_power_functionals_closed_form():

@@ -510,6 +510,20 @@ def test_coded_multiplicity_continues_the_all_ones_record(monkeypatch):
     assert len(continued) == 1
 
 
+@pytest.mark.parametrize("k", [1, 8])
+def test_coded_multiplicity_refuses_k_without_coded_seeds(k, monkeypatch):
+    # no coded word is seeded outside 2 <= k <= 7, so the range is checked
+    # before the base search and the continuation
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking k")
+
+    monkeypatch.setattr(shooting, "find_periodic_solutions", no_search)
+    monkeypatch.setattr(shooting, "track_in_mu", no_search)
+    p = fig2(mu=7.0).problem
+    with pytest.raises(DomainError, match="2 <= k <= 7"):
+        shooting.coded_multiplicity(p, k, 1e3)
+
+
 def _same_state(a, b):
     return abs(a.u - b.u) < 1e-7 and abs(a.y - b.y) < 1e-7
 
@@ -796,7 +810,8 @@ def solve_ivp_flow(p, Z, t0s, lens, sc):
     def rhs(tau, z):
         out = np.empty_like(z)
         out[0::2] = z[1::2]
-        out[1::2] = -p.c * z[1::2] - p.forcing(t0s + tau * rate, z[0::2])
+        out[1::2] = -p.c * z[1::2] - p.extended(p.a_mu_at(t0s + tau * rate),
+                                                 z[0::2])
         return out * rates
 
     def blowup(tau, z):
