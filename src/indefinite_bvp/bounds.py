@@ -10,17 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from scipy import integrate as _sint
-from scipy import optimize as _sopt
-
 from . import shooting
+from .brent import brentq
 from .eigen import check_ginf_hypothesis
 from .errors import DomainError, HypothesisError, PatternError
 from .nonlinearity import eta as _eta
 from .nonlinearity import gamma_min as _gamma_min
 from .nonlinearity import gamma_ratio as _gamma_ratio
 from .nonlinearity import limit_estimates
-from .weight import integrate_weight, negative_part, split_points
+from .weight import (integrate_weight, negative_part, piecewise_quad,
+                     split_points)
 
 ETA_SAFETY = 0.5
 MU_R_SAFETY = 1.01
@@ -88,12 +87,7 @@ def _neg_double_integral(p, lo, hi, from_left=True):
     """
     anchor = hi if from_left else lo
     f = lambda xi: abs(anchor - xi) * negative_part(p.weight, xi)
-    pts = split_points(p.weight, lo, hi, p.pattern)
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = _sint.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-12)
-        total += val
-    return total
+    return piecewise_quad(f, split_points(p.weight, lo, hi, p.pattern))
 
 
 def compute_K(p):
@@ -184,7 +178,7 @@ def compute_delta(p):
         cap = half = (phi - plo) / 2.0
         f = lambda d: d * math.exp(abs(p.c) * d) - half
         if f(half) > 0:  # that is, c != 0
-            cap = _sopt.brentq(f, 0.0, half, xtol=1e-14)
+            cap = brentq(f, 0.0, half, xtol=1e-14)
         # the negativity interval before hump j starts at the previous
         # tau, wrapped around the period, or at t = 0 in a Neumann window
         if j > 0:

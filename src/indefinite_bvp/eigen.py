@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
-
+from .brent import brentq
 from .errors import BracketingError, ConfigurationError, HypothesisError
 from .expressions import quiet_fp
+from .lazy import lazy_module
 from .weight import evaluate_scalar
+
+_sint = lazy_module("scipy.integrate")
 
 LAMBDA_CAP = 1e12
 _ANGLE_RTOL = 1e-10     # DOP853 tolerances of the angle flow
@@ -81,8 +82,9 @@ def prufer_angle_sweep(ep, lam):
 
     # weight_fn may call an expression unguarded: one guard for the sweep
     with quiet_fp():
-        sol = solve_ivp(rhs, (ep.alpha, ep.beta), [theta0], method="DOP853",
-                        rtol=_ANGLE_RTOL, atol=_ANGLE_ATOL)
+        sol = _sint.solve_ivp(rhs, (ep.alpha, ep.beta), [theta0],
+                              method="DOP853", rtol=_ANGLE_RTOL,
+                              atol=_ANGLE_ATOL)
     if not sol.success:
         raise BracketingError("angle integration failed")
     return float(sol.y[0, -1])

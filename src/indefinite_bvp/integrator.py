@@ -13,7 +13,9 @@ step factors and minimum step), without the generic ``solve_ivp`` loop
 and its per-call array handling.  :func:`flow_rows` is its batched twin
 on numpy rows: many segment flows in one step sequence, the steps of
 ``solve_ivp``'s DOP853 bit for bit, with the weight evaluated once per
-step.
+step.  Both take the tableau from :mod:`dop853_coefficients`, a vendored
+copy of scipy's, so this module loads no scipy; the extremum polish of
+:func:`max_on_interval` is :func:`brent.minimize_bounded`.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sopt
-from scipy.integrate._ivp import dop853_coefficients as _dop
 
+from . import dop853_coefficients as _dop
+from .brent import minimize_bounded
 from .errors import ConfigurationError, DivergenceError, DomainError
 from .expressions import quiet_fp
 from .nonlinearity import NonlinearitySpec, g_scalar, g_vector
@@ -588,10 +590,9 @@ def max_on_interval(traj, lo, hi):
     right = ts[min(k + 1, len(ts) - 1)]
     best_t, best_u = ts[k], us[k]
     if right > left:
-        res = _sopt.minimize_scalar(lambda t: -float(traj.eval(t)[0]),
-                                    bounds=(left, right), method="bounded",
-                                    options={"xatol": 1e-12})
-        if -res.fun > best_u:
-            best_t, best_u = float(res.x), float(-res.fun)
+        t, fun = minimize_bounded(lambda t: -float(traj.eval(t)[0]),
+                                  left, right, xatol=1e-12)
+        if -fun > best_u:
+            best_t, best_u = t, -fun
     return best_t, best_u
 

@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sopt
 
+from .brent import minimize_bounded
 from .errors import ConfigurationError, DomainError, HypothesisError
 from .expressions import Expression, quiet_fp, unguarded
 
@@ -148,11 +148,10 @@ def _grid_extremum(f, lo, hi, minimize, log=True):
         grid = np.linspace(left, right, 64)
     # local polish
     sign = 1.0 if minimize else -1.0
-    res = _sopt.minimize_scalar(lambda x: sign * f(np.array([x]))[0],
-                                bounds=(left, right), method="bounded",
-                                options={"xatol": 1e-14})
-    if sign * res.fun < sign * best_v:
-        best_v = sign * res.fun
+    _, fun = minimize_bounded(lambda x: sign * f(np.array([x]))[0],
+                              left, right, xatol=1e-14)
+    if sign * fun < sign * best_v:
+        best_v = sign * fun
     return float(best_v)
 
 

@@ -13,14 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sint
 
 from .errors import ConfigurationError, DomainError
 from .expressions import quiet_fp
 from .integrator import ProblemSpec
+from .lazy import lazy_module
 from .nonlinearity import NonlinearitySpec, g_scalar
 from .shooting import find_neumann_solutions
-from .weight import WeightSpec
+from .weight import WeightSpec, piecewise_quad
+
+_sint = lazy_module("scipy.integrate")
 
 _GRID_NODES = 8192
 _PROFILE_SAMPLES = 1024     # uniform points of a radial profile
@@ -128,11 +130,7 @@ def check_q_integral(ap):
 
     pts = sorted({ap.R1, ap.R2} |
                  {r for r in ap.kink_hints if ap.R1 < r < ap.R2})
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = _sint.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-11)
-        total += val
-    return total
+    return piecewise_quad(f, pts, epsrel=1e-11)
 
 
 def direct_radial_integration(ap, U0):

@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy import optimize as _sopt
 
+from .brent import brentq
 from .errors import (DegreeUndefinedError, DivergenceError, DomainError,
                      SolverError, UnclassifiableError)
 from .integrator import (BLOWUP_NORM, State, Trajectory, flow, flow_rows,
@@ -569,8 +569,8 @@ def find_neumann_solutions(p, sc=None):
         if yT[i] == 0.0 or yT[i] * yT[i + 1] >= 0.0:
             continue
         try:
-            u_root = _sopt.brentq(terminal_slope, u_grid[i], u_grid[i + 1],
-                                  xtol=1e-14, rtol=8.9e-16)
+            u_root = brentq(terminal_slope, u_grid[i], u_grid[i + 1],
+                            xtol=1e-14, rtol=8.9e-16)
             residual = abs(terminal_slope(u_root))
         except (ValueError, DivergenceError):
             continue

@@ -12,11 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sint
-from scipy import optimize as _sopt
 
+from .brent import brentq
 from .errors import ConfigurationError, DomainError, PatternError
 from .expressions import Expression, unguarded
+from .lazy import lazy_module
+
+_sint = lazy_module("scipy.integrate")
 
 
 @dataclass(frozen=True)
@@ -268,8 +270,7 @@ def _refine_zero(w, lo, hi):
         # one endpoint sits (numerically) on the zero
         return lo if abs(flo) < abs(fhi) else hi
     if flo != 0.0 and fhi != 0.0:
-        return _sopt.brentq(lambda t: evaluate(w, t), lo, hi,
-                            xtol=_REFINE_TOL)
+        return brentq(lambda t: evaluate(w, t), lo, hi, xtol=_REFINE_TOL)
     zero_at_lo = flo == 0.0
     side = fhi if zero_at_lo else flo
     mid = 0.5 * (lo + hi)
@@ -380,9 +381,15 @@ def integrate_weight(w, lo, hi, part=None, pattern=None):
         f = lambda t: negative_part(w, t)
     else:
         raise DomainError("part must be None, '+' or '-'")
-    pts = split_points(w, lo, hi, pattern)
+    return piecewise_quad(f, split_points(w, lo, hi, pattern))
+
+
+def piecewise_quad(f, pts, epsrel=1e-12):
+    """Integral of f from pts[0] to pts[-1]: one adaptive ``quad`` per
+    piece [pts[i], pts[i + 1]] (absolute tolerance 1e-13), summed in
+    order.  Splitting at the kinks keeps every piece smooth."""
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = _sint.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-12)
+        val, _ = _sint.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=epsrel)
         total += val
     return total

@@ -3,10 +3,12 @@ every import sits at module level, every module-level private helper and
 constant has a reader, every dataclass field is read somewhere, no
 module imports or reads another module's private names, the expression
 compiler is the only place that runs generated code, ``solve_ivp`` is
-called from a fixed set of integrators, scipy's private ``_ivp`` package
-is imported once, ``__all__`` lists exactly
-the names the package imports, and every layer the benchmark tracer
-wraps exists in the package.
+called from a fixed set of integrators, no module imports scipy (its
+private ``_ivp`` package included): ``scipy.integrate`` is bound only at
+module level through ``lazy_module``, so it loads when ``quad`` or
+``solve_ivp`` first runs; ``__all__`` lists exactly the names the package
+imports, and every layer the benchmark tracer wraps exists in the
+package.
 
 No linter ships with the toolchain, so these AST scans keep unused
 imports, orphaned helpers and write-only fields from creeping back into
@@ -333,12 +335,99 @@ def test_scan_flags_private_ivp_imports():
 
 
 def test_private_ivp_has_one_entry_point():
-    # the scalar stepper takes scipy's DOP853 tableau from the private
-    # package; nothing else may reach into it
+    # the steppers take scipy's DOP853 tableau from the vendored copy in
+    # dop853_coefficients; nothing reaches into the private package
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
-    hits = private_ivp_imports(sources)
-    assert len(hits) == 1 and hits[0].startswith("integrator:")
+    assert private_ivp_imports(sources) == []
+
+
+LAZY_SCIPY = "scipy.integrate"
+
+
+def scipy_imports(sources):
+    """``module:line`` of every import statement, in ``sources`` (module
+    name -> source), of scipy or one of its modules."""
+    hits = []
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" for n in names):
+                hits.append("%s:%d" % (mod, node.lineno))
+    return sorted(hits)
+
+
+def misplaced_lazy_modules(sources):
+    """``module:line`` of every call of ``lazy_module``, in ``sources``
+    (module name -> source), that is not a module-level statement or does
+    not name ``scipy.integrate`` by a literal."""
+    hits = []
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        top = {id(n) for stmt in tree.body
+               if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.Expr))
+               for n in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and _referenced_name(node.func) == "lazy_module"):
+                continue
+            args = [a.value for a in node.args
+                    if isinstance(a, ast.Constant)]
+            if id(node) not in top or node.keywords or \
+                    args != [LAZY_SCIPY] or len(node.args) != 1:
+                hits.append("%s:%d" % (mod, node.lineno))
+    return sorted(hits)
+
+
+def test_scan_flags_scipy_imports():
+    sources = {
+        "a": ("import scipy\nimport numpy as np\n"
+              "from scipy.integrate import quad\n"
+              "from . import scipy_free\nfrom .lazy import lazy_module\n"),
+        "b": ("import os, scipy.optimize as so\n\n"
+              "def f():\n    from scipy import special\n"
+              "    return special\n"),
+        "c": "import scipyx\nfrom scipy_tools import x\n",
+    }
+    assert scipy_imports(sources) == ["a:1", "a:3", "b:1", "b:4"]
+
+
+def test_no_scipy_imports():
+    # scipy.integrate is bound lazily and nothing else of scipy is used:
+    # importing the package and the periodic search load no scipy module
+    sources = {f.stem: f.read_text(encoding="utf-8")
+               for f in PACKAGE.glob("*.py")}
+    assert scipy_imports(sources) == []
+
+
+def test_scan_flags_misplaced_lazy_modules():
+    sources = {
+        "a": ("from .lazy import lazy_module\n"
+              "_sint = lazy_module('scipy.integrate')\n"
+              "_opt = lazy_module('scipy.optimize')\n"
+              "NAME = 'scipy.integrate'\n_dyn = lazy_module(NAME)\n"
+              "_kw = lazy_module(name='scipy.integrate')\n"),
+        "b": ("from . import lazy\n\n"
+              "def f():\n    return lazy.lazy_module('scipy.integrate')\n\n"
+              "class K:\n    mod = lazy.lazy_module('scipy.integrate')\n"),
+    }
+    assert misplaced_lazy_modules(sources) == ["a:3", "a:5", "a:6", "b:4",
+                                               "b:7"]
+
+
+def test_lazy_module_binds_scipy_integrate_at_module_level():
+    # a lazy binding inside a function would hide the dependency like a
+    # function-local import; any other module would be a new scipy use
+    sources = {f.stem: f.read_text(encoding="utf-8")
+               for f in PACKAGE.glob("*.py")}
+    assert misplaced_lazy_modules(sources) == []
+    assert callers_of("lazy_module", sources) == [
+        "eigen.<module>", "radial.<module>", "weight.<module>"]
 
 
 PACKAGE_NAME = "indefinite_bvp"

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 
-from indefinite_bvp import integrator, nonlinearity, shooting
+from indefinite_bvp import (dop853_coefficients, integrator, nonlinearity,
+                            shooting)
 from indefinite_bvp.errors import DivergenceError, DomainError
 from indefinite_bvp.expressions import Expression
 from indefinite_bvp.integrator import (ProblemSpec, State, Trajectory, flow,
@@ -407,6 +409,19 @@ def test_kink_inside_a_piece_is_left_to_step_control():
 
 # ---------------------------------------------------------------------------
 # the float DOP853 stepper against scipy's solve_ivp
+
+
+def test_vendored_tableau_is_scipys():
+    # the steppers take scipy's tableau from a vendored copy; every array
+    # must keep scipy's shape and bits, and the three integers their values
+    for name in ("C", "A", "B", "E3", "E5", "D"):
+        ours = getattr(dop853_coefficients, name)
+        theirs = getattr(scipy_dop853, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes(), name
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(dop853_coefficients, name) == \
+            getattr(scipy_dop853, name), name
 
 
 def scipy_oracle(p, s0, t0, t1, rtol, atol):

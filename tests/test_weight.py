@@ -13,7 +13,8 @@ from indefinite_bvp.presets import get_preset
 from indefinite_bvp.weight import (SignPattern, WeightSpec, a_mu,
                                    detect_sign_pattern, evaluate,
                                    integrate_weight, k_fold_pattern,
-                                   negative_part, positive_part)
+                                   negative_part, piecewise_quad,
+                                   positive_part, split_points)
 
 TWO_PI = 2 * math.pi
 
@@ -90,6 +91,21 @@ def test_integrate_weight_quadrature_oracle():
                            limit=400)
         assert integrate_weight(w, lo, hi, part="+") == \
             pytest.approx(ref, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("epsrel", [1e-12, 1e-11])
+def test_piecewise_quad_sums_one_quad_per_piece(epsrel):
+    # the one quadrature loop of weight, bounds and radial: a quad per
+    # piece with its tolerances, summed from the left, bit for bit
+    w = WeightSpec.from_expression("sin(2*pi*t) + 0.3", period=1.0)
+    f = lambda t: (t - 0.1) * negative_part(w, t)
+    pts = split_points(w, 0.1, 2.7, detect_sign_pattern(w))
+    want = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        want += sint.quad(f, a, b, limit=200, epsabs=1e-13,
+                          epsrel=epsrel)[0]
+    assert len(pts) > 2
+    assert piecewise_quad(f, pts, epsrel=epsrel) == want
 
 
 def test_table_weight():
