@@ -17,25 +17,24 @@ import math
 import sys
 
 RTOL = 4 * sys.float_info.epsilon   # scipy's default and smallest rtol
+_MAXITER = 100                      # brentq's default maxiter
 _MAXFUN = 500                       # minimize_scalar's default maxiter
 
 
-def brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
+def brentq(f, a, b, xtol, rtol=RTOL):
     """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Brent's method: inverse quadratic interpolation or a secant step
     where it shrinks the bracket fast enough, bisection otherwise; it
     stops when the bracket is narrower than xtol + rtol |x|.  An end
     where f is exactly zero is returned as it is.  Raises ``ValueError``
-    for xtol <= 0, rtol < 4 eps, maxiter < 0, f(a) and f(b) of one sign,
-    or a nan value of f, and ``RuntimeError`` after maxiter iterations.
+    for xtol <= 0, rtol < 4 eps, f(a) and f(b) of one sign, or a nan
+    value of f, and ``RuntimeError`` after 100 iterations.
     """
     if xtol <= 0:
         raise ValueError("xtol too small (%g <= 0)" % xtol)
     if rtol < RTOL:
         raise ValueError("rtol too small (%g < %g)" % (rtol, RTOL))
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
 
     def value(x):
         fx = float(f(x))
@@ -55,7 +54,7 @@ def brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0 and fcur != 0 and \
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
@@ -74,11 +73,16 @@ def brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
                 # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
+                # extrapolate; where C divides by zero (the product
+                # below underflows when f is tiny across the bracket) its
+                # step is inf or nan, which the test below bisects
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:
+                    stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry
@@ -93,7 +97,7 @@ def brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError("Failed to converge after %d iterations." % maxiter)
+    raise RuntimeError("Failed to converge after %d iterations." % _MAXITER)
 
 
 def _sign_or_one(x):
