@@ -1,11 +1,15 @@
 """Multistart shooting for periodic and Neumann solutions.
 
-The search screens a grid of initial states in one pass of a fast
-vectorized fixed-step integrator (steps split at weight breakpoints); the
-grid points with the smallest displacement go straight to damped
-multiple-shooting Newton on the accurate adaptive integrator.  Accepted
-solutions are classified by the binary code of their hump maxima and
-cross-checked by an independent verification pass.
+The search screens a grid of initial states with a fast vectorized
+fixed-step integrator (steps split at weight breakpoints), one period at
+a time: the k-period screen is the RK4 period map iterated k times on
+the grid.  A search continues the screen of the search before it when
+both share the problem, the grid and ``screen_steps``, so a k = 2 search
+after the k = 1 search flows only [T, 2T], with the bits of a cold
+screen.  The grid points with the smallest displacement go straight to
+damped multiple-shooting Newton on the accurate adaptive integrator.
+Accepted solutions are classified by the binary code of their hump
+maxima and cross-checked by an independent verification pass.
 
 The Newton rows, each on its own segment, and the residual of
 :func:`verify_solution` go through one batched flow, :func:`_batch_flow`,
@@ -117,20 +121,50 @@ def screen_flow(p, states, t0, t1, steps_per_unit=1200):
     stage is one :meth:`ProblemSpec.extended` call, which has no branch
     on the sign of u.  A row that diverges reads nan, whatever the sign
     or payload of the nan the field gave.
-    """
-    u = states[:, 0].astype(float).copy()
-    y = states[:, 1].astype(float).copy()
-    edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
 
-    def deriv(a, u, y):
-        du = y
-        dy = -p.c * y - p.extended(a, u)
-        return du, dy
+    The step loop writes every stage into buffers allocated once per
+    call, with the operations of the plain RK4 formulas in their order,
+    so its bits are theirs; it never writes into an array the field
+    returned, because a g may hand back its argument.  Each piece steps
+    from its own two edges, so calls over [t0, s] and [s, t1], where s
+    is a breakpoint inside [t0, t1] (every jT is one), give the bits of
+    one call over [t0, t1].
+    """
+    u = states[:, 0].astype(float)
+    y = states[:, 1].astype(float)
+    edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
+    neg_c = -p.c
+    # the u slope of each stage is that stage's y, so only the stage
+    # states y2..y4 and the y slopes k1..k4 are kept; su holds the
+    # stage's u, tmp and acc the products and sums
+    su, tmp, acc, y2, y3, y4, k1, k2, k3, k4 = np.empty((10, len(u)))
+    dead = np.empty(len(u), dtype=bool)
+
+    def slope(a, us, ys, out):
+        # out = -c * ys - f~(a, us)
+        np.multiply(ys, neg_c, out=out)
+        np.subtract(out, p.extended(a, us), out=out)
+
+    def stage(base, slope_, scale, out):
+        # out = base + scale * slope_
+        np.multiply(slope_, scale, out=tmp)
+        np.add(base, tmp, out=out)
+
+    def combine(s1, s2, s3, s4, h6, out):
+        # out += h / 6 * (s1 + 2 s2 + 2 s3 + s4)
+        np.multiply(s2, 2, out=tmp)
+        np.add(s1, tmp, out=acc)
+        np.multiply(s3, 2, out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.add(acc, s4, out=acc)
+        np.multiply(acc, h6, out=acc)
+        np.add(out, acc, out=out)
 
     with np.errstate(all="ignore"):
         for lo, hi in zip(edges[:-1], edges[1:]):
             n = max(4, int(math.ceil((hi - lo) * steps_per_unit)))
             h = (hi - lo) / n
+            h2, h6 = h / 2, h / 6
             ts = [lo]
             for _ in range(n):
                 ts.append(ts[-1] + h)
@@ -138,16 +172,27 @@ def screen_flow(p, states, t0, t1, steps_per_unit=1200):
             a = p.a_mu_at(np.concatenate([ts, ts[:-1] + h / 2]))
             a_start, a_mid = a[:n + 1], a[n + 1:]
             for i in range(n):
-                k1u, k1y = deriv(a_start[i], u, y)
-                k2u, k2y = deriv(a_mid[i], u + h / 2 * k1u, y + h / 2 * k1y)
-                k3u, k3y = deriv(a_mid[i], u + h / 2 * k2u, y + h / 2 * k2y)
-                k4u, k4y = deriv(a_start[i + 1], u + h * k3u, y + h * k3y)
-                u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-                y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+                slope(a_start[i], u, y, k1)
+                stage(u, y, h2, su)
+                stage(y, k1, h2, y2)
+                slope(a_mid[i], su, y2, k2)
+                stage(u, y2, h2, su)
+                stage(y, k2, h2, y3)
+                slope(a_mid[i], su, y3, k3)
+                stage(u, y3, h, su)
+                stage(y, k3, h, y4)
+                slope(a_start[i + 1], su, y4, k4)
+                # u first: its k1 is the y of the step start
+                combine(y, y2, y3, y4, h6, u)
+                combine(k1, k2, k3, k4, h6, y)
                 # nan, inf or escaped
-                dead = ~(np.abs(u) + np.abs(y) <= BLOWUP_NORM)
-                u[dead] = np.nan
-                y[dead] = np.nan
+                np.abs(u, out=tmp)
+                np.abs(y, out=acc)
+                np.add(tmp, acc, out=tmp)
+                np.less_equal(tmp, BLOWUP_NORM, out=dead)
+                np.logical_not(dead, out=dead)
+                np.copyto(u, np.nan, where=dead)
+                np.copyto(y, np.nan, where=dead)
     return np.column_stack([u, y])
 
 
@@ -506,13 +551,56 @@ def _coded_orbit_seeds(p, k, base):
     return seeds
 
 
+# the search key and the grid end states {j: states after j periods} of
+# the periods the last periodic search screened itself, replaced whole in
+# one assignment, so a search never pairs one search's key with
+# another's states
+_last_screen = (None, {})
+
+
+def _screen_periods(p, starts, k, sc):
+    """The grid ``starts`` after k periods of the RK4 screen: one
+    :func:`screen_flow` per period [(j - 1)T, jT], each from the end
+    states of the one before.
+
+    The search continues the last search's screen where it can: on the
+    same key (the problem, the grid and ``screen_steps``) it starts from
+    the latest period j <= k that search screened, and flows only
+    periods j + 1..k.  Each jT is an edge of the k-period window's
+    pieces, so a continued screen has the bits of a cold one.  A search
+    hands the next one only the periods it screened itself, so this is
+    no memo: when a k = 1 then k = 2 pair runs again, its k = 1 search
+    screens period 1 again, because the k = 2 search screened only
+    period 2.
+    """
+    global _last_screen
+    key = (p, sc.u_min, sc.u_max, sc.u_count, sc.y_min, sc.y_max,
+           sc.y_count, sc.screen_steps)
+    last_key, last = _last_screen
+    if last_key != key:
+        last = {}
+    j = max((i for i in last if i <= k), default=0)
+    finals = last[j] if j else starts
+    ends = {}
+    T = p.period
+    for i in range(j + 1, k + 1):
+        finals = ends[i] = screen_flow(p, finals, (i - 1) * T, i * T,
+                                       steps_per_unit=sc.screen_steps)
+    _last_screen = key, ends
+    return finals
+
+
 def find_periodic_solutions(p, k, sc=None, base=None):
     """Positive kT-periodic solutions by multistart damped multiple
     shooting on the period map, sorted by initial state (u, then u').
 
-    For 2 <= k <= 7 the 1-periodic records ``base`` also seed every coded
-    word; when omitted they come from a k=1 search with at most 20
-    candidates.
+    The grid screen is :func:`_screen_periods`: one RK4 screen per
+    period, continued from the last search's screen on the same problem,
+    grid and ``screen_steps`` (``max_candidates`` may differ), with the
+    bits of a cold screen.  For 2 <= k <= 7 the 1-periodic records
+    ``base`` also seed every coded word; when omitted they come from a
+    k=1 search with at most 20 candidates, which takes its screen from
+    this one and flows nothing.
     """
     if p.boundary != "periodic":
         raise DomainError("problem is not in periodic mode")
@@ -523,8 +611,7 @@ def find_periodic_solutions(p, k, sc=None, base=None):
     y_grid = np.linspace(sc.y_min, sc.y_max, sc.y_count)
     uu, yy = np.meshgrid(u_grid, y_grid, indexing="ij")
     starts = np.column_stack([uu.ravel(), yy.ravel()])
-    finals = screen_flow(p, starts, 0.0, k * p.period,
-                         steps_per_unit=sc.screen_steps)
+    finals = _screen_periods(p, starts, k, sc)
     disp = finals - starts
     mags = np.hypot(disp[:, 0], disp[:, 1])
     # the max_candidates smallest finite displacements, ascending
@@ -558,9 +645,14 @@ def find_neumann_solutions(p, sc=None):
     finals = screen_flow(p, starts, 0.0, T, steps_per_unit=sc.screen_steps)
     yT = finals[:, 1]
 
+    # brentq returns an x it has evaluated, so the root's residual is
+    # looked up, not flowed again
+    slopes = {}
+
     def terminal_slope(u0):
-        return flow(p, State(float(u0), 0.0), (0.0, T),
-                    rtol=sc.rtol, atol=sc.atol).y
+        slopes[u0] = flow(p, State(float(u0), 0.0), (0.0, T),
+                          rtol=sc.rtol, atol=sc.atol).y
+        return slopes[u0]
 
     found = []
     for i in range(len(u_grid) - 1):
@@ -571,7 +663,7 @@ def find_neumann_solutions(p, sc=None):
         try:
             u_root = brentq(terminal_slope, u_grid[i], u_grid[i + 1],
                             xtol=1e-14, rtol=8.9e-16)
-            residual = abs(terminal_slope(u_root))
+            residual = abs(slopes[u_root])
         except (ValueError, DivergenceError):
             continue
         if residual > sc.residual_tol:

@@ -170,14 +170,21 @@ def a_mu_vector(w, mu):
 
 
 def _translates_between(points, T, lo, hi):
-    """The set of translates b + n*T of the points b that lie in (lo, hi)."""
+    """The set of translates r + n*T that lie in (lo, hi), of the
+    residues r in [0, T) of the points.
+
+    Translating residues makes one float of each class: T and 0 both
+    give ``0.0 + n * T``, which is ``n * T`` exactly, where ``T + (n-1)*T``
+    could round 1 ulp away and leave a piece of length 1e-15 behind.
+    """
     out = set()
-    if not points:
+    residues = {b % T for b in points}
+    if not residues:
         return out
-    n0 = math.floor((lo - max(points)) / T)
-    n1 = math.ceil((hi - min(points)) / T)
+    n0 = math.floor((lo - max(residues)) / T)
+    n1 = math.ceil((hi - min(residues)) / T)
     for n in range(n0, n1 + 1):
-        for b in points:
+        for b in residues:
             t = b + n * T
             if lo < t < hi:
                 out.add(t)

@@ -202,12 +202,13 @@ def test_report_fig1(capsys):
 
 def test_subharmonic_searches_once(tmp_path, capsys, monkeypatch):
     # every class representative is matched against one k = 2 search;
-    # the k = 1 screen is the search that seeds the coded orbits
-    periods = []
+    # its screen flows each period once, and the k = 1 search that seeds
+    # the coded orbits continues it without flowing
+    windows = []
     original = shooting.screen_flow
 
     def counting(p, states, t0, t1, *args, **kwargs):
-        periods.append(round((t1 - t0) / p.period))
+        windows.append((t0, t1))
         return original(p, states, t0, t1, *args, **kwargs)
 
     monkeypatch.setattr(shooting, "screen_flow", counting)
@@ -217,7 +218,7 @@ def test_subharmonic_searches_once(tmp_path, capsys, monkeypatch):
     assert [t["word"] for t in rep["targets"]] == ["01"]
     assert rep["targets"][0]["found"]
     assert rep["targets"][0]["record"]["code"] == "01"
-    assert sorted(periods) == [1, 2]
+    assert windows == [(0.0, 1.0), (1.0, 2.0)]
 
 
 def test_bounds_reads_search_section(tmp_path, capsys, monkeypatch):

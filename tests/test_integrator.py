@@ -219,6 +219,10 @@ GS = {
     "clamped_expression": NonlinearitySpec.from_expression("s*s - 0.5*s",
                                                            clamp=True),
     "callable": NonlinearitySpec.from_callable(lambda s: s ** 2.2 + s),
+    # squares its argument in place and returns it: no caller may write
+    # into what g returned, or keep using the array it passed in
+    "in_place": NonlinearitySpec.from_callable(
+        lambda s: np.multiply(s, s, out=s)),
 }
 
 

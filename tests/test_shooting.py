@@ -265,6 +265,122 @@ def test_search_screens_the_grid_once(monkeypatch):
     assert calls == [sc.u_count * sc.y_count]
 
 
+def _sine_07():
+    # T = 0.7 and friction: a period that is no whole number
+    w = WeightSpec.sine(2 * math.pi / 0.7, period=0.7)
+    g = NonlinearitySpec.arctan_scaled(100.0)
+    return ProblemSpec.build(w, 7.0, 0.3, g)
+
+
+CHAIN_PROBLEMS = {
+    "fig2": lambda: fig2().problem,
+    "m2": lambda: multiplicity_m2().problem,
+    "m3": lambda: multiplicity_m3().problem,
+    "sine_T0.7_c0.3": _sine_07,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_PROBLEMS))
+def test_period_chain_matches_the_whole_window(name):
+    # the screen of k periods, one screen_flow per period, has the bits
+    # of one screen over [0, kT] for every k <= 7: each jT is an edge of
+    # the window's pieces
+    p = CHAIN_PROBLEMS[name]()
+    sc = SearchConfig(screen_steps=150)
+    starts = np.array([[1e-3, 0.0], [0.03, 0.02], [0.1, -0.05],
+                       [0.5, 0.3], [2.0, -1.0], [-0.2, 0.4]])
+    last = shooting._screen_periods(p, starts, 7, sc)
+    ends = shooting._last_screen[1]
+    assert sorted(ends) == list(range(1, 8))
+    assert last is ends[7]
+    assert np.isfinite(ends[1]).any()
+    for k, got in ends.items():
+        want = shooting.screen_flow(p, starts, 0.0, k * p.period,
+                                    steps_per_unit=sc.screen_steps)
+        assert got.tobytes() == want.tobytes(), k
+
+
+def _spy_windows(monkeypatch, diverge=False):
+    """The (t0, t1) of every screen_flow call, in order.  With
+    ``diverge`` the spy returns every row diverged instead of flowing,
+    so a search polishes nothing."""
+    windows = []
+    original = shooting.screen_flow
+
+    def spy(p, states, t0, t1, *args, **kwargs):
+        windows.append((t0, t1))
+        if diverge:
+            return np.full_like(states, np.nan)
+        return original(p, states, t0, t1, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "screen_flow", spy)
+    return windows
+
+
+def _record_bytes(recs):
+    return [(r.node_states.tobytes(), r.nodes, r.residual, r.sup_norm)
+            for r in recs]
+
+
+def test_k2_search_continues_the_k1_screen(monkeypatch):
+    # after the k = 1 search on the same problem and grid, the k = 2
+    # search flows only [T, 2T] and finds the records of a cold search
+    pre = fig2()
+    p, sc = pre.problem, replace(pre.search, max_candidates=4)
+    base = find_periodic_solutions(p, 1, sc)
+    monkeypatch.setattr(shooting, "_last_screen", (None, {}))
+    cold = find_periodic_solutions(p, 2, sc, base=base)
+    assert len(cold) == 3
+    monkeypatch.setattr(shooting, "_last_screen", (None, {}))
+    find_periodic_solutions(p, 1, sc)
+    windows = _spy_windows(monkeypatch)
+    warm = find_periodic_solutions(p, 2, sc, base=base)
+    T = p.period
+    assert windows == [(T, 2 * T)]
+    assert _record_bytes(warm) == _record_bytes(cold)
+
+
+def test_screen_is_handed_on_not_kept(monkeypatch):
+    # each search continues the one before it and keeps only what it
+    # screened: a k = 1, k = 2 pair run twice screens every period once
+    # per pair, and a k = 2 search without base screens each period once
+    windows = _spy_windows(monkeypatch, diverge=True)
+    pre = fig2()
+    p, sc = pre.problem, replace(pre.search, u_count=4, y_count=3)
+    T = p.period
+    for _ in range(2):
+        find_periodic_solutions(p, 1, sc)
+        find_periodic_solutions(p, 2, sc, base=[])
+    assert windows == [(0.0, T), (T, 2 * T)] * 2
+    del windows[:]
+    monkeypatch.setattr(shooting, "_last_screen", (None, {}))
+    find_periodic_solutions(p, 2, sc)
+    assert windows == [(0.0, T), (T, 2 * T)]
+
+
+def test_screen_key(monkeypatch):
+    # the problem (by equality), every grid field and screen_steps key
+    # the hand-over; max_candidates does not
+    windows = _spy_windows(monkeypatch, diverge=True)
+    pre = fig2()
+    p, sc = pre.problem, replace(pre.search, u_count=4, y_count=3)
+    T = p.period
+    hits = {"equal problem": (replace(p), sc),
+            "max_candidates": (p, replace(sc, max_candidates=7))}
+    misses = {"mu": (replace(p, mu=7.5), sc),
+              "c": (replace(p, c=0.1), sc),
+              "screen_steps": (p, replace(sc, screen_steps=801))}
+    for name, value in (("u_min", 2e-4), ("u_max", 4.0), ("u_count", 5),
+                        ("y_min", -4.0), ("y_max", 4.0), ("y_count", 4)):
+        misses[name] = (p, replace(sc, **{name: value}))
+    for name, (q, sq) in {**hits, **misses}.items():
+        find_periodic_solutions(p, 1, sc)
+        del windows[:]
+        find_periodic_solutions(q, 2, sq, base=[])
+        want = [(T, 2 * T)] if name in hits else [(0.0, T), (T, 2 * T)]
+        assert windows == want, name
+
+
 def test_candidates_are_smallest_displacements(monkeypatch):
     # Newton starts from the cluster-filtered max_candidates smallest
     # finite screened displacements, in ascending order

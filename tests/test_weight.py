@@ -149,6 +149,29 @@ def test_breakpoints_between(sine_weight):
     assert pts == pytest.approx([0.5, 1.0, 1.5], abs=1e-9)
 
 
+@given(st.floats(0.1, 10.0), st.floats(0.05, 0.95), st.integers(1, 7))
+@settings(max_examples=300, deadline=None)
+def test_breakpoints_between_has_one_float_per_translate(T, frac, k):
+    # the pattern holds both 0 and T; their translates n*T and T + (n-1)*T
+    # can round 1 ulp apart, and only n*T may be listed
+    pat = SignPattern(1, (0.0, T), (frac * T,))
+    pts = pat.breakpoints_between(0.0, k * T)
+    assert len(pts) == 2 * k - 1
+    assert all(hi - lo > 1e-9 * T for lo, hi in zip(pts[:-1], pts[1:]))
+    assert all(j * T in pts for j in range(1, k))
+
+
+def test_m3_window_has_no_sliver():
+    # multiplicity-m3 at k = 7 listed two edges 1.8e-15 apart
+    p = get_preset("multiplicity-m3").problem
+    T = p.period
+    for k in (6, 7):
+        pts = p.breakpoints_between(0.0, k * T)
+        assert len(pts) == 2 * k - 1
+        assert min(np.diff(pts)) > 1e-9 * T
+        assert all(j * T in pts for j in range(1, k))
+
+
 def test_k_fold_pattern(sine_weight):
     pat = detect_sign_pattern(sine_weight)
     pat3 = k_fold_pattern(pat, 3)
