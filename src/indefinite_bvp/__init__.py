@@ -22,8 +22,7 @@ from .lyndon import Word, canonical_rotation, lyndon_words, mobius, \
 from .nonlinearity import NonlinearitySpec, g_eval
 from .presets import get_preset, list_presets
 from .radial import (AnnulusProblem, RadialMap, check_q_integral,
-                     direct_radial_integration, find_radial_solutions,
-                     radial_to_1d, solution_to_radial)
+                     find_radial_solutions, radial_to_1d, solution_to_radial)
 from .shooting import (SearchConfig, SolutionRecord, VerificationReport,
                        adaptive_levels, classify_code, coded_multiplicity,
                        find_neumann_solutions, find_periodic_solutions,
@@ -46,9 +45,8 @@ __all__ = [
     "Word", "adaptive_levels", "canonical_rotation", "check_ginf_hypothesis",
     "check_q_integral", "classify_code", "coded_multiplicity",
     "compute_K", "compute_mu_sharp", "compute_mu_star",
-    "detect_sign_pattern", "direct_radial_integration",
-    "enumerate_class_representatives", "estimate_R_star",
-    "find_neumann_solutions",
+    "detect_sign_pattern", "enumerate_class_representatives",
+    "estimate_R_star", "find_neumann_solutions",
     "find_periodic_solutions", "find_radial_solutions", "first_eigenvalue",
     "flow", "g_eval", "get_preset", "ginf_threshold", "integrate",
     "integrate_weight", "k_fold_pattern", "list_presets", "lyndon_words",

@@ -344,11 +344,12 @@ def cmd_eigen(args):
 def cmd_radial(args):
     cp = load_config(args.config)
     ap = annulus_from_config(cp)
-    recs, rm, p = find_radial_solutions(ap, _search_from_config(cp))
+    sc = _search_from_config(cp)
+    recs, rm, p = find_radial_solutions(ap, sc)
     report = _base_report(dict(cp["annulus"]), "radial")
     report["T"] = rm.T
     report["q_integral"] = check_q_integral(ap)
-    report["solutions"] = [_record_dict(r) for r in recs]
+    _add_solutions(report, recs, p, sc)
     if args.profiles:
         for i, rec in enumerate(recs):
             rs, us = solution_to_radial(rec.trajectory, rm)

@@ -6,7 +6,12 @@ With (e^{ct} phi', phi) = rho (cos theta, sin theta) the angle obeys
     theta' = e^{-ct} cos^2(theta) + e^{ct} lambda a(t) sin^2(theta),
 
 and the terminal angle is strictly increasing in lambda, so the first
-eigenvalue is found by bracketing and Brent's method.
+eigenvalue is found by bracketing and Brent's method.  The angle is
+stepped on the package's float DOP853, :func:`integrator.dop853`.  The
+radius is left out: (log rho)' = (e^{-ct} - e^{ct} lambda a) sin(theta)
+cos(theta) scales the rounding of theta near a multiple of pi by
+e^{ct} lambda a, and under strong friction its error estimate shrinks
+the steps by orders of magnitude.
 """
 
 from __future__ import annotations
@@ -15,16 +20,16 @@ import math
 from dataclasses import dataclass
 
 from .brent import brentq
-from .errors import BracketingError, ConfigurationError, HypothesisError
+from .errors import (BracketingError, ConfigurationError, DivergenceError,
+                     HypothesisError)
 from .expressions import quiet_fp
-from .lazy import lazy_module
+from .integrator import dop853
 from .weight import evaluate_scalar
-
-_sint = lazy_module("scipy.integrate")
 
 LAMBDA_CAP = 1e12
 _ANGLE_RTOL = 1e-10     # DOP853 tolerances of the angle flow
 _ANGLE_ATOL = 1e-12
+_SQRT2 = math.sqrt(2.0)
 _LAMBDA_RTOL = 1e-8     # relative tolerance of the eigenvalue root
 
 
@@ -69,25 +74,37 @@ class EigenProblem:
 
 def prufer_angle_sweep(ep, lam):
     """Terminal angle theta(beta) with theta(alpha) fixed by the left BC
-    (0 for Dirichlet, pi/2 for Neumann)."""
+    (0 for Dirichlet, pi/2 for Neumann).
+
+    The planar stepper carries theta with a second component that stays
+    0; the tolerances are divided by sqrt(2), so the error norm of the
+    pair is the RMS norm of theta alone, the step control of a 1-D
+    DOP853.  Raises BracketingError naming lambda and [alpha, beta],
+    chained to the stepper's DivergenceError, when the flow fails (a
+    weight that is not finite, or a step size below the minimum).
+    """
     if lam < 0:
         raise ConfigurationError("lambda must be nonnegative")
     theta0 = 0.0 if ep.left_bc == "dirichlet" else math.pi / 2.0
+    weight_fn, c = ep.weight_fn, ep.c
 
-    def rhs(t, th):
-        a = float(ep.weight_fn(t))
-        ect = math.exp(ep.c * t)
-        s, co = math.sin(th[0]), math.cos(th[0])
-        return [co * co / ect + ect * lam * a * s * s]
+    def field(t, state):
+        a = float(weight_fn(t))
+        ect = math.exp(c * t)
+        s, co = math.sin(state[0]), math.cos(state[0])
+        return co * co / ect + ect * lam * a * s * s, 0.0
 
     # weight_fn may call an expression unguarded: one guard for the sweep
-    with quiet_fp():
-        sol = _sint.solve_ivp(rhs, (ep.alpha, ep.beta), [theta0],
-                              method="DOP853", rtol=_ANGLE_RTOL,
-                              atol=_ANGLE_ATOL)
-    if not sol.success:
-        raise BracketingError("angle integration failed")
-    return float(sol.y[0, -1])
+    try:
+        with quiet_fp():
+            thetas = dop853(field, ep.alpha, ep.beta, theta0, 0.0,
+                            _ANGLE_RTOL / _SQRT2, _ANGLE_ATOL / _SQRT2,
+                            False)[1]
+    except DivergenceError as exc:
+        raise BracketingError(
+            "angle integration failed at lambda=%.6g on [%.6g, %.6g]: %s"
+            % (lam, ep.alpha, ep.beta, exc)) from exc
+    return thetas[-1]
 
 
 def _target_angle(ep):

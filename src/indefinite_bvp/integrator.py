@@ -5,17 +5,19 @@ The scalar field uses the standard extension g~ of the nonlinearity to
 negative arguments: the forcing term is a_mu(t) g(u) for u >= 0 and -u for
 u < 0, so that nontrivial fixed points of the period map are positive.
 
-:func:`integrate` runs one DOP853 stepper on the Python floats (u, u'):
-the Dormand–Prince 8(5,3) pair with the step control and dense output of
-Hairer, Nørsett and Wanner, *Solving ODEs I*, §II.4 and §II.10, and the
-rules of scipy's ``DOP853`` (its tableau, initial step, error norm,
-step factors and minimum step), without the generic ``solve_ivp`` loop
-and its per-call array handling.  :func:`flow_rows` is its batched twin
-on numpy rows: many segment flows in one step sequence, the steps of
-``solve_ivp``'s DOP853 bit for bit, with the weight evaluated once per
-step.  Both take the tableau from :mod:`dop853_coefficients`, a vendored
-copy of scipy's, so this module loads no scipy; the extremum polish of
-:func:`max_on_interval` is :func:`brent.minimize_bounded`.
+:func:`integrate` runs one DOP853 stepper, :func:`dop853`, on the
+Python floats (u, u'): the Dormand–Prince 8(5,3) pair with the step
+control and dense output of Hairer, Nørsett and Wanner, *Solving ODEs
+I*, §II.4 and §II.10, and the rules of scipy's ``DOP853`` (its tableau,
+initial step, error norm, step factors and minimum step), without the
+generic ``solve_ivp`` loop and its per-call array handling.  The stepper
+takes any planar float field; :mod:`eigen` steps its Prüfer angle on
+it.  :func:`flow_rows` is its batched twin on numpy rows: many segment
+flows in one step sequence, the steps of ``solve_ivp``'s DOP853 bit for
+bit, with the weight evaluated once per step.  Both take the tableau
+from :mod:`dop853_coefficients`, a vendored copy of scipy's, so this
+module loads no scipy; the extremum polish of :func:`max_on_interval`
+is :func:`brent.minimize_bounded`.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ class Trajectory:
                 fh.write("%.17g,%.17g,%.17g\n" % (t, u, y))
 
 
-def _initial_step(rhs, t, u, y, fu, fy, t_end, rtol, atol):
+def _initial_step(field, t, u, y, fu, fy, t_end, rtol, atol):
     """scipy's ``select_initial_step`` for the 7th-order error estimator
     (Hairer, Nørsett and Wanner, §II.4), on floats."""
     length = t_end - t
@@ -266,7 +268,7 @@ def _initial_step(rhs, t, u, y, fu, fy, t_end, rtol, atol):
     d0 = math.hypot(u / su, y / sy) / _SQRT2
     d1 = math.hypot(fu / su, fy / sy) / _SQRT2
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    f1u, f1y = rhs(t + h0, (u + h0 * fu, y + h0 * fy))
+    f1u, f1y = field(t + h0, (u + h0 * fu, y + h0 * fy))
     d2 = math.hypot((f1u - fu) / su, (f1y - fy) / sy) / _SQRT2 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -281,8 +283,10 @@ def _diverged(reason, t, u, y):
                            last_state=(u, y))
 
 
-def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
-    """DOP853 over one smooth piece [t, t_end] from the state (u, y).
+def dop853(field, t, t_end, u, y, rtol, atol, dense):
+    """DOP853 over one smooth piece [t, t_end] of the planar field
+    ``field(t, (u, y))``, which returns the pair of derivatives as
+    floats, from the state (u, y).
 
     Returns the accepted step ends (start included) as lists ``ts``,
     ``us``, ``ys`` and the 16 stages (ku, ky) of each step, an empty
@@ -294,10 +298,10 @@ def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
     the field at the start is not finite, or when the step size falls
     below scipy's minimum (ten spacings of the floats at t).
     """
-    fu, fy = rhs(t, (u, y))
+    fu, fy = field(t, (u, y))
     if not math.isfinite(fu + fy):
         raise _diverged("field is not finite", t, u, y)
-    h_abs = _initial_step(rhs, t, u, y, fu, fy, t_end, rtol, atol)
+    h_abs = _initial_step(field, t, u, y, fu, fy, t_end, rtol, atol)
     ts, us, ys = [t], [u], [y]
     stages = []
     while t < t_end:
@@ -315,7 +319,7 @@ def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
                 for j, a in row:
                     su += a * ku[j]
                     sy += a * ky[j]
-                du, dy = rhs(t + c * h, (u + su * h, y + sy * h))
+                du, dy = field(t + c * h, (u + su * h, y + sy * h))
                 ku.append(du)
                 ky.append(dy)
             e5u = e5y = e3u = e3y = 0.0
@@ -353,7 +357,7 @@ def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
         if not abs(u_new) + abs(y_new) < BLOWUP_NORM:
             raise _diverged("trajectory escaped the guard region", t_new,
                             u_new, y_new)
-        fu, fy = rhs(t_new, (u_new, y_new))
+        fu, fy = field(t_new, (u_new, y_new))
         ku.append(fu)
         ky.append(fy)
         if dense:
@@ -362,7 +366,7 @@ def _dop853(rhs, t, t_end, u, y, rtol, atol, dense):
                 for j, a in row:
                     su += a * ku[j]
                     sy += a * ky[j]
-                du, dy = rhs(t + c * h, (u + su * h, y + sy * h))
+                du, dy = field(t + c * h, (u + su * h, y + sy * h))
                 ku.append(du)
                 ky.append(dy)
             stages.append((ku, ky))
@@ -402,7 +406,7 @@ def _squared_norm(x):
 
 def flow_rows(p, Z, t0s, lens, rtol, atol):
     """Endpoint states of m independent segment flows, all rows in one
-    DOP853 integration: the batched twin of :func:`_dop853`.
+    DOP853 integration: the batched twin of :func:`dop853`.
 
     Row j of Z (shape (m, 2)) is integrated from t0s[j] over length
     lens[j].  All rows advance together in tau in [0, L], L = max(lens),
@@ -529,7 +533,7 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
 
     Integration restarts exactly at every weight breakpoint in (t0, t1);
     no accepted step interior contains a sign change of the weight.  Each
-    piece is one run of the float stepper :func:`_dop853` on the
+    piece is one run of the float stepper :func:`dop853` on the
     problem's float field, the closure ``ProblemSpec.rhs``;
     rtol is floored at 100 machine epsilons, as in scipy.  Raises
     DivergenceError, naming the last accepted time and state, if
@@ -551,8 +555,8 @@ def integrate(p, s0, t0, t1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     # the field calls expressions unguarded: one guard for the whole flow
     with quiet_fp():
         for lo, hi in zip(edges[:-1], edges[1:]):
-            ts, pu, py, steps = _dop853(p.rhs, lo, hi, u, y, rtol, atol,
-                                        dense)
+            ts, pu, py, steps = dop853(p.rhs, lo, hi, u, y, rtol, atol,
+                                       dense)
             u, y = pu[-1], py[-1]
             if dense:
                 times.extend(ts[1:])

@@ -4,10 +4,11 @@ use.
 Importing ``scipy.integrate`` costs more than the rest of the package's
 import together, most of it in modules (``scipy.special``,
 ``scipy.linalg``, ``scipy.optimize``) that the periodic search never
-calls.  The modules that call ``quad`` or ``solve_ivp`` bind it at
-their top as ``_sint = lazy_module("scipy.integrate")``, so the
-dependency stays declared where it is used while its code runs only
-when an attribute of it is first read.
+calls.  The package uses scipy for ``quad`` alone: :mod:`weight`, the
+module of ``piecewise_quad``, binds it at its top as
+``_sint = lazy_module("scipy.integrate")``, so the dependency stays
+declared where it is used while its code runs only when ``quad`` is
+first read.
 """
 
 from __future__ import annotations

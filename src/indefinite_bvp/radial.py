@@ -14,20 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .expressions import quiet_fp
+from .errors import ConfigurationError
 from .integrator import ProblemSpec
-from .lazy import lazy_module
-from .nonlinearity import NonlinearitySpec, g_scalar
+from .nonlinearity import NonlinearitySpec
 from .shooting import find_neumann_solutions
 from .weight import WeightSpec, piecewise_quad
 
-_sint = lazy_module("scipy.integrate")
-
 _GRID_NODES = 8192
 _PROFILE_SAMPLES = 1024     # uniform points of a radial profile
-_REF_RTOL = 1e-10           # DOP853 tolerances of the radial reference
-_REF_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,44 +125,6 @@ def check_q_integral(ap):
     pts = sorted({ap.R1, ap.R2} |
                  {r for r in ap.kink_hints if ap.R1 < r < ap.R2})
     return piecewise_quad(f, pts, epsrel=1e-11)
-
-
-def direct_radial_integration(ap, U0):
-    """Reference second-order integration in the radial variable.
-
-    Integrates U'' + ((N-1)/r) U' + Q_mu(r) g~(U) = 0 from U(R1) = U0,
-    U'(R1) = 0 and returns samples (r, U).  Used to cross-check the 1D
-    reduction; the extended field matches the 1D solver's convention.
-    """
-    g = g_scalar(ap.g)
-
-    def qmu(r):
-        q = float(ap.q_at(r))
-        return max(q, 0.0) - ap.mu * max(-q, 0.0)
-
-    def rhs(r, z):
-        U, V = z
-        force = qmu(r) * g(U) if U >= 0 else -U
-        return [V, -(ap.N - 1) / r * V - force]
-
-    pts = sorted({ap.R1, ap.R2} |
-                 {r for r in ap.kink_hints if ap.R1 < r < ap.R2})
-    rs_all, us_all = [], []
-    z = [float(U0), 0.0]
-    # g is an unguarded scalar callable: one guard for the whole flow
-    with quiet_fp():
-        for a, b in zip(pts[:-1], pts[1:]):
-            sol = _sint.solve_ivp(rhs, (a, b), z, method="DOP853",
-                                  rtol=_REF_RTOL, atol=_REF_ATOL,
-                                  dense_output=True)
-            if not sol.success:
-                raise DomainError("radial reference integration failed")
-            rs = np.linspace(a, b, max(16, int(_PROFILE_SAMPLES * (b - a)
-                                               / (ap.R2 - ap.R1))))
-            rs_all.append(rs)
-            us_all.append(sol.sol(rs)[0])
-            z = sol.y[:, -1]
-    return np.concatenate(rs_all), np.concatenate(us_all)
 
 
 def find_radial_solutions(ap, sc=None):

@@ -20,7 +20,6 @@ from indefinite_bvp.lyndon import Word, canonical_rotation, lyndon_words, \
 from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.presets import get_preset
 from indefinite_bvp.radial import (AnnulusProblem, RadialMap,
-                                   direct_radial_integration,
                                    find_radial_solutions, radial_to_1d,
                                    solution_to_radial)
 from indefinite_bvp.shooting import (adaptive_levels, classify_code,
@@ -31,6 +30,7 @@ from indefinite_bvp.shooting import (adaptive_levels, classify_code,
 from indefinite_bvp.subharmonic import (enumerate_class_representatives,
                                         minimal_period_multiple)
 from indefinite_bvp.weight import WeightSpec
+from oracles import direct_radial_integration
 
 TIMINGS = {}
 

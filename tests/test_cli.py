@@ -301,7 +301,7 @@ SMOKE_CASES = {
     "eigen": (["--config", "{cfg}"], PERIODIC_INI,
               {"hump_eigenvalues", "ginf_threshold"}, None),
     "radial": (["--config", "{cfg}", "--profiles", "{csv}"], ANNULUS_INI,
-               {"T", "q_integral", "solutions"}, "r,U"),
+               {"T", "q_integral", "levels", "solutions"}, "r,U"),
     "report": (["--preset", "fig1"], None, {"notes", "levels", "solutions"},
                None),
 }
@@ -323,6 +323,10 @@ def test_subcommand_smoke(command, tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert set(rep) == {"version", "command", "config"} | keys
     assert rep["command"] == command
+    if "levels" in keys:
+        # classified: each record has a code or is flagged unclassifiable
+        assert all(r["code"] is not None or r["unclassifiable"]
+                   for r in rep["solutions"])
     if header is None:
         return
     n = len(rep["solutions"])

@@ -1,5 +1,5 @@
-"""First eigenvalues by angle shooting against closed forms and a finite
-difference matrix oracle."""
+"""First eigenvalues by angle shooting against closed forms, a finite
+difference matrix oracle and the angle flow on scipy's ``solve_ivp``."""
 
 import math
 
@@ -11,8 +11,9 @@ from indefinite_bvp.eigen import (EigenProblem, check_ginf_hypothesis,
                                   first_eigenvalue, ginf_threshold,
                                   prufer_angle_sweep)
 from indefinite_bvp.errors import (BracketingError, ConfigurationError,
-                                   HypothesisError)
-from indefinite_bvp.presets import fig1
+                                   DivergenceError, HypothesisError)
+from indefinite_bvp.presets import fig1, get_preset
+from oracles import reference_first_eigenvalue
 
 PI2 = math.pi ** 2
 
@@ -95,6 +96,37 @@ def test_from_hump_and_threshold():
     check_ginf_hypothesis(p, 50 * math.pi)
     with pytest.raises(HypothesisError):
         check_ginf_hypothesis(p, 1.0)
+
+
+def oracle_cases():
+    """Every hump of fig1, fig2 and m3 with each boundary pair, and the
+    unit weight with c = 1."""
+    cases = [pytest.param(EigenProblem(lambda t: 1.0, 0.0, 1.0, c=1.0),
+                          id="unit-c1")]
+    for name in ("fig1", "fig2", "multiplicity-m3"):
+        p = get_preset(name).problem
+        for i in range(p.pattern.m):
+            for left, right in (("dirichlet", "dirichlet"),
+                                ("neumann", "dirichlet"),
+                                ("dirichlet", "neumann")):
+                ep = EigenProblem.from_hump(p, i, left, right)
+                cases.append(pytest.param(
+                    ep, id="%s-%d-%s-%s" % (name, i, left, right)))
+    return cases
+
+
+@pytest.mark.parametrize("ep", oracle_cases())
+def test_first_eigenvalue_matches_scipy_sweep(ep):
+    assert first_eigenvalue(ep) == pytest.approx(
+        reference_first_eigenvalue(ep), rel=1e-9)
+
+
+def test_failed_sweep_names_lambda_and_interval():
+    ep = EigenProblem(lambda t: math.nan, 0.25, 0.75)
+    with pytest.raises(BracketingError,
+                       match=r"lambda=2 on \[0\.25, 0\.75\]") as info:
+        prufer_angle_sweep(ep, 2.0)
+    assert isinstance(info.value.__cause__, DivergenceError)
 
 
 def test_no_bracket_for_vanishing_weight():

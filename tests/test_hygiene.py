@@ -2,13 +2,13 @@
 every import sits at module level, every module-level private helper and
 constant has a reader, every dataclass field is read somewhere, no
 module imports or reads another module's private names, the expression
-compiler is the only place that runs generated code, ``solve_ivp`` is
-called from a fixed set of integrators, no module imports scipy (its
-private ``_ivp`` package included): ``scipy.integrate`` is bound only at
-module level through ``lazy_module``, so it loads when ``quad`` or
-``solve_ivp`` first runs; ``__all__`` lists exactly the names the package
-imports, and every layer the benchmark tracer wraps exists in the
-package.
+compiler is the only place that runs generated code, no module calls an
+ODE solver of ``scipy.integrate`` (the package steps on its own DOP853),
+no module imports scipy (its private ``_ivp`` package included):
+``scipy.integrate`` is bound only at the top of ``weight`` through
+``lazy_module``, so it loads when ``quad`` first runs; ``__all__`` lists
+exactly the names the package imports, and every layer the benchmark
+tracer wraps exists in the package.
 
 No linter ships with the toolchain, so these AST scans keep unused
 imports, orphaned helpers and write-only fields from creeping back into
@@ -268,6 +268,7 @@ def test_scan_flags_solve_ivp_callers():
               "        return si.solve_ivp(f, (0, 1), [0.0])\n"
               "    return inner\n\n"
               "def other(f):\n    return si.odeint(f, [0.0], [0, 1])\n\n"
+              "def stepper(f):\n    return si.RK45(f, 0.0, [0.0], 1.0)\n\n"
               "class K:\n    def m(self, f):\n"
               "        return solve_ivp(f, (0, 1), [0.0])\n\n"
               "ref = solve_ivp\n"),
@@ -277,16 +278,22 @@ def test_scan_flags_solve_ivp_callers():
     assert callers_of("solve_ivp", sources) == ["a.K.m", "a.direct",
                                                 "a.nested", "b.<module>"]
     assert callers_of("odeint", sources) == ["a.other"]
+    assert callers_of("RK45", sources) == ["a.stepper"]
+
+
+# the ODE entry points of scipy.integrate
+SCIPY_ODE_SOLVERS = ("solve_ivp", "odeint", "ode", "RK23", "RK45", "DOP853",
+                     "Radau", "BDF", "LSODA")
 
 
 def test_solve_ivp_call_sites():
-    # the two integrations of other equations (the scalar and batched
-    # DOP853 paths have their own steppers): a new call site is a new
-    # integrator
+    # every flow, the Prufer angle sweep included, steps on the package's
+    # own DOP853 (the float stepper or its batched twin): a call of a
+    # scipy solver would be a new integrator
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
-    assert callers_of("solve_ivp", sources) == [
-        "eigen.prufer_angle_sweep", "radial.direct_radial_integration"]
+    assert [caller for name in SCIPY_ODE_SOLVERS
+            for caller in callers_of(name, sources)] == []
 
 
 def test_batched_flow_call_sites():
@@ -422,12 +429,12 @@ def test_scan_flags_misplaced_lazy_modules():
 
 def test_lazy_module_binds_scipy_integrate_at_module_level():
     # a lazy binding inside a function would hide the dependency like a
-    # function-local import; any other module would be a new scipy use
+    # function-local import; the quad of weight.piecewise_quad is the one
+    # scipy use, and any other module would be a new one
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
     assert misplaced_lazy_modules(sources) == []
-    assert callers_of("lazy_module", sources) == [
-        "eigen.<module>", "radial.<module>", "weight.<module>"]
+    assert callers_of("lazy_module", sources) == ["weight.<module>"]
 
 
 PACKAGE_NAME = "indefinite_bvp"

@@ -1,6 +1,6 @@
-"""The deferred ``scipy.integrate`` binding: the periodic search loads no
-heavy scipy module, and a quadrature that loads it lazily gives the same
-answers as one that finds it loaded."""
+"""The deferred ``scipy.integrate`` binding: the periodic search and the
+eigenvalue threshold load no heavy scipy module, and a quadrature that
+loads it lazily gives the same answers as one that finds it loaded."""
 
 import json
 import os
@@ -54,6 +54,23 @@ def test_periodic_search_loads_no_heavy_scipy():
     # the run did the whole pipeline
     assert got["base"] == 1 and len(got["codes"]) == 3
     assert sorted(got["periods"]) == [1, 2, 2] and all(got["passed"])
+
+
+EIGEN = """
+import json, sys
+import indefinite_bvp as ib
+thr = ib.ginf_threshold(ib.get_preset("fig1").problem)
+print(json.dumps({"loaded": [m for m in %r if m in sys.modules],
+                  "quadpack": "scipy.integrate._quadpack" in sys.modules,
+                  "threshold": thr}))
+""" % (HEAVY,)
+
+
+def test_eigenvalue_threshold_loads_no_scipy_solver():
+    # the angle sweep steps on the package's own DOP853
+    got = run_fresh(EIGEN)
+    assert got["loaded"] == [] and got["quadpack"] is False
+    assert got["threshold"] > 0
 
 
 BOUNDS = """

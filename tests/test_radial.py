@@ -10,10 +10,10 @@ from scipy import integrate as sint
 from indefinite_bvp.errors import ConfigurationError, PatternError
 from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.radial import (AnnulusProblem, RadialMap,
-                                   check_q_integral,
-                                   direct_radial_integration, radial_to_1d,
+                                   check_q_integral, radial_to_1d,
                                    solution_to_radial)
 from indefinite_bvp.weight import evaluate
+from oracles import direct_radial_integration
 
 E = math.e
 
