@@ -3,11 +3,12 @@
 The search screens a grid of initial states with a fast vectorized
 fixed-step integrator (steps split at weight breakpoints), one period at
 a time: the k-period screen is the RK4 period map iterated k times on
-the grid.  A search continues the screen of the search before it when
-both share the problem, the grid and ``screen_steps``, so a k = 2 search
-after the k = 1 search flows only [T, 2T], with the bits of a cold
-screen.  The grid points with the smallest displacement go straight to
-damped multiple-shooting Newton on the accurate adaptive integrator.
+the grid.  A search returns its screen with its records; handed that
+result as ``base``, a search on the same problem, grid and
+``screen_steps`` continues it, so a k = 2 search after the k = 1 search
+flows only [T, 2T], with the bits of a cold screen.  The grid points
+with the smallest displacement go straight to damped multiple-shooting
+Newton on the accurate adaptive integrator.
 Accepted solutions are classified by the binary code of their hump
 maxima and cross-checked by an independent verification pass.
 
@@ -87,7 +88,6 @@ class SolutionRecord:
     A Neumann record is a single segment [0, T].
     """
 
-    initial: State
     k: int
     trajectory: Trajectory
     residual: float
@@ -98,6 +98,11 @@ class SolutionRecord:
     code: tuple = None
     min_period_multiple: int = None
     unclassifiable: bool = False
+
+    @property
+    def initial(self):
+        """The state at t = 0, the first node state."""
+        return State(*map(float, self.node_states[0]))
 
     @property
     def code_string(self):
@@ -477,8 +482,7 @@ def _accept(p, z, nodes, k, residual, sc, boundary):
     sup = float(np.max(np.abs(us)))
     if sup < _TRIVIAL_TOL or not float(np.min(us)) > 0.0:
         return None
-    return SolutionRecord(initial=State(float(z[0, 0]), float(z[0, 1])),
-                          k=k, trajectory=traj, residual=residual,
+    return SolutionRecord(k=k, trajectory=traj, residual=residual,
                           sup_norm=sup, boundary=boundary,
                           node_states=z, nodes=list(nodes))
 
@@ -551,56 +555,50 @@ def _coded_orbit_seeds(p, k, base):
     return seeds
 
 
-# the search key and the grid end states {j: states after j periods} of
-# the periods the last periodic search screened itself, replaced whole in
-# one assignment, so a search never pairs one search's key with
-# another's states
-_last_screen = (None, {})
+class SearchResult(list):
+    """The records of :func:`find_periodic_solutions` and ``screen``, the
+    grid screen it flowed: (key, {j: grid end states after j periods}),
+    keyed by the problem, the six grid fields and ``screen_steps``."""
+
+    def __init__(self, records, screen):
+        super().__init__(records)
+        self.screen = screen
 
 
-def _screen_periods(p, starts, k, sc):
-    """The grid ``starts`` after k periods of the RK4 screen: one
-    :func:`screen_flow` per period [(j - 1)T, jT], each from the end
-    states of the one before.
+def _screen_periods(p, starts, k, sc, prior):
+    """(the grid ``starts`` after k periods of the RK4 screen, the
+    screen): one :func:`screen_flow` per period [(j - 1)T, jT], each from
+    the end states of the one before.
 
-    The search continues the last search's screen where it can: on the
-    same key (the problem, the grid and ``screen_steps``) it starts from
-    the latest period j <= k that search screened, and flows only
-    periods j + 1..k.  Each jT is an edge of the k-period window's
-    pieces, so a continued screen has the bits of a cold one.  A search
-    hands the next one only the periods it screened itself, so this is
-    no memo: when a k = 1 then k = 2 pair runs again, its k = 1 search
-    screens period 1 again, because the k = 2 search screened only
-    period 2.
+    A ``prior`` screen with this search's key is continued from its
+    latest period j <= k: only periods j + 1..k are flowed, and each jT
+    is an edge of the k-period window's pieces, so the bits are those
+    of a cold screen.  The screen returned keeps ``prior``'s periods.
     """
-    global _last_screen
     key = (p, sc.u_min, sc.u_max, sc.u_count, sc.y_min, sc.y_max,
            sc.y_count, sc.screen_steps)
-    last_key, last = _last_screen
-    if last_key != key:
-        last = {}
-    j = max((i for i in last if i <= k), default=0)
-    finals = last[j] if j else starts
-    ends = {}
+    ends = dict(prior[1]) if prior is not None and prior[0] == key else {}
+    j = max((i for i in ends if i <= k), default=0)
+    finals = ends[j] if j else starts
     T = p.period
     for i in range(j + 1, k + 1):
         finals = ends[i] = screen_flow(p, finals, (i - 1) * T, i * T,
                                        steps_per_unit=sc.screen_steps)
-    _last_screen = key, ends
-    return finals
+    return finals, (key, ends)
 
 
 def find_periodic_solutions(p, k, sc=None, base=None):
     """Positive kT-periodic solutions by multistart damped multiple
-    shooting on the period map, sorted by initial state (u, then u').
+    shooting on the period map, sorted by initial state (u, then u'),
+    as a :class:`SearchResult` that also holds the grid screen.
 
     The grid screen is :func:`_screen_periods`: one RK4 screen per
-    period, continued from the last search's screen on the same problem,
-    grid and ``screen_steps`` (``max_candidates`` may differ), with the
-    bits of a cold screen.  For 2 <= k <= 7 the 1-periodic records
-    ``base`` also seed every coded word; when omitted they come from a
-    k=1 search with at most 20 candidates, which takes its screen from
-    this one and flows nothing.
+    period.  It continues the screen of ``base`` when ``base`` is the
+    result of a search on the same problem, grid and ``screen_steps``
+    (``max_candidates`` may differ); a plain list screens cold.  For
+    2 <= k <= 7 the 1-periodic records ``base`` also seed every coded
+    word; when omitted they come from a k=1 search with at most 20
+    candidates, which is handed this search's screen and flows nothing.
     """
     if p.boundary != "periodic":
         raise DomainError("problem is not in periodic mode")
@@ -611,7 +609,8 @@ def find_periodic_solutions(p, k, sc=None, base=None):
     y_grid = np.linspace(sc.y_min, sc.y_max, sc.y_count)
     uu, yy = np.meshgrid(u_grid, y_grid, indexing="ij")
     starts = np.column_stack([uu.ravel(), yy.ravel()])
-    finals = _screen_periods(p, starts, k, sc)
+    finals, screen = _screen_periods(p, starts, k, sc,
+                                     getattr(base, "screen", None))
     disp = finals - starts
     mags = np.hypot(disp[:, 0], disp[:, 1])
     # the max_candidates smallest finite displacements, ascending
@@ -628,9 +627,10 @@ def find_periodic_solutions(p, k, sc=None, base=None):
              if zn is not None]
     if base is None and 2 <= k <= _MAX_CODED_K:
         base = find_periodic_solutions(
-            p, 1, replace(sc, max_candidates=min(sc.max_candidates, 20)))
+            p, 1, replace(sc, max_candidates=min(sc.max_candidates, 20)),
+            base=SearchResult([], screen))
     seeds.extend(_coded_orbit_seeds(p, k, base))
-    return _polish_seeds(p, k, seeds, sc)
+    return SearchResult(_polish_seeds(p, k, seeds, sc), screen)
 
 
 def find_neumann_solutions(p, sc=None):

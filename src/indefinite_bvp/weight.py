@@ -26,17 +26,19 @@ class WeightSpec:
     """T-periodic weight a(t).
 
     ``fn`` is evaluated on [0, period); :func:`evaluate` applies the
-    periodic extension.  ``kink_hints`` lists times in [0, period) where
-    the function may be non-smooth; only the quadrature of
-    :func:`integrate_weight` splits there.  The ODE integrators restart
-    at the detected sign changes alone: a kink inside a piece of one sign
-    is left to step-size control, which rejects the steps that straddle
-    it and keeps the flow at the requested tolerance.
+    periodic extension, and for a weight made by :meth:`shifted` reads
+    ``fn`` at t + ``shift``, reduced again.  ``kink_hints`` lists times
+    in [0, period) where the function may be non-smooth; only the
+    quadrature of :func:`integrate_weight` splits there.  The ODE
+    integrators restart at the detected sign changes alone: a kink inside
+    a piece of one sign is left to step-size control, which rejects the
+    steps that straddle it and keeps the flow at the requested tolerance.
     """
 
     period: float
     fn: object
     kink_hints: tuple = ()
+    shift: float = 0.0
 
     def __post_init__(self):
         if not (self.period > 0):
@@ -108,16 +110,18 @@ class WeightSpec:
         """Weight b(t) = a(t + t0)."""
         if t0 == 0:
             return self
-        base = self
         hints = tuple(sorted((h - t0) % self.period for h in self.kink_hints))
-        return WeightSpec(self.period, lambda t: evaluate(base, t + t0),
-                          kink_hints=hints)
+        return WeightSpec(self.period, self.fn, kink_hints=hints,
+                          shift=self.shift + t0)
 
 
 def evaluate(w, t):
     """a(t) with the periodic extension applied."""
     t = np.asarray(t, dtype=float)
     tw = t - w.period * np.floor(t / w.period)
+    if w.shift:
+        tw = tw + w.shift
+        tw = tw - w.period * np.floor(tw / w.period)
     out = np.asarray(w.fn(tw), dtype=float)
     return float(out) if out.ndim == 0 else out
 
@@ -143,13 +147,17 @@ def evaluate_scalar(w):
     :func:`evaluate` at that point.  An expression weight is called
     without its floating-point guard, so the caller runs inside
     :func:`expressions.quiet_fp`."""
-    T = w.period
+    T, shift = w.period, w.shift
     fn = unguarded(w.fn)
 
     def a_at(t):
         # x // 1.0 is np.floor(x) down to the sign of zero, so this is
-        # evaluate's periodic reduction
-        return float(fn(t - T * ((t / T) // 1.0)))
+        # evaluate's periodic reduction, twice for a shifted weight
+        t = t - T * ((t / T) // 1.0)
+        if shift:
+            t = t + shift
+            t = t - T * ((t / T) // 1.0)
+        return float(fn(t))
 
     return a_at
 

@@ -2,9 +2,10 @@
 every import sits at module level, every module-level private helper and
 constant has a reader, every dataclass field is read somewhere, no
 module imports or reads another module's private names, the expression
-compiler is the only place that runs generated code, no module calls an
-ODE solver of ``scipy.integrate`` (the package steps on its own DOP853),
-no module imports scipy (its private ``_ivp`` package included):
+compiler is the only place that runs generated code, no module has a
+``global`` statement, no module calls an ODE solver of
+``scipy.integrate`` (the package steps on its own DOP853), no module
+imports scipy (its private ``_ivp`` package included):
 ``scipy.integrate`` is bound only at the top of ``weight`` through
 ``lazy_module``, so it loads when ``quad`` first runs; ``__all__`` lists
 exactly the names the package imports, and every layer the benchmark
@@ -108,6 +109,29 @@ def test_dynamic_code_only_in_expressions(path):
         assert calls == ["compile", "eval"]
     else:
         assert calls == []
+
+
+def global_statements(source):
+    """Line numbers of the ``global`` statements of the module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global)]
+
+
+def test_scan_flags_global_statements():
+    src = ("_x = 0\n\n"
+           "def f():\n    global _x\n    _x += 1\n\n"
+           "def g():\n    x = 0\n\n    def h():\n        nonlocal x\n"
+           "        x += 1\n    return h\n\n"
+           "class C:\n    def m(self):\n        global _x, _y\n")
+    assert global_statements(src) == [4, 17]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda f: f.name)
+def test_no_global_statements(path):
+    # state that code rebinds belongs to an object its callers pass, not
+    # to the module, where one caller's value reaches the next
+    assert global_statements(path.read_text(encoding="utf-8")) == []
 
 
 def _referenced_name(node):

@@ -13,9 +13,9 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 
 from indefinite_bvp import (dop853_coefficients, integrator, nonlinearity,
-                            shooting)
+                            shooting, weight)
 from indefinite_bvp.errors import DivergenceError, DomainError
-from indefinite_bvp.expressions import Expression
+from indefinite_bvp.expressions import Expression, quiet_fp
 from indefinite_bvp.integrator import (ProblemSpec, State, Trajectory, flow,
                                        integrate, max_on_interval)
 from indefinite_bvp.nonlinearity import NonlinearitySpec
@@ -380,6 +380,45 @@ def test_expression_problem_pickles():
     state = np.array([0.4, -0.1])
     assert np.array(q.rhs(0.3, state)).tobytes() == \
         np.array(p.rhs(0.3, state)).tobytes()
+
+
+def _shifted_expression_problem():
+    # the positivity interval of this weight opens at t = 0.968, so build
+    # shifts the weight's origin there
+    w = WeightSpec.from_expression("sin(2*pi*t)+0.2", 1.0)
+    return ProblemSpec.build(w, 7.0, 0.3, NonlinearitySpec.arctan_scaled(100))
+
+
+def test_shifted_expression_problem_pickles():
+    # the shift is data on the weight, not a closure around it
+    p = _shifted_expression_problem()
+    q = pickle.loads(pickle.dumps(p))
+    assert q.weight.shift == p.pattern.origin_shift != 0.0
+    for t in (0.0, 0.3, 0.97, 1.5, -0.2):
+        assert np.array(q.rhs(t, (0.4, -0.1))).tobytes() == \
+            np.array(p.rhs(t, (0.4, -0.1))).tobytes()
+
+
+def test_shifted_expression_integrates_unguarded(monkeypatch):
+    # the float field of a shifted expression weight calls the compiled
+    # expression without its guard, with the bits of evaluate
+    p = _shifted_expression_problem()
+    calls = []
+    original = Expression.__call__
+
+    def spy(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(Expression, "__call__", spy)
+    traj = integrate(p, State(0.3, 0.1), 0.0, 2.0)
+    assert calls == []
+    assert len(traj.times) > 10
+    ts = np.linspace(-3.0, 5.0, 801)
+    a_at = weight.evaluate_scalar(p.weight)
+    with quiet_fp():
+        scalar = np.array([a_at(float(t)) for t in ts])
+    assert scalar.tobytes() == weight.evaluate(p.weight, ts).tobytes()
 
 
 def test_expression_weight_integrates_without_warnings():

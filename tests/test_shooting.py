@@ -289,8 +289,7 @@ def test_period_chain_matches_the_whole_window(name):
     sc = SearchConfig(screen_steps=150)
     starts = np.array([[1e-3, 0.0], [0.03, 0.02], [0.1, -0.05],
                        [0.5, 0.3], [2.0, -1.0], [-0.2, 0.4]])
-    last = shooting._screen_periods(p, starts, 7, sc)
-    ends = shooting._last_screen[1]
+    last, (_, ends) = shooting._screen_periods(p, starts, 7, sc, None)
     assert sorted(ends) == list(range(1, 8))
     assert last is ends[7]
     assert np.isfinite(ends[1]).any()
@@ -323,44 +322,67 @@ def _record_bytes(recs):
 
 
 def test_k2_search_continues_the_k1_screen(monkeypatch):
-    # after the k = 1 search on the same problem and grid, the k = 2
-    # search flows only [T, 2T] and finds the records of a cold search
+    # handed the k = 1 result on the same problem and grid, the k = 2
+    # search flows only [T, 2T] and finds the records of a cold search;
+    # the same records as a plain list screen cold
     pre = fig2()
     p, sc = pre.problem, replace(pre.search, max_candidates=4)
-    base = find_periodic_solutions(p, 1, sc)
-    monkeypatch.setattr(shooting, "_last_screen", (None, {}))
-    cold = find_periodic_solutions(p, 2, sc, base=base)
-    assert len(cold) == 3
-    monkeypatch.setattr(shooting, "_last_screen", (None, {}))
-    find_periodic_solutions(p, 1, sc)
-    windows = _spy_windows(monkeypatch)
-    warm = find_periodic_solutions(p, 2, sc, base=base)
     T = p.period
+    base = find_periodic_solutions(p, 1, sc)
+    assert isinstance(base, shooting.SearchResult)
+    windows = _spy_windows(monkeypatch)
+    cold = find_periodic_solutions(p, 2, sc, base=list(base))
+    assert len(cold) == 3
+    assert windows == [(0.0, T), (T, 2 * T)]
+    del windows[:]
+    warm = find_periodic_solutions(p, 2, sc, base=base)
     assert windows == [(T, 2 * T)]
     assert _record_bytes(warm) == _record_bytes(cold)
 
 
 def test_screen_is_handed_on_not_kept(monkeypatch):
-    # each search continues the one before it and keeps only what it
-    # screened: a k = 1, k = 2 pair run twice screens every period once
-    # per pair, and a k = 2 search without base screens each period once
+    # a screen reaches only the search it is handed to: a k = 1, k = 2
+    # pair run twice screens every period once per pair, a search handed
+    # [] screens cold, and a k = 2 search without base screens each
+    # period once, its k = 1 search flowing nothing
     windows = _spy_windows(monkeypatch, diverge=True)
     pre = fig2()
     p, sc = pre.problem, replace(pre.search, u_count=4, y_count=3)
     T = p.period
     for _ in range(2):
-        find_periodic_solutions(p, 1, sc)
-        find_periodic_solutions(p, 2, sc, base=[])
+        base = find_periodic_solutions(p, 1, sc)
+        find_periodic_solutions(p, 2, sc, base=base)
     assert windows == [(0.0, T), (T, 2 * T)] * 2
     del windows[:]
-    monkeypatch.setattr(shooting, "_last_screen", (None, {}))
+    find_periodic_solutions(p, 2, sc, base=[])
+    assert windows == [(0.0, T), (T, 2 * T)]
+    del windows[:]
     find_periodic_solutions(p, 2, sc)
     assert windows == [(0.0, T), (T, 2 * T)]
 
 
+def test_interleaved_searches_keep_their_screens(monkeypatch):
+    # k = 1 searches on p and q, then k = 2 on each with its own base:
+    # each k = 2 search flows only [T, 2T]
+    windows = _spy_windows(monkeypatch, diverge=True)
+    pre = fig2()
+    p, sc = pre.problem, replace(pre.search, u_count=4, y_count=3)
+    q = replace(p, mu=7.5)
+    T = p.period
+    base_p = find_periodic_solutions(p, 1, sc)
+    base_q = find_periodic_solutions(q, 1, sc)
+    del windows[:]
+    find_periodic_solutions(p, 2, sc, base=base_p)
+    assert windows == [(T, 2 * T)]
+    del windows[:]
+    find_periodic_solutions(q, 2, sc, base=base_q)
+    assert windows == [(T, 2 * T)]
+
+
 def test_screen_key(monkeypatch):
-    # the problem (by equality), every grid field and screen_steps key
-    # the hand-over; max_candidates does not
+    # the result of a search on another problem (by equality), another
+    # grid field or screen_steps is not continued; max_candidates may
+    # differ
     windows = _spy_windows(monkeypatch, diverge=True)
     pre = fig2()
     p, sc = pre.problem, replace(pre.search, u_count=4, y_count=3)
@@ -374,9 +396,9 @@ def test_screen_key(monkeypatch):
                         ("y_min", -4.0), ("y_max", 4.0), ("y_count", 4)):
         misses[name] = (p, replace(sc, **{name: value}))
     for name, (q, sq) in {**hits, **misses}.items():
-        find_periodic_solutions(p, 1, sc)
+        base = find_periodic_solutions(p, 1, sc)
         del windows[:]
-        find_periodic_solutions(q, 2, sq, base=[])
+        find_periodic_solutions(q, 2, sq, base=base)
         want = [(T, 2 * T)] if name in hits else [(0.0, T), (T, 2 * T)]
         assert windows == want, name
 
