@@ -8,7 +8,7 @@ at zero, 1.01 for mu_r, 10 for the a priori bound R*).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import shooting
 from .brent import brentq
@@ -63,17 +63,7 @@ class BoundsReport:
         return True
 
     def to_dict(self):
-        return {
-            "K": list(self.K), "K0": self.K0, "r": self.r,
-            "eta_r": self.eta_r, "mu_sharp": self.mu_sharp,
-            "mu_r": self.mu_r,
-            "delta_plus": list(self.delta_plus),
-            "delta_minus": list(self.delta_minus),
-            "mu_plus": list(self.mu_plus), "mu_minus": list(self.mu_minus),
-            "gamma_small": self.gamma_small, "gamma_big": self.gamma_big,
-            "R_star": self.R_star, "mu_star": self.mu_star,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 def _neg_double_integral(p, lo, hi, from_left=True):

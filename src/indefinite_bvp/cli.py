@@ -58,12 +58,15 @@ def parse_weight(src, period=None):
     m = _CALL_RE.match(src)
     if m and m.group(1) in ("sin_pm", "sine"):
         name, args = m.group(1), m.group(2).split(",")
+        arity = 1 if name == "sine" else 3
         try:
-            if name == "sine":
-                return WeightSpec.sine(float(args[0]), period=period)
-            freq, nu, mu = (float(a) for a in args[:3])
-            return WeightSpec.sin_pm(freq, nu=nu, mu=mu, period=period)
-        except (ValueError, IndexError) as exc:
+            if len(args) != arity:
+                raise ValueError("%s takes %d argument(s), got %d"
+                                 % (name, arity, len(args)))
+            freq, *rest = (float(a) for a in args)
+            build = getattr(WeightSpec, name)
+            return build(freq, *rest, period=period)
+        except (ValueError, ConfigurationError) as exc:
             raise ConfigurationError(
                 "bad arguments in weight shorthand %r: %s" % (src, exc))
     if period is None:

@@ -19,12 +19,12 @@ calls ``solve_ivp``.  Single trajectories, and the vertices of the
 winding-number polylines one at a time, use the float DOP853 stepper of
 :func:`integrator.integrate`.
 
-All Newton seeds of a search are polished in lockstep.  Each merged
-round flows the pending evaluation of every unfinished seed in one
-batched flow and hands each seed its rows; a seed whose polish has ended
-drops out.  A row that leaves the guard region is frozen and named by
-the flow while the other rows go on, so only the seed that owns it sees
-the failure.
+Every polish, the continuation's included, is a lockstep round of
+:func:`_newton_steps` generators, one per seed.  Each merged round flows
+the pending rows of every unfinished seed in one batched flow and sends
+each generator its rows; a seed whose polish has ended drops out.  A row
+that leaves the guard region is frozen and named by the flow while the
+other rows go on, so only the seed that owns it sees the failure.
 """
 
 from __future__ import annotations
@@ -287,14 +287,14 @@ def _orbit_seed(p, s0, k, sc):
     return traj.eval(np.array(nodes[:-1])), nodes
 
 
-def _newton_polish(p, z0, nodes, sc):
-    """Damped multiple-shooting Newton with matching at every breakpoint.
+def _newton_steps(z, sc):
+    """Damped multiple-shooting Newton with matching at every breakpoint,
+    on node states ``z`` (shape (n, 2)), as a generator.
 
     The unknowns are the states z_j at the matching nodes; the residual is
     F_j = flow(z_j over segment j) - z_{j+1 mod n}.  Fine segmentation
     keeps every segment flow mildly expanding even when the full period
-    map is violently stretching (large mu).  ``nodes`` must be the grid
-    the seed was built on.
+    map is violently stretching (large mu).
 
     Every evaluation is one batched flow of 3n rows: each z_j together
     with z_j + h e_u and z_j + h e_y, h = ``_FD_STEP`` * (1 + |z_j|).  All
@@ -305,24 +305,33 @@ def _newton_polish(p, z0, nodes, sc):
     brings the Jacobian for the next step, and Newton converges
     quadratically near a root without g' or variational equations.
 
-    Returns (node states of shape (n, 2) with the first row at the pattern
-    start, largest per-segment matching defect) or None.  This is the
-    one-seed call of :func:`_polish_lockstep`.
-    """
-    return _polish_lockstep(p, [(z0, nodes)], sc)[0]
-
-
-def _newton_steps(z, sc):
-    """The Newton iteration of :func:`_newton_polish` on node states
-    ``z`` (shape (n, 2)), as a generator.
-
-    It yields each node-state array it wants evaluated and receives its
-    residual and Jacobian (f, jac), or a thrown DivergenceError when the
-    flow of those states escapes.  It returns (z, defect) or None.
+    The generator yields the rows of each evaluation and receives their
+    flowed end states, or a thrown DivergenceError when the flow of those
+    rows escapes; :func:`_polish_lockstep` flows them on the segments of
+    the seed's grid.  It returns (node states with the first row at the
+    pattern start, largest per-segment matching defect) or None.
     """
     n = len(z)
+    seg = np.arange(n)
+    nxt = (seg + 1) % n
+
+    def system(z):
+        # (f, jac) of z from the flowed rows z_j, z_j + h e_u, z_j + h e_y
+        hs = _FD_STEP * (1.0 + np.abs(z))           # (n, 2)
+        rows = np.repeat(z, 3, axis=0)
+        rows[1::3, 0] += hs[:, 0]
+        rows[2::3, 1] += hs[:, 1]
+        out = (yield rows).reshape(n, 3, 2)
+        fz = out[:, 0]
+        # dfz[j, c] is column c of segment j's flow derivative
+        dfz = (out[:, 1:] - fz[:, None, :]) / hs[:, :, None]
+        jac = np.zeros((n, 2, n, 2))
+        jac[seg, :, seg, :] = dfz.transpose(0, 2, 1)
+        jac[seg, :, nxt, :] -= np.eye(2)
+        return fz - z[nxt], jac.reshape(2 * n, 2 * n)
+
     try:
-        f, jac = yield z
+        f, jac = yield from system(z)
     except DivergenceError:
         return None
     bound = 100.0 * (1.0 + float(np.max(np.abs(z))))
@@ -350,7 +359,7 @@ def _newton_steps(z, sc):
         lam = 1.0
         for _ in range(12):
             try:
-                f_new, jac_new = yield z + lam * step
+                f_new, jac_new = yield from system(z + lam * step)
             except DivergenceError:
                 lam *= 0.5
                 continue
@@ -367,78 +376,34 @@ def _newton_steps(z, sc):
     return None
 
 
-class _Seed:
-    """One Newton run of :func:`_polish_lockstep`: its iteration, its
-    segment grid, its pending request and, once done, its result."""
-
-    def __init__(self, z0, nodes, sc):
-        n = len(nodes) - 1
-        self.steps = _newton_steps(
-            np.asarray(z0, dtype=float).reshape(n, 2).copy(), sc)
-        self.t0s = np.repeat(np.asarray(nodes[:-1], dtype=float), 3)
-        self.lens = np.repeat(np.diff(nodes), 3)
-        self.seg = np.arange(n)
-        self.nxt = (self.seg + 1) % n
-        self.result = None
-        self.ask(next(self.steps))
-
-    def ask(self, z):
-        """Make ``z`` the pending request: its flow rows are each z_j,
-        then z_j + h e_u and z_j + h e_y."""
-        self.z = z
-        self.hs = _FD_STEP * (1.0 + np.abs(z))           # (n, 2)
-        self.rows = np.repeat(z, 3, axis=0)
-        self.rows[1::3, 0] += self.hs[:, 0]
-        self.rows[2::3, 1] += self.hs[:, 1]
-
-    def reply(self, out):
-        """Hand the iteration the flowed rows ``out`` of the pending
-        request, or the DivergenceError of its flow.  False once the
-        iteration has returned its result."""
-        try:
-            if isinstance(out, DivergenceError):
-                z = self.steps.throw(out)
-            else:
-                z = self.steps.send(self._system(out))
-        except StopIteration as done:
-            self.result = done.value
-            return False
-        self.ask(z)
-        return True
-
-    def _system(self, out):
-        """(f, jac) of the pending request from its flowed rows."""
-        n = len(self.seg)
-        out = out.reshape(n, 3, 2)
-        fz = out[:, 0]
-        # dfz[j, c] is column c of segment j's flow derivative
-        dfz = (out[:, 1:] - fz[:, None, :]) / self.hs[:, :, None]
-        jac = np.zeros((n, 2, n, 2))
-        jac[self.seg, :, self.seg, :] = dfz.transpose(0, 2, 1)
-        jac[self.seg, :, self.nxt, :] -= np.eye(2)
-        return fz - self.z[self.nxt], jac.reshape(2 * n, 2 * n)
-
-
 def _polish_lockstep(p, seeds, sc):
-    """:func:`_newton_polish` of every (node states, nodes) pair in
-    ``seeds``, in lockstep: [(z, defect) or None] in seed order.
+    """:func:`_newton_steps` of every (node states, nodes) pair in
+    ``seeds``, in lockstep: [(z, defect) or None] in seed order.  Every
+    polish, the continuation's included, goes through here.
 
-    Each round stacks the pending request of every unfinished seed, with
-    its own segment starts and lengths, into one :func:`_batch_flow`
-    call (a merged round) and hands each seed its rows, or the error of
-    its first escaped row.  A seed thus follows its solo polish up to the
-    flow tolerance, a diverging trial fails only its own seed, and a
-    search makes as many batched flows as its longest polish.  When the
-    whole flow fails, every seed of the round gets its error.
+    Each round stacks the pending rows of every unfinished seed, with its
+    own segment starts and lengths, into one :func:`_batch_flow` call (a
+    merged round) and sends each seed its flowed rows, or throws it the
+    error of its first escaped row.  A seed thus follows its solo polish
+    up to the flow tolerance, a diverging trial fails only its own seed,
+    and a search makes as many batched flows as its longest polish.  When
+    the whole flow fails, every seed of the round gets its error.
     """
-    runs = [_Seed(z0, nodes, sc) for z0, nodes in seeds]
-    active = runs
-    while active:
-        edges = np.cumsum([0] + [len(s.rows) for s in active])
+    steps, pending, t0s, lens = {}, {}, {}, {}
+    for i, (z0, nodes) in enumerate(seeds):
+        steps[i] = _newton_steps(np.asarray(z0, dtype=float).reshape(
+            len(nodes) - 1, 2).copy(), sc)
+        pending[i] = next(steps[i])
+        t0s[i] = np.repeat(np.asarray(nodes[:-1], dtype=float), 3)
+        lens[i] = np.repeat(np.diff(nodes), 3)
+    results = [None] * len(seeds)
+    while pending:
+        active = list(pending)
+        edges = np.cumsum([0] + [len(pending[i]) for i in active])
         try:
             out, escaped = _batch_flow(
-                p, *(np.concatenate([getattr(s, a) for s in active])
-                     for a in ("rows", "t0s", "lens")), sc)
+                p, *(np.concatenate([part[i] for i in active])
+                     for part in (pending, t0s, lens)), sc)
         except DivergenceError as exc:
             replies = [exc] * len(active)
         else:
@@ -446,8 +411,15 @@ def _polish_lockstep(p, seeds, sc):
                 next((escaped[r] for r in sorted(escaped) if lo <= r < hi),
                      out[lo:hi])
                 for lo, hi in zip(edges[:-1], edges[1:])]
-        active = [s for s, reply in zip(active, replies) if s.reply(reply)]
-    return [s.result for s in runs]
+        for i, reply in zip(active, replies):
+            try:
+                pending[i] = (steps[i].throw(reply)
+                              if isinstance(reply, DivergenceError)
+                              else steps[i].send(reply))
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +685,9 @@ def track_in_mu(p, rec, mu_target, sc=None):
     """Continue a periodic record along the weight scaling mu.
 
     Natural-parameter continuation with a multiplicative step in mu:
-    polish the current node states at the trial mu, halve the step on
-    failure or on collapse of the node states towards zero.  Returns the
+    polish the current node states at the trial mu, a one-seed lockstep
+    round of :func:`_newton_steps`, and halve the step on failure or on
+    collapse of the node states towards zero.  Returns the
     accepted record at mu_target, or None when the branch cannot be
     followed or its final root is not accepted.  Raises DomainError
     unless 0 < mu_target < inf.
@@ -754,7 +727,7 @@ def track_in_mu(p, rec, mu_target, sc=None):
                 z_seed = z_c + (z_c - traj_prev.eval(ts)) * s_ratio
             else:
                 z_seed = z_c
-            polished = _newton_polish(q, z_seed, nodes_try, sc)
+            polished = _polish_lockstep(q, [(z_seed, nodes_try)], sc)[0]
         except DivergenceError:
             polished = None
         if polished is not None:

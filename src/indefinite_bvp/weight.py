@@ -21,6 +21,12 @@ from .lazy import lazy_module
 _sint = lazy_module("scipy.integrate")
 
 
+def _check_freq(freq):
+    if freq == 0 or not math.isfinite(freq):
+        raise ConfigurationError(
+            "frequency must be finite and nonzero, got %r" % freq)
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """T-periodic weight a(t).
@@ -49,6 +55,7 @@ class WeightSpec:
     @classmethod
     def sine(cls, freq, period=None):
         """a(t) = sin(freq * t)."""
+        _check_freq(freq)
         if period is None:
             period = 2 * math.pi / freq
         return cls(period, lambda t: np.sin(freq * t))
@@ -56,6 +63,7 @@ class WeightSpec:
     @classmethod
     def sin_pm(cls, freq, nu=1.0, mu=1.0, period=None):
         """a(t) = nu*sin+(freq t) - mu*sin-(freq t)."""
+        _check_freq(freq)
         if period is None:
             period = 2 * math.pi / freq
         n_half = period * freq / math.pi

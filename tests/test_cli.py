@@ -500,6 +500,20 @@ def test_bad_nonlinearity_shorthand_exit(g, tmp_path, capsys):
     assert repr(g) in err["message"]
 
 
+@pytest.mark.parametrize("weight", ["sine(0)", "sin_pm(0,1,1)",
+                                    "sine(6.28, 5)", "sin_pm(6.28,1,7,9)"])
+def test_bad_weight_shorthand_exit(weight, tmp_path, capsys):
+    # a zero frequency is a configuration error (exit 2), not a
+    # ZeroDivisionError traceback, and an extra argument is refused, not
+    # dropped
+    path = write_config(tmp_path, "[problem]\nweight = %s\n"
+                        "g = arctan_scaled(100)\n" % weight)
+    assert main(["solve", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert repr(weight) in err["message"]
+
+
 @pytest.mark.parametrize("text", ["mu = inf\n", "c = nan\n", "c = inf\n",
                                   "c = -inf\n"])
 def test_non_finite_mu_or_c_exit(text, tmp_path, capsys):

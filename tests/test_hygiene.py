@@ -216,16 +216,27 @@ def _is_dataclass(node):
     return False
 
 
+def _dumps_itself(cls):
+    """True when a method of ``cls`` calls ``asdict(self)``, which reads
+    every field."""
+    return any(isinstance(n, ast.Call)
+               and _referenced_name(n.func) == "asdict"
+               and [_referenced_name(a) for a in n.args] == ["self"]
+               for n in ast.walk(cls))
+
+
 def write_only_fields(sources):
     """``Class.field`` of every dataclass field in ``sources`` (module name
-    -> source) that no attribute load anywhere in them reads."""
+    -> source) that no attribute load anywhere in them reads, in a class
+    that does not dump itself with ``asdict(self)``."""
     trees = [ast.parse(src) for src in sources.values()]
     loaded = {n.attr for tree in trees for n in ast.walk(tree)
               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     unread = []
     for tree in trees:
         for cls in ast.walk(tree):
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)) \
+                    or _dumps_itself(cls):
                 continue
             for stmt in cls.body:
                 if isinstance(stmt, ast.AnnAssign) and \
@@ -243,13 +254,18 @@ def test_scan_flags_write_only_fields():
               "    note: str = field(default='')\n\n"
               "@dataclass\nclass Rec:\n    hits: int = 0\n    tag: str = ''\n\n"
               "class Plain:\n    loose: int = 0\n\n"
+              "@dataclass\nclass Dumped:\n    kept: int = 0\n"
+              "    def to_dict(self):\n        return asdict(self)\n\n"
+              "@dataclass\nclass Other:\n    lost: int = 0\n"
+              "    def dump(self, rec):\n        return asdict(rec)\n\n"
               "def use(s, r):\n    r.hits += 1\n    r.tag = 'x'\n"
               "    return s.read\n"),
         "b": "def note_of(s):\n    return s.note\n",
     }
     # an augmented assignment stores: a counter nothing reads is unread
-    assert write_only_fields(sources) == ["Rec.hits", "Rec.tag",
-                                          "Spec.stored"]
+    # asdict(self) reads every field of its own class, no other
+    assert write_only_fields(sources) == ["Other.lost", "Rec.hits",
+                                          "Rec.tag", "Spec.stored"]
 
 
 def test_no_write_only_fields():
@@ -323,12 +339,18 @@ def test_solve_ivp_call_sites():
 def test_batched_flow_call_sites():
     # one batched path: the kernel sits behind _batch_flow, which the
     # Newton rounds and the residual of verify_solution call; a second
-    # caller would be a second batched path
+    # caller would be a second batched path.  One polish path: only the
+    # lockstep rounds drive the Newton generator, and the searches and
+    # the continuation polish through them
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
     assert callers_of("flow_rows", sources) == ["shooting._batch_flow"]
     assert callers_of("_batch_flow", sources) == [
         "shooting._polish_lockstep", "shooting.verify_solution"]
+    assert callers_of("_newton_steps", sources) == [
+        "shooting._polish_lockstep"]
+    assert callers_of("_polish_lockstep", sources) == [
+        "shooting._polish_seeds", "shooting.track_in_mu"]
 
 
 PRIVATE_IVP = "scipy.integrate._ivp"
@@ -537,7 +559,8 @@ def test_all_matches_the_package_imports():
 
 TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
 # layers the tracer still lists after the package dropped their function
-DROPPED_LAYERS = ["shooting._local_refine", "integrator.forcing"]
+DROPPED_LAYERS = ["shooting._local_refine", "shooting._newton_polish",
+                  "integrator.forcing"]
 
 
 def unresolved_layers(layers):

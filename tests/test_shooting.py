@@ -457,8 +457,8 @@ def test_newton_reconverges_quadratically(fig2_k1, fig2_k2, monkeypatch):
     monkeypatch.setattr(shooting, "_batch_flow", counting)
     for rec in k1 + fig2_k2:
         calls.clear()
-        out = shooting._newton_polish(p, 1.01 * rec.node_states, rec.nodes,
-                                      sc)
+        out, = shooting._polish_lockstep(
+            p, [(1.01 * rec.node_states, rec.nodes)], sc)
         assert out is not None
         z, defect = out
         assert defect < sc.residual_tol
@@ -488,7 +488,7 @@ def test_jacobian_blocks_match_loop(fig2_k1, fig2_k2, monkeypatch):
     monkeypatch.setattr(shooting, "_batch_flow", recording)
     monkeypatch.setattr(np.linalg, "solve", capture)
     z = 1.01 * rec.node_states
-    shooting._newton_polish(p, z, rec.nodes, sc)
+    shooting._polish_lockstep(p, [(z, rec.nodes)], sc)
     out = seen["out"]
     hs = shooting._FD_STEP * (1.0 + np.abs(z))
     ref = np.zeros((2 * n, 2 * n))
@@ -696,18 +696,19 @@ def test_continuation_shortens_rejected_steps(fig2_k1, monkeypatch):
     p, sc, recs = fig2_k1
     rec, = recs
     ref = shooting.track_in_mu(p, rec, 4.5, sc)
-    polish = shooting._newton_polish
+    polish = shooting._polish_lockstep
     trials = []
 
-    def faulty(q, z0, nodes, sc):
+    def faulty(q, seeds, sc):
+        (z0, _), = seeds
         trials.append(q.mu)
         if len(trials) == 1:
-            return None
+            return [None]
         if len(trials) == 2:
-            return np.zeros_like(z0), 0.0
-        return polish(q, z0, nodes, sc)
+            return [(np.zeros_like(z0), 0.0)]
+        return polish(q, seeds, sc)
 
-    monkeypatch.setattr(shooting, "_newton_polish", faulty)
+    monkeypatch.setattr(shooting, "_polish_lockstep", faulty)
     out = shooting.track_in_mu(p, rec, 4.5, sc)
     steps = [abs(math.log(mu / p.mu)) for mu in trials[:3]]
     assert steps[0] > steps[1] > steps[2] > 0
@@ -722,14 +723,15 @@ def test_continuation_shortens_a_clamped_step(fig2_k1, monkeypatch):
     p, sc, recs = fig2_k1
     rec, = recs
     ref = shooting.track_in_mu(p, rec, 6.5, sc)
-    polish = shooting._newton_polish
+    polish = shooting._polish_lockstep
     trials = []
 
-    def faulty(q, z0, nodes, sc):
+    def faulty(q, seeds, sc):
+        assert len(seeds) == 1
         trials.append(q.mu)
-        return None if len(trials) <= 3 else polish(q, z0, nodes, sc)
+        return [None] if len(trials) <= 3 else polish(q, seeds, sc)
 
-    monkeypatch.setattr(shooting, "_newton_polish", faulty)
+    monkeypatch.setattr(shooting, "_polish_lockstep", faulty)
     out = shooting.track_in_mu(p, rec, 6.5, sc)
     assert trials[0] == 6.5
     steps = [abs(math.log(mu / p.mu)) for mu in trials[:4]]
@@ -773,7 +775,7 @@ def test_lockstep_polish_matches_solo_polishes(fig2_k1, monkeypatch):
     solo_calls, solo_rows, solo = [], [], []
     for z0, nodes in seeds:
         del rows[:]
-        polished = shooting._newton_polish(p, z0, nodes, sc)
+        polished, = shooting._polish_lockstep(p, [(z0, nodes)], sc)
         solo_calls.append(len(rows))
         solo_rows.append(sum(rows))
         if polished is not None:
@@ -805,9 +807,9 @@ def test_lockstep_polish_isolates_a_diverging_seed(fig2_k1, monkeypatch):
     rec = recs[0]
     good = (1.01 * rec.node_states, rec.nodes)
     bad = (1e7 * rec.node_states, rec.nodes)
-    assert shooting._newton_polish(p, *bad, sc) is None
+    assert shooting._polish_lockstep(p, [bad], sc) == [None]
     rows = _counting_flows(monkeypatch)
-    solo = shooting._newton_polish(p, *good, sc)
+    solo, = shooting._polish_lockstep(p, [good], sc)
     solo_flows = len(rows)
     del rows[:]
     out = shooting._polish_lockstep(p, [bad, good], sc)
@@ -975,11 +977,14 @@ def expression_weight_problem():
     return ProblemSpec.build(w, 7.0, 0.2, NonlinearitySpec.arctan_scaled(100))
 
 
-def merged_request(seeds):
-    """Rows, starts and lengths of the pending Newton requests of
-    ``seeds``, merged as in a lockstep round."""
-    return [np.concatenate([getattr(s, a) for s in seeds])
-            for a in ("rows", "t0s", "lens")]
+def merged_request(seeds, sc):
+    """Rows, starts and lengths of the first Newton request of each
+    (node states, nodes) pair in ``seeds``, merged as in a lockstep
+    round."""
+    return [np.concatenate(part) for part in zip(*(
+        (next(shooting._newton_steps(np.asarray(z, dtype=float), sc)),
+         np.repeat(nodes[:-1], 3), np.repeat(np.diff(nodes), 3))
+        for z, nodes in seeds))]
 
 
 @pytest.mark.parametrize("case", ["fig2_k1", "fig2_k2", "fig2_friction",
@@ -990,8 +995,7 @@ def test_batch_flow_matches_solve_ivp(case, fig2_k1, fig2_k2):
     p, sc, k1 = fig2_k1
     if case in ("fig2_k1", "fig2_k2"):
         recs = k1 if case == "fig2_k1" else fig2_k2
-        seeds = [shooting._Seed(1.01 * r.node_states, r.nodes, sc)
-                 for r in recs]
+        seeds = [(1.01 * r.node_states, r.nodes) for r in recs]
     else:
         # the first request of orbit seeds propagated from a few states
         if case == "fig2_friction":
@@ -1003,9 +1007,8 @@ def test_batch_flow_matches_solve_ivp(case, fig2_k1, fig2_k2):
             pre = multiplicity_m2()
             p, sc, k, states = pre.problem, pre.search, 2, [(1.0, 0.5),
                                                             (0.1, -0.2)]
-        seeds = [shooting._Seed(*shooting._orbit_seed(p, q, k, sc), sc)
-                 for q in states]
-    rows, t0s, lens = merged_request(seeds)
+        seeds = [shooting._orbit_seed(p, q, k, sc) for q in states]
+    rows, t0s, lens = merged_request(seeds, sc)
     want = solve_ivp_flow(p, rows, t0s, lens, sc)
     got, escaped = shooting._batch_flow(p, rows, t0s, lens, sc)
     assert not escaped
