@@ -177,8 +177,11 @@ def annulus_from_config(cp):
         raise ConfigurationError("radial weight expressions use the "
                                  "variable r")
     g = parse_nonlinearity(sec.get("g", "power(2)"))
-    return AnnulusProblem(sec["n"], sec["r1"], sec["r2"], expr, g,
-                          sec.get("mu", 1.0))
+    try:
+        return AnnulusProblem(sec["n"], sec["r1"], sec["r2"], expr, g,
+                              sec.get("mu", 1.0))
+    except ConfigurationError as exc:
+        raise ConfigurationError("bad [annulus] value: %s" % exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +202,10 @@ def _record_dict(rec):
 
 
 def _emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=True, default=float)
+    # RFC 8259 has no NaN or Infinity: every non-finite value is null
+    plain = json.loads(json.dumps(report, sort_keys=True, default=float),
+                       parse_constant=lambda _: None)
+    text = json.dumps(plain, indent=2, allow_nan=False)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

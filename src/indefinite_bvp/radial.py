@@ -10,6 +10,7 @@ a(t) = r(t)^{2(N-1)} Q(r(t)) and v(t) = U(r(t)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,16 @@ class AnnulusProblem:
     def __post_init__(self):
         if self.N < 2:
             raise ConfigurationError("space dimension must be >= 2")
+        # the transformed weight scales Q by r^{2(N-1)}, up to R2's
+        try:
+            top = float(self.R2) ** (2 * (self.N - 1))
+        except OverflowError:
+            top = math.inf
+        for name, value in (("R1", self.R1), ("R2", self.R2),
+                            ("mu", self.mu), ("R2^{2(N-1)}", top)):
+            if not math.isfinite(value):
+                raise ConfigurationError("%s must be finite, got %r"
+                                         % (name, value))
         if not 0 < self.R1 < self.R2:
             raise ConfigurationError("need 0 < R1 < R2")
         if not self.mu > 0:

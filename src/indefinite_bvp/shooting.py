@@ -19,12 +19,14 @@ calls ``solve_ivp``.  Single trajectories, and the vertices of the
 winding-number polylines one at a time, use the float DOP853 stepper of
 :func:`integrator.integrate`.
 
-Every polish, the continuation's included, is a lockstep round of
-:func:`_newton_steps` generators, one per seed.  Each merged round flows
-the pending rows of every unfinished seed in one batched flow and sends
-each generator its rows; a seed whose polish has ended drops out.  A row
-that leaves the guard region is frozen and named by the flow while the
-other rows go on, so only the seed that owns it sees the failure.
+Every polish is a lockstep round of :func:`_newton_steps` generators,
+one per seed, inside :func:`_polish_seeds`, whose roots all pass the one
+gate :func:`_accept`; the continuation polishes each trial mu there as a
+single seed.  Each merged round flows the pending rows of every
+unfinished seed in one batched flow and sends each generator its rows; a
+seed whose polish has ended drops out.  A row that leaves the guard
+region is frozen and named by the flow while the other rows go on, so
+only the seed that owns it sees the failure.
 """
 
 from __future__ import annotations
@@ -234,7 +236,8 @@ def _g_slope(g, amp):
 
 
 def _segment_nodes(p, k, traj):
-    """Matching times for multiple shooting over [0, kT].
+    """(node states, nodes): the matching times of multiple shooting over
+    [0, kT] and the states of ``traj`` at all but the last, a Newton seed.
 
     Every weight breakpoint is a node, and each smooth piece is further
     subdivided so the local exponential rate sqrt(max |a_mu| g'(u))
@@ -255,7 +258,7 @@ def _segment_nodes(p, k, traj):
         rate = math.sqrt(max(amax * _g_slope(p.g, a_loc), 1.0))
         n = max(1, int(math.ceil((hi - lo) * rate / _GROWTH_CAP)))
         nodes.extend(np.linspace(lo, hi, n + 1)[1:].tolist())
-    return nodes
+    return traj.eval(np.array(nodes[:-1])), nodes
 
 
 def _batch_flow(p, Z, t0s, lens, sc):
@@ -283,8 +286,7 @@ def _orbit_seed(p, s0, k, sc):
                          0.0, k * p.period, rtol=sc.rtol, atol=sc.atol)
     except DivergenceError:
         return None
-    nodes = _segment_nodes(p, k, traj=traj)
-    return traj.eval(np.array(nodes[:-1])), nodes
+    return _segment_nodes(p, k, traj)
 
 
 def _newton_steps(z, sc):
@@ -484,20 +486,15 @@ def _polish_seeds(p, k, seeds, sc):
     """Accepted, deduplicated kT-periodic records of the roots Newton
     reaches from ``seeds``, a list of (node states, nodes) pairs.
 
-    All seeds are polished together by :func:`_polish_lockstep`: each
-    Newton round flows the pending requests of every seed in one merged
-    batched flow, and a seed whose rows escape gets the error of its own
-    first escaped row.
+    All seeds are polished together by :func:`_polish_lockstep`, and each
+    root passes the one gate :func:`_accept`; each trial of the
+    continuation is a single seed here.
     """
-    found = []
-    for (_, nodes), polished in zip(seeds, _polish_lockstep(p, seeds, sc)):
-        if polished is None:
-            continue
-        z, defect = polished
-        rec = _accept(p, z, nodes, k, defect, sc, "periodic")
-        if rec is not None:
-            found.append(rec)
-    return _dedup(found, sc.u_max)
+    found = [_accept(p, polished[0], nodes, k, polished[1], sc, "periodic")
+             for (_, nodes), polished
+             in zip(seeds, _polish_lockstep(p, seeds, sc))
+             if polished is not None]
+    return _dedup([rec for rec in found if rec is not None], sc.u_max)
 
 
 def _coded_orbit_seeds(p, k, base):
@@ -514,11 +511,10 @@ def _coded_orbit_seeds(p, k, base):
     seeds = []
     T = p.period
     for rec in base:
-        nodes1 = _segment_nodes(p, 1, traj=rec.trajectory)
+        big, nodes1 = _segment_nodes(p, 1, rec.trajectory)
         # tile the 1-period grid so the word blocks line up exactly
         nodes_k = [j * T + t
                    for j in range(k) for t in nodes1[:-1]] + [k * T]
-        big = rec.trajectory.eval(np.array(nodes1[:-1]))
         small = _SMALL_SCALE * big
         for word in range(1, 2 ** k):
             bits = [(word >> (k - 1 - j)) & 1 for j in range(k)]
@@ -684,13 +680,13 @@ def classify_code(rec, p, r, R):
 def track_in_mu(p, rec, mu_target, sc=None):
     """Continue a periodic record along the weight scaling mu.
 
-    Natural-parameter continuation with a multiplicative step in mu:
-    polish the current node states at the trial mu, a one-seed lockstep
-    round of :func:`_newton_steps`, and halve the step on failure or on
-    collapse of the node states towards zero.  Returns the
-    accepted record at mu_target, or None when the branch cannot be
-    followed or its final root is not accepted.  Raises DomainError
-    unless 0 < mu_target < inf.
+    Natural-parameter continuation with a multiplicative step in mu.  Each
+    trial mu is a one-seed :func:`_polish_seeds`, whose gate every root
+    passes; the seed is the last accepted record on the trial's matching
+    grid, moved by the secant through the record before it.  A failed
+    polish, a rejected root or one collapsed towards zero halves the step.
+    Returns the accepted record at mu_target, or None when the branch
+    cannot be followed.  Raises DomainError unless 0 < mu_target < inf.
     """
     sc = sc or SearchConfig()
     if rec.boundary != "periodic":
@@ -698,59 +694,38 @@ def track_in_mu(p, rec, mu_target, sc=None):
     if not 0.0 < mu_target < math.inf:
         raise DomainError("mu_target must be positive and finite, got %r"
                           % mu_target)
-    k = rec.k
-    z, nodes_cur = rec.node_states, rec.nodes
     mu = p.mu
     if mu_target == mu:
         return rec
     up = mu_target > mu
     factor = 1.5 if up else 1.0 / 1.5
-    scale_ref = float(np.max(np.abs(z)))
-    p_cur = replace(p, mu=mu)
-    traj_cur = None     # stitched orbit at mu, for resampling node states
-    mu_prev, traj_prev = None, None
+    collapsed = max(_TRIVIAL_TOL,
+                    1e-3 * float(np.max(np.abs(rec.node_states))))
+    mu_prev, prev = None, None      # the record accepted before ``rec``
     for _ in range(_MAX_MU_STEPS):
         mu_try = mu * factor
         if (up and mu_try >= mu_target) or (not up and mu_try <= mu_target):
             mu_try = mu_target
         q = replace(p, mu=mu_try)
-        try:
-            if traj_cur is None:
-                traj_cur = _stitched_trajectory(p_cur, z, nodes_cur, sc)
-            nodes_try = _segment_nodes(q, k, traj=traj_cur)
-            ts = np.array(nodes_try[:-1])
-            z_c = traj_cur.eval(ts)
-            if traj_prev is not None:
-                # secant prediction along the branch, linear in log mu
-                s_ratio = (math.log(mu_try / mu)
-                           / math.log(mu / mu_prev))
-                z_seed = z_c + (z_c - traj_prev.eval(ts)) * s_ratio
-            else:
-                z_seed = z_c
-            polished = _polish_lockstep(q, [(z_seed, nodes_try)], sc)[0]
-        except DivergenceError:
-            polished = None
-        if polished is not None:
-            z_new, defect = polished
-            if float(np.max(np.abs(z_new))) <= max(_TRIVIAL_TOL,
-                                                   1e-3 * scale_ref):
-                polished = None
-        if polished is None:
+        z_seed, nodes = _segment_nodes(q, rec.k, rec.trajectory)
+        if prev is not None:
+            # secant prediction along the branch, linear in log mu
+            s = math.log(mu_try / mu) / math.log(mu / mu_prev)
+            z_seed = z_seed + (z_seed - prev.trajectory.eval(nodes[:-1])) * s
+        found = _polish_seeds(q, rec.k, [(z_seed, nodes)], sc)
+        if not found or float(np.max(np.abs(found[0].node_states))) \
+                <= collapsed:
             # halve the log-step actually tried, which is shorter than
             # ``factor`` when the trial was clamped to the target
             factor = math.sqrt(mu_try / mu)
             if abs(factor - 1.0) < 1e-4:
                 return None
             continue
-        mu_prev, traj_prev = mu, traj_cur
-        mu, z = mu_try, z_new
-        p_cur, nodes_cur, traj_cur = q, nodes_try, None
-        if up:
-            factor = min(factor ** 1.5, 4.0)
-        else:
-            factor = max(factor ** 1.5, 0.25)
+        mu_prev, prev = mu, rec
+        mu, rec = mu_try, found[0]
         if mu == mu_target:
-            return _accept(q, z, nodes_try, k, defect, sc, "periodic")
+            return rec
+        factor = min(factor ** 1.5, 4.0) if up else max(factor ** 1.5, 0.25)
     return None
 
 

@@ -21,10 +21,19 @@ from .lazy import lazy_module
 _sint = lazy_module("scipy.integrate")
 
 
-def _check_freq(freq):
+def _check_period(period):
+    if not 0 < period < math.inf:
+        raise ConfigurationError(
+            "period must be positive and finite, got %r" % period)
+    return period
+
+
+def _sine_period(freq, period):
+    """The checked ``period``, or 2 pi / freq when it is None."""
     if freq == 0 or not math.isfinite(freq):
         raise ConfigurationError(
             "frequency must be finite and nonzero, got %r" % freq)
+    return _check_period(2 * math.pi / freq if period is None else period)
 
 
 @dataclass(frozen=True)
@@ -47,25 +56,19 @@ class WeightSpec:
     shift: float = 0.0
 
     def __post_init__(self):
-        if not (self.period > 0):
-            raise ConfigurationError("period must be positive")
+        _check_period(self.period)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def sine(cls, freq, period=None):
         """a(t) = sin(freq * t)."""
-        _check_freq(freq)
-        if period is None:
-            period = 2 * math.pi / freq
-        return cls(period, lambda t: np.sin(freq * t))
+        return cls(_sine_period(freq, period), lambda t: np.sin(freq * t))
 
     @classmethod
     def sin_pm(cls, freq, nu=1.0, mu=1.0, period=None):
         """a(t) = nu*sin+(freq t) - mu*sin-(freq t)."""
-        _check_freq(freq)
-        if period is None:
-            period = 2 * math.pi / freq
+        period = _sine_period(freq, period)
         n_half = period * freq / math.pi
         hints = tuple(
             k * math.pi / freq

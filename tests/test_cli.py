@@ -243,6 +243,26 @@ def test_bounds_reads_search_section(tmp_path, capsys, monkeypatch):
     assert seen[1] is None
 
 
+def _refuse_constant(name):
+    raise ValueError("%s is not RFC 8259 JSON" % name)
+
+
+def test_report_is_strict_json(tmp_path, capsys):
+    # fig1 has no negativity interval on one side of each hump, so delta
+    # and mu there are not finite: the report writes them as null, and a
+    # strict parser reads the whole report
+    path = write_config(tmp_path, "[problem]\npreset = fig1\n")
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--config", path, "--out", str(out)]) == 0
+    for text in (capsys.readouterr().out, out.read_text()):
+        rep = json.loads(text, parse_constant=_refuse_constant)
+        b = rep["bounds"]
+        for key in ("delta_minus", "delta_plus", "mu_minus", "mu_plus"):
+            assert b[key].count(None) == 1, key
+        assert b["mu_star"] == max(v for key in ("mu_minus", "mu_plus")
+                                   for v in b[key] if v is not None)
+
+
 # small grids that still find the fig2 k = 2 orbits, the three fig1
 # Neumann solutions and one radial profile
 PERIODIC_INI = """
@@ -501,17 +521,33 @@ def test_bad_nonlinearity_shorthand_exit(g, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("weight", ["sine(0)", "sin_pm(0,1,1)",
-                                    "sine(6.28, 5)", "sin_pm(6.28,1,7,9)"])
+                                    "sine(6.28, 5)", "sin_pm(6.28,1,7,9)",
+                                    "sine(1e-320)", "sin_pm(1e-320, 1, 1)"])
 def test_bad_weight_shorthand_exit(weight, tmp_path, capsys):
     # a zero frequency is a configuration error (exit 2), not a
     # ZeroDivisionError traceback, and an extra argument is refused, not
-    # dropped
+    # dropped; a frequency so small that 2 pi / freq overflows names the
+    # period, not a weight identically zero or an OverflowError traceback
     path = write_config(tmp_path, "[problem]\nweight = %s\n"
                         "g = arctan_scaled(100)\n" % weight)
     assert main(["solve", "--config", path]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigurationError"
     assert repr(weight) in err["message"]
+    if "1e-320" in weight:
+        assert "period must be positive and finite" in err["message"]
+
+
+@pytest.mark.parametrize("period", ["inf", "nan", "1e400"])
+def test_non_finite_period_exit(period, tmp_path, capsys):
+    # an expression weight over an infinite period is refused by name,
+    # not as a weight identically zero on a period
+    path = write_config(tmp_path, "[problem]\nweight = sin(t)\n"
+                        "period = %s\ng = arctan_scaled(100)\n" % period)
+    assert main(["solve", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "period must be positive and finite" in err["message"]
 
 
 @pytest.mark.parametrize("text", ["mu = inf\n", "c = nan\n", "c = inf\n",
@@ -525,6 +561,28 @@ def test_non_finite_mu_or_c_exit(text, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigurationError"
     assert "[problem]" in err["message"]
+
+
+@pytest.mark.parametrize("text, named", [
+    ("mu = inf\n", "mu must be finite"),
+    ("mu = 1e400\n", "mu must be finite"),
+    ("r1 = nan\n", "R1 must be finite"),
+    ("r2 = inf\n", "R2 must be finite"),
+    # R2^{2(N-1)} overflows a float in the transformed weight
+    ("r2 = 1e308\n", "R2^{2(N-1)}"),
+], ids=["mu_inf", "mu_overflow", "r1_nan", "r2_inf", "r2_power"])
+def test_non_finite_annulus_value_exit(text, named, tmp_path, capsys):
+    # a non-finite [annulus] value is refused before any flow: exit 2
+    # naming the key, not a numerical failure, a misleading pattern error
+    # or an OverflowError traceback
+    key = text.split()[0]
+    ini = "".join(line + "\n" for line in ANNULUS_INI.splitlines()
+                  if not line.startswith(key + " ")) + text
+    path = write_config(tmp_path, ini)
+    assert main(["radial", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "[annulus]" in err["message"] and named in err["message"]
 
 
 def test_non_finite_preset_mu_exit(tmp_path, capsys):

@@ -340,8 +340,10 @@ def test_batched_flow_call_sites():
     # one batched path: the kernel sits behind _batch_flow, which the
     # Newton rounds and the residual of verify_solution call; a second
     # caller would be a second batched path.  One polish path: only the
-    # lockstep rounds drive the Newton generator, and the searches and
-    # the continuation polish through them
+    # lockstep rounds drive the Newton generator, only _polish_seeds runs
+    # the rounds, so the searches and the continuation polish through it,
+    # and the one gate accepts the roots of every polish and of the
+    # Neumann sweep
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
     assert callers_of("flow_rows", sources) == ["shooting._batch_flow"]
@@ -350,7 +352,9 @@ def test_batched_flow_call_sites():
     assert callers_of("_newton_steps", sources) == [
         "shooting._polish_lockstep"]
     assert callers_of("_polish_lockstep", sources) == [
-        "shooting._polish_seeds", "shooting.track_in_mu"]
+        "shooting._polish_seeds"]
+    assert callers_of("_accept", sources) == [
+        "shooting._polish_seeds", "shooting.find_neumann_solutions"]
 
 
 PRIVATE_IVP = "scipy.integrate._ivp"

@@ -107,7 +107,9 @@ def test_segment_nodes_cover_breakpoints():
     pre = fig2()
     p = pre.problem
     traj = integrate(p, State(0.1, 0.4), 0.0, 2.0)
-    nodes = _segment_nodes(p, 2, traj=traj)
+    z, nodes = _segment_nodes(p, 2, traj)
+    # the seed is the trajectory's state at every node but the last
+    assert z.tobytes() == traj.eval(np.array(nodes[:-1])).tobytes()
     assert nodes[0] == 0.0
     assert nodes[-1] == pytest.approx(2.0)
     assert np.all(np.diff(nodes) > 0)
@@ -605,19 +607,55 @@ def test_gate_keeps_a_positive_root(fig2_k1):
 
 
 def test_continuation_ends_at_the_gate(fig2_k1, monkeypatch):
-    # track_in_mu hands its final root to the gate and returns its verdict
+    # every trial root of the continuation goes through the gate, and a
+    # gate that rejects everything shortens each retry until the branch
+    # is given up
     p, sc, recs = fig2_k1
     rec = max(recs, key=lambda r: r.sup_norm)
-    gated = []
+    polish = shooting._polish_lockstep
+    trials, gated = [], []
 
-    def reject(*args):
-        gated.append(args)
+    def counting(q, seeds, sc):
+        trials.append(q.mu)
+        return polish(q, seeds, sc)
+
+    def reject(q, *args):
+        gated.append(q.mu)
         return None
 
+    monkeypatch.setattr(shooting, "_polish_lockstep", counting)
     monkeypatch.setattr(shooting, "_accept", reject)
     assert shooting.track_in_mu(p, rec, 1.1 * p.mu, sc) is None
-    assert len(gated) == 1
-    assert gated[0][0].mu == pytest.approx(1.1 * p.mu)
+    assert gated == trials and len(gated) > 2
+    assert gated[0] == pytest.approx(1.1 * p.mu)
+    steps = [math.log(mu / p.mu) for mu in gated]
+    assert all(a > b > 0 for a, b in zip(steps, steps[1:]))
+
+
+def test_continuation_gates_every_step(fig2_k1, monkeypatch):
+    # the root of the first trial, mu = 10.5, has a stitched trajectory
+    # that escapes: the gate rejects it in the middle of the branch, the
+    # step is shortened, and the branch reaches the record of an
+    # undisturbed continuation
+    p, sc, recs = fig2_k1
+    rec, = recs
+    ref = shooting.track_in_mu(p, rec, 20.0, sc)
+    first = 1.5 * p.mu
+    stitched = shooting._stitched_trajectory
+    escaped = []
+
+    def escaping(q, z, nodes, sc):
+        if q.mu == first:
+            escaped.append(q.mu)
+            raise DivergenceError("stitched trajectory escaped")
+        return stitched(q, z, nodes, sc)
+
+    monkeypatch.setattr(shooting, "_stitched_trajectory", escaping)
+    out = shooting.track_in_mu(p, rec, 20.0, sc)
+    assert escaped == [first]
+    assert out is not None
+    assert _same_state(out.initial, ref.initial)
+    assert abs(out.sup_norm - ref.sup_norm) < 1e-7
 
 
 def test_coded_multiplicity_continues_the_all_ones_record(monkeypatch):
