@@ -31,6 +31,13 @@ _ANGLE_RTOL = 1e-10     # DOP853 tolerances of the angle flow
 _ANGLE_ATOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _LAMBDA_RTOL = 1e-8     # relative tolerance of the eigenvalue root
+# a terminal angle closer than this to its target does not tell on which
+# side of lambda the eigenvalue lies: a hundred times the tolerance of
+# the sweep at the angle pi
+_ANGLE_MARGIN = 100.0 * (_ANGLE_ATOL + _ANGLE_RTOL * math.pi)
+# relative step in lambda past a sweep that ends within the margin: an
+# eigenvalue there takes the angle out of the margin within it
+_PROBE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -88,10 +95,10 @@ def prufer_angle_sweep(ep, lam):
     theta0 = 0.0 if ep.left_bc == "dirichlet" else math.pi / 2.0
     weight_fn, c = ep.weight_fn, ep.c
 
-    def field(t, state):
+    def field(t, theta, _):
         a = float(weight_fn(t))
         ect = math.exp(c * t)
-        s, co = math.sin(state[0]), math.cos(state[0])
+        s, co = math.sin(theta), math.cos(theta)
         return co * co / ect + ect * lam * a * s * s, 0.0
 
     # weight_fn may call an expression unguarded: one guard for the sweep
@@ -119,21 +126,39 @@ def first_eigenvalue(ep):
 
     Exponential bracketing from lambda = 1 followed by Brent's method;
     the terminal angle is strictly increasing in lambda, so the bracket
-    contains exactly one eigenvalue.
+    contains exactly one eigenvalue.  Each end of the bracket must clear
+    the target angle by ``_ANGLE_MARGIN``, since the sign of a closer
+    gap may be round-off.  A sweep that ends within the margin at
+    lambda is retried at lambda (1 + ``_PROBE_STEP``): past an
+    eigenvalue at lambda, that sweep clears the target and closes the
+    bracket; an angle that stays within the margin, as under strong
+    friction, where it creeps up to pi for every lambda below the
+    eigenvalue, raises BracketingError before Brent's method runs.
     """
     target = _target_angle(ep)
 
     def f(lam):
         return prufer_angle_sweep(ep, lam) - target
 
-    if f(0.0) >= 0:
-        raise BracketingError("terminal angle already past target at lambda=0")
+    if f(0.0) > -_ANGLE_MARGIN:
+        raise BracketingError("terminal angle already at or past target at "
+                              "lambda=0")
     lo, hi = 0.0, 1.0
-    while f(hi) < 0:
+    gap = f(hi)
+    while gap < _ANGLE_MARGIN:
+        if gap > -_ANGLE_MARGIN:
+            probe = hi * (1.0 + _PROBE_STEP)
+            if not f(probe) >= _ANGLE_MARGIN:
+                raise BracketingError(
+                    "terminal angle at lambda=%g ends %.2g from the target, "
+                    "within the accuracy of the sweep" % (hi, gap))
+            hi = probe
+            break
         lo, hi = hi, 2.0 * hi
         if hi > LAMBDA_CAP:
             raise BracketingError(
                 "no eigenvalue bracket found up to lambda=%g" % LAMBDA_CAP)
+        gap = f(hi)
     return brentq(f, lo, hi, xtol=_LAMBDA_RTOL, rtol=_LAMBDA_RTOL)
 
 

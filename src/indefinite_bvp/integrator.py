@@ -11,8 +11,13 @@ control and dense output of Hairer, Nørsett and Wanner, *Solving ODEs
 I*, §II.4 and §II.10, and the rules of scipy's ``DOP853`` (its tableau,
 initial step, error norm, step factors and minimum step), without the
 generic ``solve_ivp`` loop and its per-call array handling.  The stepper
-takes any planar float field; :mod:`eigen` steps its Prüfer angle on
-it.  :func:`flow_rows` is its batched twin on numpy rows: many segment
+takes any planar float field ``field(t, u, y) -> (u', y')``, three
+floats in and two out; :mod:`eigen` steps its Prüfer angle on it.  Its
+stages are straight-line float code, :mod:`dop853_stages`, rendered
+from the tableau: each stage sum is written out over the nonzero
+coefficients of its row, in the order a loop over the row adds them,
+so no tableau row is indexed and no state tuple is built per stage.
+:func:`flow_rows` is its batched twin on numpy rows: many segment
 flows in one step sequence, the steps of ``solve_ivp``'s DOP853 bit for
 bit, with the weight evaluated once per step.  Both take the tableau
 from :mod:`dop853_coefficients`, a vendored copy of scipy's, so this
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dop853_coefficients as _dop
+from . import dop853_stages
 from .brent import minimize_bounded
 from .errors import ConfigurationError, DivergenceError, DomainError
 from .expressions import quiet_fp
@@ -39,23 +45,8 @@ BLOWUP_NORM = 1e8
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 
-
-def _nonzero(row):
-    """(index, coefficient) of the nonzero entries of a tableau row."""
-    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
-
-
-# the DOP853 tableau as Python floats: stages 1..11 of a step, the weights
-# of the 8th-order solution and of the 5th- and 3rd-order error estimates,
-# and the three extra stages of the dense output
+# the stages of a step; stage _N is the field at the step end
 _N = _dop.N_STAGES
-_STAGES = tuple((float(_dop.C[s]), _nonzero(_dop.A[s, :s]))
-                for s in range(1, _N))
-_B = _nonzero(_dop.B)
-_E5 = _nonzero(_dop.E5)
-_E3 = _nonzero(_dop.E3)
-_EXTRA = tuple((float(_dop.C[s]), _nonzero(_dop.A[s, :s]))
-               for s in range(_N + 1, _dop.N_STAGES_EXTENDED))
 # scipy's step control: rtol floor, safety, factor bounds, 1 / (order + 1)
 # of the 7th-order error estimator
 _RTOL_FLOOR = 100 * np.finfo(float).eps
@@ -162,7 +153,7 @@ class ProblemSpec:
 
 
 def _float_field(weight, mu, c, g):
-    """The planar field (u', y') at a float t and a pair of floats (u, y),
+    """The planar field (u', y') at floats t, u and y, ``field(t, u, y)``,
     as one closure over the compiled weight and g.  Its forcing is -u
     below u = 0 and a_mu(t) g(u) from u = 0 on, with the bits of
     :meth:`ProblemSpec.extended` at a_mu(t) from ``a_mu_at``.
@@ -178,8 +169,7 @@ def _float_field(weight, mu, c, g):
     a_at = evaluate_scalar(weight)
     g_at = g_scalar(g)
 
-    def field(t, state):
-        u, y = state
+    def field(t, u, y):
         if u < 0.0:
             f = -u
         else:
@@ -268,7 +258,7 @@ def _initial_step(field, t, u, y, fu, fy, t_end, rtol, atol):
     d0 = math.hypot(u / su, y / sy) / _SQRT2
     d1 = math.hypot(fu / su, fy / sy) / _SQRT2
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    f1u, f1y = field(t + h0, (u + h0 * fu, y + h0 * fy))
+    f1u, f1y = field(t + h0, u + h0 * fu, y + h0 * fy)
     d2 = math.hypot((f1u - fu) / su, (f1y - fy) / sy) / _SQRT2 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -285,20 +275,23 @@ def _diverged(reason, t, u, y):
 
 def dop853(field, t, t_end, u, y, rtol, atol, dense):
     """DOP853 over one smooth piece [t, t_end] of the planar field
-    ``field(t, (u, y))``, which returns the pair of derivatives as
-    floats, from the state (u, y).
+    ``field(t, u, y)``, which takes and returns floats, the pair of
+    derivatives (u', y'), from the state (u, y).
 
+    Each attempted step is one call of the written-out stages
+    :func:`dop853_stages.step`; this loop keeps scipy's step control,
+    error norm, minimum step and the escape checks.
     Returns the accepted step ends (start included) as lists ``ts``,
     ``us``, ``ys`` and the 16 stages (ku, ky) of each step, an empty
-    list unless ``dense``; the three extra stages of the dense output
-    are computed only then, after a step is accepted, so they never
-    change the steps.
+    list unless ``dense``; the three extra stages of the dense output,
+    :func:`dop853_stages.dense`, are computed only then, after a step
+    is accepted, so they never change the steps.
     Raises DivergenceError, with the last accepted time and state, when
     |u| + |y| reaches ``BLOWUP_NORM`` or is not finite after a step, when
     the field at the start is not finite, or when the step size falls
     below scipy's minimum (ten spacings of the floats at t).
     """
-    fu, fy = field(t, (u, y))
+    fu, fy = field(t, u, y)
     if not math.isfinite(fu + fy):
         raise _diverged("field is not finite", t, u, y)
     h_abs = _initial_step(field, t, u, y, fu, fy, t_end, rtol, atol)
@@ -313,28 +306,8 @@ def dop853(field, t, t_end, u, y, rtol, atol, dense):
                 raise _diverged("step size fell below the minimum", t, u, y)
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            ku, ky = [fu], [fy]
-            for c, row in _STAGES:
-                su = sy = 0.0
-                for j, a in row:
-                    su += a * ku[j]
-                    sy += a * ky[j]
-                du, dy = field(t + c * h, (u + su * h, y + sy * h))
-                ku.append(du)
-                ky.append(dy)
-            e5u = e5y = e3u = e3y = 0.0
-            for j, e in _E5:
-                e5u += e * ku[j]
-                e5y += e * ky[j]
-            for j, e in _E3:
-                e3u += e * ku[j]
-                e3y += e * ky[j]
-            su = sy = 0.0
-            for j, b in _B:
-                su += b * ku[j]
-                sy += b * ky[j]
-            u_new = u + h * su
-            y_new = y + h * sy
+            u_new, y_new, e5u, e5y, e3u, e3y, ku, ky = \
+                dop853_stages.step(field, t, h, u, y, fu, fy)
             scale_u = atol + max(abs(u), abs(u_new)) * rtol
             scale_y = atol + max(abs(y), abs(y_new)) * rtol
             n5 = (e5u / scale_u) ** 2 + (e5y / scale_y) ** 2
@@ -357,19 +330,10 @@ def dop853(field, t, t_end, u, y, rtol, atol, dense):
         if not abs(u_new) + abs(y_new) < BLOWUP_NORM:
             raise _diverged("trajectory escaped the guard region", t_new,
                             u_new, y_new)
-        fu, fy = field(t_new, (u_new, y_new))
-        ku.append(fu)
-        ky.append(fy)
+        fu, fy = field(t_new, u_new, y_new)
         if dense:
-            for c, row in _EXTRA:
-                su = sy = 0.0
-                for j, a in row:
-                    su += a * ku[j]
-                    sy += a * ky[j]
-                du, dy = field(t + c * h, (u + su * h, y + sy * h))
-                ku.append(du)
-                ky.append(dy)
-            stages.append((ku, ky))
+            stages.append(dop853_stages.dense(field, t, h, u, y, ku + (fu,),
+                                              ky + (fy,)))
         t, u, y = t_new, u_new, y_new
         ts.append(t)
         us.append(u)

@@ -52,6 +52,17 @@ class AnnulusProblem:
                                          % (name, value))
         if not 0 < self.R1 < self.R2:
             raise ConfigurationError("need 0 < R1 < R2")
+        # the window [0, T] of the reduced problem, T = h(R2), overflows
+        # for an R1 near 0 (R1^{2-N} for N >= 3, R2 / R1 for N = 2)
+        try:
+            with np.errstate(over="ignore", divide="ignore"):
+                window = RadialMap(self.N, self.R1, self.R2).T
+        except OverflowError:
+            window = math.inf
+        if not math.isfinite(window):
+            raise ConfigurationError(
+                "R1 = %r is too small: the window h(R2) of the reduced "
+                "problem is not a finite float" % self.R1)
         if not self.mu > 0:
             raise ConfigurationError("mu must be positive")
 
@@ -107,7 +118,9 @@ def radial_to_1d(ap):
     T = rm.T
 
     def fn(t):
-        t = np.clip(np.asarray(t, dtype=float), 0.0, T)
+        # np.clip's bits on floats and float arrays without its Python
+        # wrappers; only -0.0 becomes +0.0, and r(-0.0) = r(0.0)
+        t = np.minimum(np.maximum(t, 0.0), T)
         r = rm.r_of_t(t)
         return r ** (2 * (ap.N - 1)) * ap.q_at(r)
 

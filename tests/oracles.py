@@ -1,6 +1,11 @@
-"""Reference integrations on scipy's ``solve_ivp``, independent of the
-package's own DOP853 steppers, for the tests to check the package
-against.
+"""Reference integrations for the tests to check the package against.
+
+- :func:`reference_dop853` is the float DOP853 stepper as a loop over
+  the rows of the tableau, the reference of the written-out stages of
+  :func:`integrator.dop853`.
+
+The others run on scipy's ``solve_ivp``, independent of the package's
+own DOP853 steppers:
 
 - :func:`direct_radial_integration` integrates the radial equation in r
   itself, the cross-check of the annulus-to-1D reduction.
@@ -15,13 +20,136 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from indefinite_bvp.errors import BracketingError, DomainError
+from indefinite_bvp import dop853_coefficients as dop
+from indefinite_bvp.errors import BracketingError, DivergenceError, DomainError
 from indefinite_bvp.expressions import quiet_fp
+from indefinite_bvp.integrator import BLOWUP_NORM
 from indefinite_bvp.nonlinearity import g_scalar
 
 PROFILE_SAMPLES = 1024      # uniform points of a radial profile
 REF_RTOL = 1e-10            # DOP853 tolerances of the references
 REF_ATOL = 1e-12
+
+
+def _nonzero(row):
+    """(index, coefficient) of the nonzero entries of a tableau row."""
+    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+
+
+# the DOP853 tableau as Python floats: stages 1..11 of a step, the weights
+# of the 8th-order solution and of the 5th- and 3rd-order error estimates,
+# and the three extra stages of the dense output
+_STAGES = tuple((float(dop.C[s]), _nonzero(dop.A[s, :s]))
+                for s in range(1, dop.N_STAGES))
+_B = _nonzero(dop.B)
+_E5 = _nonzero(dop.E5)
+_E3 = _nonzero(dop.E3)
+_EXTRA = tuple((float(dop.C[s]), _nonzero(dop.A[s, :s]))
+               for s in range(dop.N_STAGES + 1, dop.N_STAGES_EXTENDED))
+
+
+def _diverged(reason, t, u, y):
+    return DivergenceError("%s near t=%.6g" % (reason, t), last_time=t,
+                           last_state=(u, y))
+
+
+def _initial_step(field, t, u, y, fu, fy, t_end, rtol, atol):
+    """scipy's ``select_initial_step`` for the 7th-order error estimator,
+    on floats."""
+    length = t_end - t
+    su = atol + abs(u) * rtol
+    sy = atol + abs(y) * rtol
+    d0 = math.hypot(u / su, y / sy) / math.sqrt(2.0)
+    d1 = math.hypot(fu / su, fy / sy) / math.sqrt(2.0)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    f1u, f1y = field(t + h0, u + h0 * fu, y + h0 * fy)
+    d2 = math.hypot((f1u - fu) / su, (f1y - fy) / sy) / math.sqrt(2.0) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d2, d1)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, length)
+
+
+def reference_dop853(field, t, t_end, u, y, rtol, atol, dense):
+    """The float DOP853 stepper with its stages as loops over the rows of
+    the tableau, each sum from 0.0 in the order of the row: the same
+    arguments, results and errors as :func:`integrator.dop853`, whose
+    written-out stages must keep these bits."""
+    fu, fy = field(t, u, y)
+    if not math.isfinite(fu + fy):
+        raise _diverged("field is not finite", t, u, y)
+    h_abs = _initial_step(field, t, u, y, fu, fy, t_end, rtol, atol)
+    ts, us, ys = [t], [u], [y]
+    stages = []
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise _diverged("step size fell below the minimum", t, u, y)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            ku, ky = [fu], [fy]
+            for c, row in _STAGES:
+                su = sy = 0.0
+                for j, a in row:
+                    su += a * ku[j]
+                    sy += a * ky[j]
+                du, dy = field(t + c * h, u + su * h, y + sy * h)
+                ku.append(du)
+                ky.append(dy)
+            e5u = e5y = e3u = e3y = 0.0
+            for j, e in _E5:
+                e5u += e * ku[j]
+                e5y += e * ky[j]
+            for j, e in _E3:
+                e3u += e * ku[j]
+                e3y += e * ky[j]
+            su = sy = 0.0
+            for j, b in _B:
+                su += b * ku[j]
+                sy += b * ky[j]
+            u_new = u + h * su
+            y_new = y + h * sy
+            scale_u = atol + max(abs(u), abs(u_new)) * rtol
+            scale_y = atol + max(abs(y), abs(y_new)) * rtol
+            n5 = (e5u / scale_u) ** 2 + (e5y / scale_y) ** 2
+            n3 = (e3u / scale_u) ** 2 + (e3y / scale_y) ** 2
+            try:
+                err = 0.0 if n5 == 0.0 and n3 == 0.0 else \
+                    h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
+            except ZeroDivisionError:
+                err = math.nan
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else \
+                    min(10.0, 0.9 * err ** (-1.0 / 8.0))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * err ** (-1.0 / 8.0))
+            rejected = True
+        if not abs(u_new) + abs(y_new) < BLOWUP_NORM:
+            raise _diverged("trajectory escaped the guard region", t_new,
+                            u_new, y_new)
+        fu, fy = field(t_new, u_new, y_new)
+        ku.append(fu)
+        ky.append(fy)
+        if dense:
+            for c, row in _EXTRA:
+                su = sy = 0.0
+                for j, a in row:
+                    su += a * ku[j]
+                    sy += a * ky[j]
+                du, dy = field(t + c * h, u + su * h, y + sy * h)
+                ku.append(du)
+                ky.append(dy)
+            stages.append((ku, ky))
+        t, u, y = t_new, u_new, y_new
+        ts.append(t)
+        us.append(u)
+        ys.append(y)
+    return ts, us, ys, stages
 
 
 def direct_radial_integration(ap, U0):

@@ -570,14 +570,20 @@ def test_non_finite_mu_or_c_exit(text, tmp_path, capsys):
     ("r2 = inf\n", "R2 must be finite"),
     # R2^{2(N-1)} overflows a float in the transformed weight
     ("r2 = 1e308\n", "R2^{2(N-1)}"),
-], ids=["mu_inf", "mu_overflow", "r1_nan", "r2_inf", "r2_power"])
+    # the window h(R2) of the reduced problem overflows: R2 / R1 for
+    # N = 2, 1 / R1 for N = 3 and R1^{2-N} for N = 4
+    ("r1 = 1e-320\n", "R1 = 1e-320"),
+    ("n = 3\nr1 = 1e-320\n", "R1 = 1e-320"),
+    ("n = 4\nr1 = 1e-200\n", "R1 = 1e-200"),
+], ids=["mu_inf", "mu_overflow", "r1_nan", "r2_inf", "r2_power",
+        "r1_window_n2", "r1_window_n3", "r1_window_n4"])
 def test_non_finite_annulus_value_exit(text, named, tmp_path, capsys):
     # a non-finite [annulus] value is refused before any flow: exit 2
     # naming the key, not a numerical failure, a misleading pattern error
     # or an OverflowError traceback
-    key = text.split()[0]
+    keys = {line.split()[0] for line in text.splitlines()}
     ini = "".join(line + "\n" for line in ANNULUS_INI.splitlines()
-                  if not line.startswith(key + " ")) + text
+                  if line.split(" ")[0] not in keys) + text
     path = write_config(tmp_path, ini)
     assert main(["radial", "--config", path]) == 2
     err = json.loads(capsys.readouterr().err)

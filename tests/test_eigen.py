@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from indefinite_bvp import eigen
 from indefinite_bvp.eigen import (EigenProblem, check_ginf_hypothesis,
                                   first_eigenvalue, ginf_threshold,
                                   prufer_angle_sweep)
 from indefinite_bvp.errors import (BracketingError, ConfigurationError,
                                    DivergenceError, HypothesisError)
 from indefinite_bvp.presets import fig1, get_preset
+from indefinite_bvp.weight import WeightSpec, evaluate_scalar
 from oracles import reference_first_eigenvalue
 
 PI2 = math.pi ** 2
@@ -133,3 +135,29 @@ def test_no_bracket_for_vanishing_weight():
     ep = EigenProblem(lambda t: 0.0, 0.0, 1.0)
     with pytest.raises(BracketingError):
         first_eigenvalue(ep)
+
+
+def test_round_off_closes_no_bracket(monkeypatch):
+    # sin 2 pi t on [0, 1/2] with c = 80 has no eigenvalue below
+    # c^2 / 4 = 1600, yet the sweep at lambda = 1 ends 3.6e-14 past pi:
+    # round-off, which must not close the bracket [0, 1]
+    def no_brent(*args, **kwargs):
+        raise AssertionError("Brent's method ran")
+
+    monkeypatch.setattr(eigen, "brentq", no_brent)
+    ep = EigenProblem(evaluate_scalar(WeightSpec.sine(2 * math.pi)), 0.0,
+                      0.5, c=80.0)
+    gap = prufer_angle_sweep(ep, 1.0) - math.pi
+    assert 0.0 <= gap < 1e-12
+    with pytest.raises(BracketingError, match=r"lambda=1 .*accuracy"):
+        first_eigenvalue(ep)
+
+
+@pytest.mark.parametrize("beta, lam", [(math.pi, 1.0), (math.pi / 2, 4.0)])
+def test_eigenvalue_at_a_doubling_point(beta, lam):
+    # -phi'' = lam phi on [0, beta]: the sweep at the bracketing point
+    # lambda = lam ends within round-off of pi, and a sweep just past it
+    # closes the bracket
+    ep = EigenProblem(lambda t: 1.0, 0.0, beta)
+    assert abs(prufer_angle_sweep(ep, lam) - math.pi) < 1e-9
+    assert first_eigenvalue(ep) == pytest.approx(lam, rel=1e-8)

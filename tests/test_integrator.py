@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 
-from indefinite_bvp import (dop853_coefficients, integrator, nonlinearity,
-                            shooting, weight)
-from indefinite_bvp.errors import DivergenceError, DomainError
+from indefinite_bvp import (dop853_coefficients, eigen, integrator,
+                            nonlinearity, shooting, weight)
+from indefinite_bvp.eigen import EigenProblem, prufer_angle_sweep
+from indefinite_bvp.errors import BracketingError, DivergenceError, DomainError
 from indefinite_bvp.expressions import Expression, quiet_fp
 from indefinite_bvp.integrator import (ProblemSpec, State, Trajectory, flow,
                                        integrate, max_on_interval)
@@ -22,6 +23,8 @@ from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.presets import get_preset
 from indefinite_bvp.weight import (SignPattern, WeightSpec, a_mu,
                                   detect_sign_pattern)
+from oracles import reference_dop853
+from render_dop853_stages import MODULE, render
 
 TWO_PI = 2 * math.pi
 
@@ -65,7 +68,7 @@ def test_extension_below_zero():
     p = linear_problem()
     # for u < 0 the forcing is -u regardless of the weight
     assert p.extended(p.a_mu_at(0.3), -2.0) == pytest.approx(2.0)
-    du, dy = p.rhs(0.0, np.array([-1.0, 0.0]))
+    du, dy = p.rhs(0.0, -1.0, 0.0)
     assert du == 0.0 and dy == pytest.approx(-1.0)
 
 
@@ -85,9 +88,9 @@ def counting_rhs(monkeypatch, p):
     calls = [0]
     field = p.rhs
 
-    def counted(t, state):
+    def counted(t, u, y):
         calls[0] += 1
-        return field(t, state)
+        return field(t, u, y)
 
     # the dataclass is frozen: swap the instance's closure in its __dict__
     monkeypatch.setitem(vars(p), "rhs", counted)
@@ -285,12 +288,12 @@ def test_scalar_rhs_matches_vector_forcing(wname, gname, pts, y, mu, c):
     u_vec = np.array([u for _, u in pts])
     f_vec = p.extended(p.a_mu_at(t_vec), u_vec)
     for j, (t, u) in enumerate(pts):
-        du, dy = p.rhs(t, np.array([u, y]))
+        du, dy = p.rhs(t, u, y)
         assert bits(du) == bits(y)
         assert bits(dy) == bits(-c * y - f_vec[j]), (t, u)
         at_t = p.extended(p.a_mu_at(np.full(len(pts), t)), u_vec)
         for v, f in zip(u_vec, at_t):
-            assert bits(p.rhs(t, (v, y))[1]) == bits(-c * y - f), (t, v)
+            assert bits(p.rhs(t, v, y)[1]) == bits(-c * y - f), (t, v)
 
 
 @pytest.mark.parametrize("wname", sorted(WEIGHTS))
@@ -377,9 +380,8 @@ def test_expression_problem_pickles():
     p = ProblemSpec(WEIGHTS["expression"], PATTERNS["expression"], 7.0, 0.2,
                     GS["expression"], "neumann")
     q = pickle.loads(pickle.dumps(p))
-    state = np.array([0.4, -0.1])
-    assert np.array(q.rhs(0.3, state)).tobytes() == \
-        np.array(p.rhs(0.3, state)).tobytes()
+    assert np.array(q.rhs(0.3, 0.4, -0.1)).tobytes() == \
+        np.array(p.rhs(0.3, 0.4, -0.1)).tobytes()
 
 
 def _shifted_expression_problem():
@@ -395,8 +397,8 @@ def test_shifted_expression_problem_pickles():
     q = pickle.loads(pickle.dumps(p))
     assert q.weight.shift == p.pattern.origin_shift != 0.0
     for t in (0.0, 0.3, 0.97, 1.5, -0.2):
-        assert np.array(q.rhs(t, (0.4, -0.1))).tobytes() == \
-            np.array(p.rhs(t, (0.4, -0.1))).tobytes()
+        assert np.array(q.rhs(t, 0.4, -0.1)).tobytes() == \
+            np.array(p.rhs(t, 0.4, -0.1)).tobytes()
 
 
 def test_shifted_expression_integrates_unguarded(monkeypatch):
@@ -472,7 +474,7 @@ def scipy_oracle(p, s0, t0, t1, rtol, atol):
     the same tolerances: the terminal state and a dense evaluator, or None
     when the orbit reaches the blow-up guard."""
     def field(t, z):
-        return np.array(p.rhs(t, z))
+        return np.array(p.rhs(t, z[0], z[1]))
 
     def guard(t, z):
         return abs(z[0]) + abs(z[1]) - integrator.BLOWUP_NORM
@@ -558,16 +560,21 @@ def test_scalar_dop853_matches_scipy_property(u0, y0, c):
     assert_matches_scipy(p, (u0, y0), 1.0)
 
 
-def test_nan_field_raises_in_bounded_calls(monkeypatch):
-    # a g that is nan above u = 1.5 makes every step that reaches it fail
-    # its error test; the step shrinks to scipy's minimum and the flow
-    # stops with a DivergenceError instead of looping
+def nan_g_problem():
+    """A g that is nan above u = 1.5 on a unit weight."""
     w = WeightSpec.from_callable(lambda t: np.ones_like(np.asarray(
         t, dtype=float)), 1.0)
     g = NonlinearitySpec.from_callable(
         lambda s: np.where(np.asarray(s) > 1.5, np.nan, -10.0 * np.asarray(s)))
     hump = SignPattern(1, (0.0, 1.0), (1.0,), mode="neumann")
-    p = ProblemSpec(w, hump, 1.0, 0.0, g, "neumann")
+    return ProblemSpec(w, hump, 1.0, 0.0, g, "neumann")
+
+
+def test_nan_field_raises_in_bounded_calls(monkeypatch):
+    # a g that is nan above u = 1.5 makes every step that reaches it fail
+    # its error test; the step shrinks to scipy's minimum and the flow
+    # stops with a DivergenceError instead of looping
+    p = nan_g_problem()
     calls = counting_rhs(monkeypatch, p)
     for s0 in (State(1.0, 2.0), State(2.0, 0.0)):
         calls[0] = 0
@@ -576,6 +583,99 @@ def test_nan_field_raises_in_bounded_calls(monkeypatch):
         assert calls[0] < 20000
         assert 0.0 <= exc.value.last_time < 1.0
         assert np.all(np.isfinite(exc.value.last_state))
+
+
+# ---------------------------------------------------------------------------
+# the written-out stages against the loop over the tableau rows
+
+
+def test_stage_module_is_rendered_from_the_tableau():
+    # the checked-in stages are the renderer's output on the vendored
+    # tableau; rerun tests/render_dop853_stages.py after a tableau change
+    assert MODULE.read_text(encoding="utf-8") == render()
+
+
+def stepper_outcome(stepper, field, *args):
+    """The bits of what ``stepper(field, *args)`` returns (its step ends
+    and dense stages) and its end state, or the message, time and state
+    of the DivergenceError it raises and None."""
+    try:
+        with quiet_fp():
+            ts, us, ys, stages = stepper(field, *args)
+    except DivergenceError as exc:
+        return (str(exc), np.array([exc.last_time,
+                                    *exc.last_state]).tobytes()), None
+    return tuple(np.array(x, dtype=float).tobytes()
+                 for x in (ts, us, ys, stages)), (us[-1], ys[-1])
+
+
+def assert_stages_match_loop(field, t0, t1, u, y, rtol=1e-10, atol=1e-12):
+    """Both steppers, dense and not (the extra stages never change the
+    steps); returns the end state, None when the flow raises."""
+    for dense in (True, False):
+        args = (field, t0, t1, u, y, rtol, atol, dense)
+        got, end = stepper_outcome(integrator.dop853, *args)
+        assert got == stepper_outcome(reference_dop853, *args)[0]
+    return end
+
+
+def assert_pieces_match_loop(p, s0, t0, t1):
+    """Both steppers on each smooth piece of [t0, t1] from s0, as
+    :func:`integrate` chains them."""
+    end = s0
+    edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        end = assert_stages_match_loop(p.rhs, lo, hi, *end)
+        if end is None:
+            return
+
+
+STAGE_CASES = dict({name: (build, s0, 0.0, t1)
+                    for name, (build, s0, t1) in ORACLE_CASES.items()}, **{
+    "fig2-escape": (fig2_problem, (50.0, 0.0), 0.5, 1.0),
+    "nan-g": (nan_g_problem, (1.0, 2.0), 0.0, 1.0),
+})
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_CASES))
+def test_stages_match_the_tableau_loop(case):
+    # the fig1 expression, the kinked table, an escape and a nan field
+    # that drives the step below its minimum, bit for bit
+    build, s0, t0, t1 = STAGE_CASES[case]
+    assert_pieces_match_loop(build(), s0, t0, t1)
+
+
+@given(st.floats(-2.0, 60.0), st.floats(-5.0, 5.0), st.floats(-1.0, 1.0))
+@settings(max_examples=60, deadline=None)
+@example(0.0, 0.0, 0.0)
+@example(3.0060958824614716e-82, 0.0, 0.0)
+@example(-0.0, -0.0, 0.0)
+def test_stages_match_the_tableau_loop_property(u0, y0, c):
+    p = fig2_problem()
+    p = ProblemSpec(p.weight, p.pattern, p.mu, c, p.g, p.boundary)
+    assert_pieces_match_loop(p, (u0, y0), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("c, lam", [(0.0, 3.0), (1.5, 40.0), (80.0, 1.0),
+                                    (80.0, 0.5)])
+def test_prufer_stages_match_the_tableau_loop(c, lam, monkeypatch):
+    # the angle field of the sweep, stepped by both; at c = 80 and
+    # lambda = 0.5 the step falls below its minimum
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return integrator.dop853(*args)
+
+    monkeypatch.setattr(eigen, "dop853", spy)
+    ep = EigenProblem(weight.evaluate_scalar(WeightSpec.sine(TWO_PI)), 0.0,
+                      0.5, c)
+    try:
+        prufer_angle_sweep(ep, lam)
+    except BracketingError:
+        pass
+    (field, t0, t1, theta0, zero, rtol, atol, _), = calls
+    assert_stages_match_loop(field, t0, t1, theta0, zero, rtol, atol)
 
 
 def test_flow_rows_freezes_an_escaped_row():

@@ -36,6 +36,41 @@ def test_annulus_validation():
         AnnulusProblem(2, 1.0, 2.0, lambda r: r, g, -1.0)
 
 
+def clip_weight(ap):
+    """The transformed weight with ``np.clip``'s clamp of t to [0, T]."""
+    rm = RadialMap(ap.N, ap.R1, ap.R2)
+
+    def fn(t):
+        r = rm.r_of_t(np.clip(np.asarray(t, dtype=float), 0.0, rm.T))
+        return r ** (2 * (ap.N - 1)) * ap.q_at(r)
+
+    return fn
+
+
+@pytest.mark.parametrize("N, R2", [(2, E), (3, 4.0), (5, 2.0)])
+def test_weight_clamp_matches_clip(N, R2):
+    # the weight clamps t with np.minimum(np.maximum(t, 0.0), T): the
+    # bits of np.clip on floats, 0-d and 1-d arrays, at 0 and T, outside
+    # [0, T] and at nan.  At -0.0 clip keeps the sign and the pair gives
+    # +0.0, but r(-0.0) = r(0.0), so the weight keeps its bits there too
+    ap = AnnulusProblem(N, 1.0, R2, lambda r: np.sin(
+        3 * math.pi * (np.asarray(r, dtype=float) - 1.0) / (R2 - 1.0)),
+        NonlinearitySpec.power(2), 1.0)
+    p, rm = radial_to_1d(ap)
+    T = rm.T
+    ts = [0.0, T, 0.4 * T, -1e-300, -3.0, np.nextafter(T, np.inf),
+          2.0 * T + 1.0, math.inf, -math.inf, math.nan]
+    want = clip_weight(ap)
+    for t in ts + [np.float64(t) for t in ts] + [np.array(t) for t in ts] \
+            + [np.array(ts)]:
+        clip = np.clip(np.asarray(t, dtype=float), 0.0, T)
+        pair = np.minimum(np.maximum(t, 0.0), T)
+        assert np.asarray(pair).tobytes() == np.asarray(clip).tobytes()
+    for t in ts + [-0.0] + [np.array(t) for t in ts] + [np.array(ts)]:
+        got, ref = np.asarray(p.weight.fn(t)), np.asarray(want(t))
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), t
+
+
 def test_radial_map_n2_closed_form():
     rm = RadialMap(2, 1.0, E)
     assert rm.T == pytest.approx(1.0, abs=1e-12)
