@@ -1,14 +1,18 @@
-"""Brent's methods on a bracket, ported from scipy so that no caller
-imports ``scipy.optimize``.
+"""Brent's root finder on a bracket, ported from scipy so that no caller
+imports ``scipy.optimize``, and the one extremum routine of the package.
 
 :func:`brentq` is a line-for-line port of the C loop of scipy's
 ``optimize.brentq`` (``scipy/optimize/Zeros/brentq.c``) together with the
-checks of its Python wrapper; :func:`minimize_bounded` is a port of
-``scipy.optimize._optimize._minimize_scalar_bounded``, the ``"bounded"``
-method of ``minimize_scalar``.  Both run the same floating-point
-operations in the same order on Python floats, so they return scipy's
+checks of its Python wrapper.  It runs the same floating-point
+operations in the same order on Python floats, so it returns scipy's
 results bit for bit; ``tests/test_brent.py`` pins that.  See Brent,
-*Algorithms for Minimization without Derivatives* (1973), ch. 4 and 5.
+*Algorithms for Minimization without Derivatives* (1973), ch. 4.
+
+:func:`grid_minimum` finds the smallest value of a vectorized function
+on a sorted grid and refines it by re-gridding between the neighbours
+of the best point; it serves the hump maxima of
+:func:`integrator.max_on_interval` and the growth functionals of
+:mod:`nonlinearity`.
 """
 
 from __future__ import annotations
@@ -16,9 +20,13 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 RTOL = 4 * sys.float_info.epsilon   # scipy's default and smallest rtol
 _MAXITER = 100                      # brentq's default maxiter
-_MAXFUN = 500                       # minimize_scalar's default maxiter
+# grid_minimum: re-grid rounds after the first grid, points of each
+_REFINE_ROUNDS = 4
+_REFINE_POINTS = 64
 
 
 def brentq(f, a, b, xtol, rtol=RTOL):
@@ -100,95 +108,24 @@ def brentq(f, a, b, xtol, rtol=RTOL):
     raise RuntimeError("Failed to converge after %d iterations." % _MAXITER)
 
 
-def _sign_or_one(x):
-    # numpy's sign(x) + (x == 0): -1 below zero, 1 at or above it
-    return -1.0 if x < 0 else 1.0 if x >= 0 else x
+def grid_minimum(f, grid):
+    """(x, f(x)) at the smallest value of f over a sorted grid, refined.
 
-
-def minimize_bounded(f, lo, hi, xatol):
-    """(x, f(x)) at a local minimum of f on [lo, hi].
-
-    Brent's bounded method: golden-section steps, with parabolic steps
-    where the parabola through the last three points is acceptable; it
-    stops when x is known to within about 2 (xatol / 3 + sqrt(eps) |x|),
-    or after 500 evaluations of f.  Raises ``ValueError`` for bounds
-    that are not finite or with lo > hi.
+    f maps an array of points to an array of values.  After the first
+    grid, each of ``_REFINE_ROUNDS`` rounds evaluates f at
+    ``_REFINE_POINTS`` points from the left to the right neighbour of
+    the last round's best point, so each round narrows the bracket by
+    a factor of about 30.  A point replaces the best one only where its
+    value is strictly smaller, and every grid keeps its ends, so a
+    minimum at an end of the grid comes back as f at that end, bit for
+    bit.  The first of equal values wins, as in ``np.argmin``.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if lo > hi:
-        raise ValueError("The lower bound exceeds the upper bound.")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # check for a parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            # is the parabola acceptable?
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and \
-                    p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign_or_one(xm - xf)
-            else:
-                golden = True
-
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= _MAXFUN:
-            break
-    return float(xf), float(fx)
+    best_x = best_f = None
+    for _ in range(_REFINE_ROUNDS + 1):
+        vals = f(grid)
+        i = int(np.argmin(vals))
+        if best_f is None or vals[i] < best_f:
+            best_x, best_f = grid[i], vals[i]
+        grid = np.linspace(grid[max(i - 1, 0)],
+                           grid[min(i + 1, len(grid) - 1)], _REFINE_POINTS)
+    return float(best_x), float(best_f)

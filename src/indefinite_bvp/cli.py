@@ -21,7 +21,7 @@ import sys
 from importlib import metadata
 
 from .bounds import compute_mu_star
-from .eigen import first_eigenvalue, EigenProblem, ginf_threshold
+from .eigen import hump_eigenvalues
 from .errors import (BracketingError, ConfigurationError, DegreeUndefinedError,
                      DivergenceError, DomainError, HypothesisError,
                      PatternError, SolverError, UnclassifiableError)
@@ -340,12 +340,9 @@ def cmd_eigen(args):
     cp = load_config(args.config)
     p, _, resolved = problem_from_config(cp, args.mu)
     report = _base_report(resolved, "eigen")
-    lams = []
-    for i in range(p.pattern.m):
-        ep = EigenProblem.from_hump(p, i)
-        lams.append(first_eigenvalue(ep))
+    lams = hump_eigenvalues(p)
     report["hump_eigenvalues"] = lams
-    report["ginf_threshold"] = ginf_threshold(p)
+    report["ginf_threshold"] = max(lams)
     _emit(report, args)
     return EXIT_OK
 

@@ -162,10 +162,10 @@ def first_eigenvalue(ep):
     return brentq(f, lo, hi, xtol=_LAMBDA_RTOL, rtol=_LAMBDA_RTOL)
 
 
-def ginf_threshold(p):
-    """max over the positivity intervals of the first eigenvalue, using the
-    mixed endpoint conditions of the Neumann problem when the weight starts
-    or ends with a positivity interval."""
+def hump_eigenvalues(p):
+    """The first eigenvalue of each positivity interval, in order:
+    Dirichlet conditions, except that a hump touching an end of a
+    Neumann window takes the Neumann condition at that end."""
     lams = []
     pat = p.pattern
     for i in range(pat.m):
@@ -177,7 +177,12 @@ def ginf_threshold(p):
                 right_bc = "neumann"
         ep = EigenProblem.from_hump(p, i, left_bc=left_bc, right_bc=right_bc)
         lams.append(first_eigenvalue(ep))
-    return max(lams)
+    return lams
+
+
+def ginf_threshold(p):
+    """The largest of the :func:`hump_eigenvalues`."""
+    return max(hump_eigenvalues(p))
 
 
 def check_ginf_hypothesis(p, ginf):

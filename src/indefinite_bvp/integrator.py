@@ -21,8 +21,8 @@ so no tableau row is indexed and no state tuple is built per stage.
 flows in one step sequence, the steps of ``solve_ivp``'s DOP853 bit for
 bit, with the weight evaluated once per step.  Both take the tableau
 from :mod:`dop853_coefficients`, a vendored copy of scipy's, so this
-module loads no scipy; the extremum polish of :func:`max_on_interval`
-is :func:`brent.minimize_bounded`.
+module loads no scipy; :func:`max_on_interval` refines the hump maxima
+on a grid with :func:`brent.grid_minimum`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dop853_coefficients as _dop
 from . import dop853_stages
-from .brent import minimize_bounded
+from .brent import grid_minimum
 from .errors import ConfigurationError, DivergenceError, DomainError
 from .expressions import quiet_fp
 from .nonlinearity import NonlinearitySpec, g_scalar, g_vector
@@ -71,14 +71,12 @@ class State:
         if not (math.isfinite(self.u) and math.isfinite(self.y)):
             raise DomainError("state components must be finite")
 
-    def as_array(self):
-        return np.array([self.u, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full 1D problem: weight, sign pattern, mu, friction c, nonlinearity
-    and boundary mode ("periodic" or "neumann").
+    and boundary mode ("periodic" or "neumann"), which must be the mode
+    of the sign pattern.
 
     The pattern fixes the window [0, period] and the breakpoints at which
     every integrator restarts; mu must be positive and finite and c
@@ -107,6 +105,10 @@ class ProblemSpec:
             raise DomainError("c must be finite")
         if self.boundary not in ("periodic", "neumann"):
             raise ConfigurationError("boundary must be periodic or neumann")
+        if self.pattern.mode != self.boundary:
+            raise ConfigurationError(
+                "a %s problem needs a %s sign pattern, not a %s one"
+                % (self.boundary, self.boundary, self.pattern.mode))
         object.__setattr__(self, "rhs", _float_field(
             self.weight, self.mu, self.c, self.g))
         object.__setattr__(self, "a_mu_at", a_mu_vector(self.weight,
@@ -541,7 +543,9 @@ def flow(p, s0, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
 
 
 def max_on_interval(traj, lo, hi):
-    """(tmax, umax) of u over [lo, hi], node scan plus local refinement."""
+    """(tmax, umax) of u over [lo, hi]: :func:`brent.grid_minimum` of -u
+    on 257 points and the step ends inside, so an end maximum is
+    ``traj.eval`` at that end."""
     t0, t1 = traj.span
     if lo < t0 - 1e-12 or hi > t1 + 1e-12:
         raise DomainError("interval outside trajectory span")
@@ -552,15 +556,5 @@ def max_on_interval(traj, lo, hi):
         return lo, u
     nodes = traj.times[(traj.times >= lo) & (traj.times <= hi)]
     ts = np.union1d(np.linspace(lo, hi, 257), nodes)
-    us = traj.eval(ts)[:, 0]
-    k = int(np.argmax(us))
-    left = ts[max(k - 1, 0)]
-    right = ts[min(k + 1, len(ts) - 1)]
-    best_t, best_u = ts[k], us[k]
-    if right > left:
-        t, fun = minimize_bounded(lambda t: -float(traj.eval(t)[0]),
-                                  left, right, xatol=1e-12)
-        if -fun > best_u:
-            best_t, best_u = t, -fun
-    return best_t, best_u
-
+    t, fun = grid_minimum(lambda t: -traj.eval(t)[:, 0], ts)
+    return t, -fun

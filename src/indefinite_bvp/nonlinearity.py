@@ -8,12 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brent import minimize_bounded
+from .brent import grid_minimum
 from .errors import ConfigurationError, DomainError, HypothesisError
 from .expressions import Expression, quiet_fp, unguarded
 
 _GRID = 4096
-_REFINE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -131,28 +130,11 @@ def _ratio(g, s):
 
 
 def _grid_extremum(f, lo, hi, minimize, log=True):
-    """Grid scan with a few rounds of local refinement."""
-    if log:
-        grid = np.geomspace(lo, hi, _GRID)
-    else:
-        grid = np.linspace(lo, hi, _GRID)
-    for _ in range(_REFINE_ROUNDS):
-        vals = f(grid)
-        idx = int(np.argmin(vals) if minimize else np.argmax(vals))
-        best_x = grid[idx]
-        best_v = vals[idx]
-        left = grid[max(idx - 1, 0)]
-        right = grid[min(idx + 1, len(grid) - 1)]
-        if right <= left:
-            break
-        grid = np.linspace(left, right, 64)
-    # local polish
+    """Extremum of f over [lo, hi]: :func:`brent.grid_minimum` on a
+    log-spaced (or linear) grid of ``_GRID`` points."""
+    grid = np.geomspace(lo, hi, _GRID) if log else np.linspace(lo, hi, _GRID)
     sign = 1.0 if minimize else -1.0
-    _, fun = minimize_bounded(lambda x: sign * f(np.array([x]))[0],
-                              left, right, xatol=1e-14)
-    if sign * fun < sign * best_v:
-        best_v = sign * fun
-    return float(best_v)
+    return sign * grid_minimum(lambda x: sign * f(x), grid)[1]
 
 
 def eta(g, r):

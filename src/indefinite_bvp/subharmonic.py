@@ -50,17 +50,6 @@ class CodeTarget:
     def word_string(self):
         return "".join(str(b) for b in self.word)
 
-    def blocks(self):
-        """The word as k integer symbols in [0, 2^m)."""
-        m = self.m
-        out = []
-        for j in range(self.k):
-            sym = 0
-            for b in self.word[j * m:(j + 1) * m]:
-                sym = (sym << 1) | b
-            out.append(sym)
-        return out
-
     def block_rotations(self):
         """All rotations of the word by whole m-blocks."""
         m = self.m

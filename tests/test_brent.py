@@ -1,5 +1,6 @@
-"""The ported Brent routines against scipy's, bit for bit: the same
-evaluation points, the same result and the same errors."""
+"""The ported Brent root finder against scipy's, bit for bit: the same
+evaluation points, the same result and the same errors; and the grid
+refinement of the extremum routine."""
 
 import functools
 import math
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
-from scipy.optimize import minimize_scalar
 
 from indefinite_bvp import brent, shooting
 from indefinite_bvp.eigen import _LAMBDA_RTOL
@@ -21,8 +21,6 @@ EPS = np.finfo(float).eps
 # (1e-14, 8.9e-16) and the eigenvalue root (both _LAMBDA_RTOL)
 ROOT_TOLS = [(1e-12, 4 * EPS), (1e-14, 4 * EPS), (1e-14, 8.9e-16),
              (_LAMBDA_RTOL, _LAMBDA_RTOL), (_LAMBDA_RTOL, 4 * EPS)]
-# the xatol of the extremum polish (nonlinearity) and of max_on_interval
-XATOLS = [1e-12, 1e-14]
 
 
 def family(kind, r, s, w):
@@ -84,37 +82,6 @@ def test_brentq_matches_scipy(kind, r, s, w, a, b, tols):
         outcome(scipy_root, f, a, b, xtol=xtol, rtol=rtol)
 
 
-def ported_min(f, lo, hi, xatol):
-    return tuple(map(repr, brent.minimize_bounded(f, lo, hi, xatol=xatol)))
-
-
-def scipy_min(f, lo, hi, xatol):
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol})
-    return repr(float(res.x)), repr(float(res.fun))
-
-
-@given(st.sampled_from(KINDS), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-       st.floats(0.0, 1.0), st.floats(-3.0, 3.0), st.floats(0.0, 3.0),
-       st.sampled_from(XATOLS))
-@settings(max_examples=600, deadline=None)
-@example("cubic", 0.0, 0.0, 0.0, 1.0, 0.0, 1e-12)
-def test_minimize_bounded_matches_scipy(kind, r, s, w, lo, width, xatol):
-    f = family(kind, r, s, w)
-    objective = lambda t: math.cos(t) - f(t) ** 2
-    hi = lo + width
-    assert outcome(ported_min, objective, lo, hi, xatol) == \
-        outcome(scipy_min, objective, lo, hi, xatol)
-
-
-def test_minimize_bounded_on_numpy_values():
-    # the extremum polish hands numpy bounds and returns numpy values
-    f = lambda x: np.float64(x - 0.3) ** 2 + np.float64(x) ** 4
-    lo, hi = np.float64(-1.0), np.float64(2.0)
-    for xatol in XATOLS:
-        assert ported_min(f, lo, hi, xatol) == scipy_min(f, lo, hi, xatol)
-
-
 @pytest.mark.parametrize("solver", [
     functools.partial(brent.brentq, xtol=2e-12), scipy_brentq])
 def test_brentq_error_paths(solver):
@@ -139,16 +106,6 @@ def test_brentq_error_paths(solver):
         solver(lambda x: x, -1.0, 1.0, rtol=1e-16)
 
 
-@pytest.mark.parametrize("bounds", [(1.0, 0.0), (0.0, math.inf),
-                                    (math.nan, 1.0)])
-def test_minimize_bounded_refuses_bad_bounds(bounds):
-    f = lambda x: x * x
-    with pytest.raises(ValueError):
-        brent.minimize_bounded(f, *bounds, xatol=1e-12)
-    with pytest.raises(ValueError):
-        minimize_scalar(f, bounds=bounds, method="bounded")
-
-
 def test_neumann_search_skips_a_bracket_the_root_finder_refuses(monkeypatch):
     # a refused bracket (same signs at full accuracy, or a nan slope)
     # drops that bracket, not the search
@@ -163,3 +120,48 @@ def test_neumann_search_skips_a_bracket_the_root_finder_refuses(monkeypatch):
     monkeypatch.setattr(shooting, "brentq", refusing)
     assert shooting.find_neumann_solutions(p, sc) == []
     assert calls
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+COEFFICIENT = st.just(0.0) | st.floats(1e-3, 5.0)
+
+
+@given(st.floats(-3.0, 3.0), st.floats(1e-6, 3.0), st.integers(2, 4096),
+       COEFFICIENT, COEFFICIENT, st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+@example(0.0, 1.0, 2, 0.0, 0.0, False, False)
+def test_grid_minimum_keeps_an_end_minimum(lo, width, n, slope, curve,
+                                           at_right, log):
+    # f grows away from one end (or is constant, where the first point
+    # wins): the end and its value come back bit for bit, as the
+    # constants eta and gamma need for a g whose extrema sit at a grid end
+    hi = lo + width
+    grid = np.geomspace(1.0, 1.0 + width, n) + (lo - 1.0) if log \
+        else np.linspace(lo, hi, n)
+    end = grid[-1] if at_right else grid[0]
+    f = lambda x: slope * np.abs(x - end) + curve * (x - end) ** 2
+    want = f(grid)[-1 if at_right else 0]
+    if slope == curve == 0.0:
+        end, want = grid[0], f(grid)[0]
+    x, fx = brent.grid_minimum(f, grid)
+    assert bits(x) == bits(end)
+    assert bits(fx) == bits(want)
+
+
+@given(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), st.floats(1.0, 10.0),
+       st.sampled_from([257, 4096]))
+@settings(max_examples=300, deadline=None)
+@example(0.75, 0.0, 1.0, 257)
+def test_grid_minimum_refines_an_inner_minimum(c, d, a, n):
+    # a parabola's vertex anywhere in [0, 1], on the grid sizes of the
+    # callers, is found far below the spacing of the first grid; its
+    # value to the round-off of d
+    f = lambda x: a * (x - c) ** 2 + d
+    x, fx = brent.grid_minimum(f, np.linspace(0.0, 1.0, n))
+    assert abs(x - c) < 1e-7
+    assert d <= fx <= d + 1e-15 * max(abs(d), 1.0)
+    assert bits(fx) == bits(f(np.array([x]))[0])
+    assert type(x) is float and type(fx) is float

@@ -357,6 +357,19 @@ def test_subcommand_smoke(command, tmp_path, capsys):
     assert not (tmp_path / ("out_%d.csv" % n)).exists()
 
 
+@pytest.mark.parametrize("text", ["[problem]\npreset = fig1\n",
+                                  PERIODIC_INI], ids=["fig1", "periodic"])
+def test_eigen_threshold_is_the_largest_hump_eigenvalue(text, tmp_path,
+                                                        capsys):
+    # the report lists the eigenvalues the threshold is taken over: on
+    # fig1 the end humps of the Neumann window take the Neumann condition
+    # at the window end, so they are not the Dirichlet ones
+    path = write_config(tmp_path, text)
+    assert main(["eigen", "--config", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ginf_threshold"] == max(rep["hump_eigenvalues"])
+
+
 def test_annulus_weight_is_written_in_r(tmp_path, capsys):
     ap = annulus_from_config(load_config(write_config(tmp_path,
                                                       ANNULUS_INI)))

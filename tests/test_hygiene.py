@@ -357,6 +357,15 @@ def test_batched_flow_call_sites():
         "shooting._polish_seeds", "shooting.find_neumann_solutions"]
 
 
+def test_one_extremum_routine():
+    # one extremum path: the hump maxima and the growth functionals, the
+    # package's two extremum searches, both go through brent.grid_minimum
+    sources = {f.stem: f.read_text(encoding="utf-8")
+               for f in PACKAGE.glob("*.py")}
+    assert callers_of("grid_minimum", sources) == [
+        "integrator.max_on_interval", "nonlinearity._grid_extremum"]
+
+
 PRIVATE_IVP = "scipy.integrate._ivp"
 
 

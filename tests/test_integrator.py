@@ -15,7 +15,8 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 from indefinite_bvp import (dop853_coefficients, eigen, integrator,
                             nonlinearity, shooting, weight)
 from indefinite_bvp.eigen import EigenProblem, prufer_angle_sweep
-from indefinite_bvp.errors import BracketingError, DivergenceError, DomainError
+from indefinite_bvp.errors import (BracketingError, ConfigurationError,
+                                   DivergenceError, DomainError)
 from indefinite_bvp.expressions import Expression, quiet_fp
 from indefinite_bvp.integrator import (ProblemSpec, State, Trajectory, flow,
                                        integrate, max_on_interval)
@@ -50,7 +51,7 @@ def test_state_validation():
     with pytest.raises(DomainError):
         State(math.nan, 0.0)
     s = State(1.0, -2.0)
-    assert np.allclose(s.as_array(), [1.0, -2.0])
+    assert (s.u, s.y) == (1.0, -2.0)
 
 
 def test_linear_oracle_cosine():
@@ -189,6 +190,22 @@ def test_mu_and_c_must_be_finite(mu, c):
     w = WeightSpec.sine(TWO_PI, period=1.0)
     with pytest.raises(DomainError):
         ProblemSpec.build(w, mu, c, NonlinearitySpec.power(2))
+
+
+def test_pattern_mode_must_be_the_boundary():
+    # a Neumann pattern of -sin(2 pi t) opens with the negativity interval,
+    # so a periodic search over it would see the degenerate interval
+    # [1, 1] and return no solution; it is refused at construction, as
+    # is a periodic pattern under Neumann conditions
+    w = WeightSpec.from_expression("-sin(2*pi*t)", 1.0)
+    g = NonlinearitySpec.arctan_scaled(100.0)
+    neumann = detect_sign_pattern(w, periodic=False)
+    with pytest.raises(ConfigurationError, match="periodic problem needs"):
+        ProblemSpec(w, neumann, 7.0, 0.0, g)
+    with pytest.raises(ConfigurationError, match="neumann problem needs"):
+        ProblemSpec(w, detect_sign_pattern(w), 7.0, 0.0, g, "neumann")
+    assert ProblemSpec(w, neumann, 7.0, 0.0, g, "neumann").boundary == \
+        "neumann"
 
 
 def test_build_aligns_pattern():

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from indefinite_bvp.errors import (ConfigurationError, DomainError,
                                    HypothesisError)
 from indefinite_bvp.expressions import quiet_fp
-from indefinite_bvp.nonlinearity import (NonlinearitySpec, eta, g_eval,
-                                         g_vector, gamma_min, gamma_ratio,
-                                         limit_estimates)
+from indefinite_bvp.nonlinearity import (_GRID, NonlinearitySpec, eta,
+                                         g_eval, g_vector, gamma_min,
+                                         gamma_ratio, limit_estimates)
 
 
 def test_power_eval():
@@ -127,6 +127,23 @@ def test_expression_kind_matches_closed_form():
         pytest.approx(gamma_ratio(analytic, r), rel=1e-6)
     assert gamma_min(grid, r, 2.0) == \
         pytest.approx(gamma_min(analytic, r, 2.0), rel=1e-6)
+
+
+def test_growth_extrema_at_a_grid_end_keep_their_bits():
+    # for g = 100 s atan(s) the ratio g(s)/s grows and so does g: eta,
+    # gamma and the minimum of g sit at an end of their grid, and each is
+    # the value of f at that end as the grid evaluates it, bit for bit
+    g = NonlinearitySpec.from_expression("100*s*atan(s)")
+    r, r_star = 0.3, 2.0
+    ratio = lambda s: g_eval(g, s) / s
+    ends = [
+        (eta(g, r), ratio(np.geomspace(r * 1e-12, r, _GRID))[-1]),
+        (gamma_ratio(g, r), ratio(np.linspace(r / 2.0, r, _GRID))[0]),
+        (gamma_min(g, r, r_star),
+         g_eval(g, np.geomspace(r / 4.0, r_star, _GRID))[0]),
+    ]
+    for got, want in ends:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_clamped_expression():

@@ -14,7 +14,8 @@ from indefinite_bvp.errors import (DegreeUndefinedError, DivergenceError,
                                    DomainError, SolverError,
                                    UnclassifiableError)
 from indefinite_bvp.integrator import (BLOWUP_NORM, ProblemSpec, State,
-                                       Trajectory, flow, integrate)
+                                       Trajectory, flow, integrate,
+                                       max_on_interval)
 from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.expressions import quiet_fp
 from indefinite_bvp.presets import (fig1, fig2, multiplicity_m2,
@@ -24,7 +25,7 @@ from indefinite_bvp.shooting import (SearchConfig, _segment_nodes,
                                      find_neumann_solutions,
                                      find_periodic_solutions, poincare_map,
                                      verify_solution, winding_number)
-from indefinite_bvp.weight import WeightSpec
+from indefinite_bvp.weight import WeightSpec, k_fold_pattern
 
 
 def min_sampled_u(rec):
@@ -170,13 +171,52 @@ def test_records_carry_their_nodes(fig1_recs, fig2_k1):
 def test_classify_unclassifiable_margin(fig1_recs):
     p, recs = fig1_recs
     rec = recs[0]
-    from indefinite_bvp.integrator import max_on_interval
     pat = p.pattern
     _, umax = max_on_interval(rec.trajectory, *pat.pos_intervals()[0])
     with pytest.raises(UnclassifiableError):
         classify_code(rec, p, umax, 10 * umax)
     with pytest.raises(DomainError):
         classify_code(rec, p, -1.0, 1.0)
+
+
+def dense_scan_max(traj, lo, hi, n=20001):
+    """Max of u on [lo, hi] by two dense scans, the second over the four
+    spacings around the best point of the first."""
+    ts = np.linspace(lo, hi, n)
+    k = int(np.argmax(traj.eval(ts)[:, 0]))
+    ts = np.linspace(ts[max(k - 2, 0)], ts[min(k + 2, n - 1)], n)
+    return float(np.max(traj.eval(ts)[:, 0]))
+
+
+def test_interval_maxima_match_a_dense_scan(fig2_k1, fig2_k2):
+    # on each hump of the fig2 k = 2 orbits the refined grid maximum is
+    # the maximum of a dense scan of the same dense output.  On a
+    # negativity interval u is convex, so it peaks at an end or, where
+    # the stitched segments jump by the shooting residual at a node,
+    # at the one-sided limit just inside it; at an end the maximum is
+    # the trajectory at that end, bit for bit
+    p = fig2_k1[0]
+    at_end = 0
+    for rec in fig2_k2:
+        traj = rec.trajectory
+        u_at = lambda t: float(traj.eval(t)[0])
+        pat = k_fold_pattern(p.pattern, rec.k)
+        for lo, hi in pat.pos_intervals():
+            t, u = max_on_interval(traj, lo, hi)
+            assert lo <= t <= hi and u == u_at(t)
+            assert u == pytest.approx(dense_scan_max(traj, lo, hi),
+                                      rel=1e-12, abs=0.0)
+        for lo, hi in pat.neg_intervals():
+            t, u = max_on_interval(traj, lo, hi)
+            end = lo if u_at(lo) >= u_at(hi) else hi
+            inside = max(u_at(np.nextafter(lo, hi)),
+                         u_at(np.nextafter(hi, lo)))
+            if u_at(end) >= inside:
+                assert (t, u) == (end, u_at(end))
+                at_end += 1
+            else:
+                assert u_at(end) <= u <= inside
+    assert at_end >= len(fig2_k2)
 
 
 def test_verify_fig1(fig1_recs):

