@@ -197,7 +197,7 @@ def estimate_R_star(p, r, search_config=None):
     if sc is None:
         sc = shooting.SearchConfig(u_count=24, y_count=12, u_max=50.0,
                                    residual_tol=1e-6, rtol=1e-8, atol=1e-10,
-                                   newton_max_iter=15, screen_steps=600)
+                                   newton_max_iter=15)
     mu_sharp = compute_mu_sharp(p)
     sup = 0.0
     probes = {p.mu, mu_sharp * 1.05 + 1e-6}

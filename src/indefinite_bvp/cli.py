@@ -18,6 +18,7 @@ import dataclasses
 import json
 import re
 import sys
+import warnings
 from importlib import metadata
 
 from .bounds import compute_mu_star
@@ -98,16 +99,27 @@ _ANNULUS_KEYS = {"n": int, "r1": float, "r2": float, "mu": float, "q": str,
                  "g": str}
 _SEARCH_KEYS = {f.name: int if f.type == "int" else float
                 for f in dataclasses.fields(SearchConfig)}
+# [search] keys that set nothing any more: a config that has one still
+# loads, with a warning that names it
+_RETIRED_SEARCH_KEYS = {
+    "screen_steps": "the screen steps adaptively on the batched DOP853 "
+                    "kernel",
+}
 
 
-def _read_section(cp, name, types, required=()):
+def _read_section(cp, name, types, required=(), retired=None):
     """The keys of config section ``name``, each converted by its type in
     ``types``; an unknown, missing or unconvertible key is a
-    ConfigurationError."""
+    ConfigurationError.  A key of ``retired`` (key -> reason) is dropped
+    with a UserWarning that names it."""
     if name not in cp:
         raise ConfigurationError("config needs a [%s] section" % name)
     sec = cp[name]
-    unknown = sorted(set(sec) - set(types))
+    retired = retired or {}
+    for key in sorted(set(sec) & set(retired)):
+        warnings.warn("[%s] %s is retired and ignored: %s"
+                      % (name, key, retired[key]), UserWarning, stacklevel=2)
+    unknown = sorted(set(sec) - set(types) - set(retired))
     if unknown:
         raise ConfigurationError("unknown [%s] key(s): %s"
                                  % (name, ", ".join(unknown)))
@@ -117,6 +129,8 @@ def _read_section(cp, name, types, required=()):
                                  % (name, ", ".join(missing)))
     out = {}
     for key in sec:
+        if key in retired:
+            continue
         try:
             out[key] = types[key](sec[key])
         except ValueError as exc:
@@ -162,7 +176,8 @@ def _search_from_config(cp, default=None):
     base = default or SearchConfig()
     if "search" not in cp:
         return base
-    sec = _read_section(cp, "search", _SEARCH_KEYS)
+    sec = _read_section(cp, "search", _SEARCH_KEYS,
+                        retired=_RETIRED_SEARCH_KEYS)
     try:
         return dataclasses.replace(base, **sec)
     except DomainError as exc:

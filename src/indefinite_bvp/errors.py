@@ -41,7 +41,8 @@ class DivergenceError(SolverError):
         State at ``last_time``.
     row : int
         In a flow of many rows, the row that escaped and was frozen while
-        the others went on, or the largest row when the whole flow failed.
+        the others went on.  When the whole flow failed: the first row
+        whose field was not finite at the start, or else the largest row.
     """
 
     def __init__(self, message, last_time=None, last_state=None, row=None):

@@ -85,9 +85,9 @@ class ProblemSpec:
     :func:`_float_field`) that :func:`integrate` hands to the float
     DOP853 stepper, and ``a_mu_at``, the vector a_mu of
     :func:`weight.a_mu_vector`, whose values :meth:`extended` takes once
-    per step as the field of the batched kernel :func:`flow_rows` and of
-    the RK4 screen.  Both call an expression g without its
-    floating-point guard, so their callers run inside
+    per step as the field of the batched kernel :func:`flow_rows`, which
+    flows the grid screen and the Newton rows.  Both call an expression g
+    without its floating-point guard, so their callers run inside
     :func:`expressions.quiet_fp`.
     """
 
@@ -140,16 +140,16 @@ class ProblemSpec:
 
     def extended(self, a, u):
         """f~ from weight values a = a_mu(t) at a float array u: a g(u)
-        for u >= 0, -u below, bit for bit the forcing inside ``rhs``.
-        The screen and :func:`flow_rows` share it.
+        for u >= 0, -u below, bit for bit the forcing inside ``rhs``:
+        the forcing of :func:`flow_rows`.
 
         One branch-free form, ``a g(max(u, 0)) - min(u, 0)``.  For u >= 0
         it is a g(u) - 0.0, which is a g(u) exactly, -0.0 included; for
         u < 0 (and u = -inf) g(+0.0) = +0.0, so it is +-0.0 - u = -u
         exactly.  Only the sign and payload of a nan can differ from the
-        two-branch form, and no caller reads them: the screen overwrites
-        its dead rows with nan and :func:`flow_rows` freezes a row that
-        is not finite.
+        two-branch form, and no caller reads them: :func:`flow_rows`
+        raises on a field that is not finite at the start and freezes a
+        row that is not finite at a step end.
         """
         return a * self._g_vec(np.maximum(u, 0.0)) - np.minimum(u, 0.0)
 
@@ -393,9 +393,10 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
     field and so its stages vanish, and the other rows go on; its row of
     Y is nan, and ``escaped`` maps it to a DivergenceError with its real
     time and state at the end of the step.  Raises DivergenceError when
-    the field at the start is not finite or the step size falls below
-    its minimum (with the last accepted state and the largest row), and
-    ValueError for a row that is not finite.
+    the field at the start is not finite (naming the first row whose
+    field is not) or the step size falls below its minimum (with the
+    last accepted state and the largest row), and ValueError for a row
+    that is not finite.
     """
     Z = np.asarray(Z, dtype=float)
     m = len(Z)
@@ -436,7 +437,8 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
     with quiet_fp():
         f = field(p.a_mu_at(t0s + tau * rate), y, K[0])
         if not np.isfinite(f).all():
-            raise escaped("field is not finite", tau, y)
+            raise escaped("field is not finite", tau, y,
+                          int(np.argmin(np.isfinite(f))) // 2)
         # scipy's select_initial_step for the 7th-order error estimator
         scale = atol + np.abs(y) * rtol
         d0 = _rms(y / scale)

@@ -38,8 +38,7 @@ def fig1(mu=None):
     g = NonlinearitySpec.arctan_scaled(100.0)
     p = ProblemSpec.build(w, 1.0 if mu is None else mu, 0.0, g,
                           boundary="neumann")
-    sc = SearchConfig(u_min=1e-4, u_max=0.5, u_count=400, screen_steps=800,
-                      residual_tol=1e-9)
+    sc = SearchConfig(u_min=1e-4, u_max=0.5, u_count=400, residual_tol=1e-9)
     return Preset("fig1", p, sc,
                   notes="three positive Neumann solutions, codes 10/01/11")
 
@@ -55,7 +54,7 @@ def fig2(mu=7.0):
     g = NonlinearitySpec.arctan_scaled(100.0)
     p = ProblemSpec.build(w, mu, 0.0, g, boundary="periodic")
     sc = SearchConfig(u_min=1e-4, u_max=5.0, u_count=48, y_count=32,
-                      screen_steps=800, max_candidates=30)
+                      max_candidates=30)
     return Preset("fig2", p, sc, k=2,
                   notes="subharmonics of order 2 plus the 1-periodic one")
 
@@ -71,8 +70,7 @@ def multiplicity_m2(mu=10.0):
     g = NonlinearitySpec.power(2)
     p = ProblemSpec.build(w, mu, 0.0, g, boundary="periodic")
     sc = SearchConfig(u_min=1e-3, u_max=5.0, u_count=32, y_count=24,
-                      y_min=-5.0, y_max=5.0, screen_steps=600,
-                      max_candidates=20)
+                      y_min=-5.0, y_max=5.0, max_candidates=20)
     return Preset("multiplicity-m2", p, sc, k=2,
                   notes="m=2 humps: expect >= 3 distinct codes above mu*")
 
@@ -89,8 +87,7 @@ def multiplicity_m3(mu=10.0, nu=100.0):
     g = NonlinearitySpec.arctan_scaled(nu)
     p = ProblemSpec.build(w, mu, 0.0, g, boundary="periodic")
     sc = SearchConfig(u_min=1e-4, u_max=2.0, u_count=32, y_count=24,
-                      y_min=-2.0, y_max=2.0, screen_steps=600,
-                      max_candidates=12)
+                      y_min=-2.0, y_max=2.0, max_candidates=12)
     return Preset("multiplicity-m3", p, sc, k=3,
                   notes="m=3 humps: expect >= 7 distinct codes above mu*")
 

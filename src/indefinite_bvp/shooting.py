@@ -1,23 +1,22 @@
 """Multistart shooting for periodic and Neumann solutions.
 
-The search screens a grid of initial states with a fast vectorized
-fixed-step integrator (steps split at weight breakpoints), one period at
-a time: the k-period screen is the RK4 period map iterated k times on
-the grid.  A search returns its screen with its records; handed that
-result as ``base``, a search on the same problem, grid and
-``screen_steps`` continues it, so a k = 2 search after the k = 1 search
-flows only [T, 2T], with the bits of a cold screen.  The grid points
-with the smallest displacement go straight to damped multiple-shooting
-Newton on the accurate adaptive integrator.
+The search screens a grid of initial states one period at a time on the
+batched DOP853 kernel :func:`integrator.flow_rows` at loose tolerances,
+one flow per weight piece: the k-period screen is that period map
+iterated k times on the grid.  A search returns its screen with its
+records; handed that result as ``base``, a search on the same problem
+and grid continues it, so a k = 2 search after the k = 1 search flows
+only [T, 2T], with the bits of a cold screen.  The grid points with the
+smallest displacement go straight to damped multiple-shooting Newton at
+the search tolerances.
 Accepted solutions are classified by the binary code of their hump
 maxima and cross-checked by an independent verification pass.
 
 The Newton rows, each on its own segment, and the residual of
 :func:`verify_solution` go through one batched flow, :func:`_batch_flow`,
-on the in-house DOP853 kernel :func:`integrator.flow_rows`; nothing here
-calls ``solve_ivp``.  Single trajectories, and the vertices of the
-winding-number polylines one at a time, use the float DOP853 stepper of
-:func:`integrator.integrate`.
+on the same kernel; nothing here calls ``solve_ivp``.  Single
+trajectories, and the vertices of the winding-number polylines one at a
+time, use the float DOP853 stepper of :func:`integrator.integrate`.
 
 Every polish is a lockstep round of :func:`_newton_steps` generators,
 one per seed, inside :func:`_polish_seeds`, whose roots all pass the one
@@ -39,8 +38,8 @@ import numpy as np
 from .brent import brentq
 from .errors import (DegreeUndefinedError, DivergenceError, DomainError,
                      SolverError, UnclassifiableError)
-from .integrator import (BLOWUP_NORM, State, Trajectory, flow, flow_rows,
-                         integrate, max_on_interval)
+from .integrator import (State, Trajectory, flow, flow_rows, integrate,
+                         max_on_interval)
 from .nonlinearity import g_eval
 from .weight import k_fold_pattern
 
@@ -59,7 +58,6 @@ class SearchConfig:
     residual_tol: float = 1e-8
     rtol: float = 1e-10
     atol: float = 1e-12
-    screen_steps: int = 1200      # fixed steps per unit time in the screen
     max_candidates: int = 60
 
     def __post_init__(self):
@@ -114,93 +112,40 @@ class SolutionRecord:
 
 
 # ---------------------------------------------------------------------------
-# fast vectorized screening integrator
+# grid screen
+
+_SCREEN_RTOL = 1e-4     # tolerances of the screen's batched flows
+_SCREEN_ATOL = 1e-7
 
 
-def screen_flow(p, states, t0, t1, steps_per_unit=1200):
-    """Terminal states of a batch of initial states via fixed-step RK4.
+def screen_flow(p, states, t0, t1):
+    """End states of a batch of initial states flowed from t0 to t1: one
+    :func:`integrator.flow_rows` per weight piece of [t0, t1], on the
+    rows still finite, at ``_SCREEN_RTOL`` and ``_SCREEN_ATOL``.
 
-    Diverged members are frozen at NaN.  Accuracy is qualitative; this is
-    only used to locate candidate basins for the Newton polish.
-
-    a_mu is evaluated once per weight piece, at every stage time the
-    step loop reaches (t, t + h/2 and t + h, the next step's t), so each
-    stage is one :meth:`ProblemSpec.extended` call, which has no branch
-    on the sign of u.  A row that diverges reads nan, whatever the sign
-    or payload of the nan the field gave.
-
-    The step loop writes every stage into buffers allocated once per
-    call, with the operations of the plain RK4 formulas in their order,
-    so its bits are theirs; it never writes into an array the field
-    returned, because a g may hand back its argument.  Each piece steps
-    from its own two edges, so calls over [t0, s] and [s, t1], where s
-    is a breakpoint inside [t0, t1] (every jT is one), give the bits of
-    one call over [t0, t1].
+    Accuracy is qualitative; this only locates candidate basins for the
+    Newton polish.  A row that escapes reads nan, and a row that reads
+    nan is not flowed again.  When a piece's whole flow fails, the row
+    its DivergenceError names reads nan and the others are flowed again,
+    so the screen never raises.  Each piece steps from its own two edges,
+    so calls over [t0, s] and [s, t1], where s is a breakpoint inside
+    [t0, t1] (every jT is one), give the bits of one call over [t0, t1].
     """
-    u = states[:, 0].astype(float)
-    y = states[:, 1].astype(float)
+    out = np.array(states, dtype=float)
     edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
-    neg_c = -p.c
-    # the u slope of each stage is that stage's y, so only the stage
-    # states y2..y4 and the y slopes k1..k4 are kept; su holds the
-    # stage's u, tmp and acc the products and sums
-    su, tmp, acc, y2, y3, y4, k1, k2, k3, k4 = np.empty((10, len(u)))
-    dead = np.empty(len(u), dtype=bool)
-
-    def slope(a, us, ys, out):
-        # out = -c * ys - f~(a, us)
-        np.multiply(ys, neg_c, out=out)
-        np.subtract(out, p.extended(a, us), out=out)
-
-    def stage(base, slope_, scale, out):
-        # out = base + scale * slope_
-        np.multiply(slope_, scale, out=tmp)
-        np.add(base, tmp, out=out)
-
-    def combine(s1, s2, s3, s4, h6, out):
-        # out += h / 6 * (s1 + 2 s2 + 2 s3 + s4)
-        np.multiply(s2, 2, out=tmp)
-        np.add(s1, tmp, out=acc)
-        np.multiply(s3, 2, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.add(acc, s4, out=acc)
-        np.multiply(acc, h6, out=acc)
-        np.add(out, acc, out=out)
-
-    with np.errstate(all="ignore"):
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n = max(4, int(math.ceil((hi - lo) * steps_per_unit)))
-            h = (hi - lo) / n
-            h2, h6 = h / 2, h / 6
-            ts = [lo]
-            for _ in range(n):
-                ts.append(ts[-1] + h)
-            ts = np.array(ts)
-            a = p.a_mu_at(np.concatenate([ts, ts[:-1] + h / 2]))
-            a_start, a_mid = a[:n + 1], a[n + 1:]
-            for i in range(n):
-                slope(a_start[i], u, y, k1)
-                stage(u, y, h2, su)
-                stage(y, k1, h2, y2)
-                slope(a_mid[i], su, y2, k2)
-                stage(u, y2, h2, su)
-                stage(y, k2, h2, y3)
-                slope(a_mid[i], su, y3, k3)
-                stage(u, y3, h, su)
-                stage(y, k3, h, y4)
-                slope(a_start[i + 1], su, y4, k4)
-                # u first: its k1 is the y of the step start
-                combine(y, y2, y3, y4, h6, u)
-                combine(k1, k2, k3, k4, h6, y)
-                # nan, inf or escaped
-                np.abs(u, out=tmp)
-                np.abs(y, out=acc)
-                np.add(tmp, acc, out=tmp)
-                np.less_equal(tmp, BLOWUP_NORM, out=dead)
-                np.logical_not(dead, out=dead)
-                np.copyto(u, np.nan, where=dead)
-                np.copyto(y, np.nan, where=dead)
-    return np.column_stack([u, y])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        live = np.flatnonzero(np.isfinite(out).all(axis=1))
+        while len(live):
+            try:
+                out[live] = flow_rows(p, out[live], np.full(len(live), lo),
+                                      np.full(len(live), hi - lo),
+                                      _SCREEN_RTOL, _SCREEN_ATOL)[0]
+            except DivergenceError as exc:
+                out[live[exc.row]] = np.nan
+                live = np.delete(live, exc.row)
+            else:
+                break
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +471,7 @@ def _coded_orbit_seeds(p, k, base):
 class SearchResult(list):
     """The records of :func:`find_periodic_solutions` and ``screen``, the
     grid screen it flowed: (key, {j: grid end states after j periods}),
-    keyed by the problem, the six grid fields and ``screen_steps``."""
+    keyed by the problem and the six grid fields."""
 
     def __init__(self, records, screen):
         super().__init__(records)
@@ -534,9 +479,9 @@ class SearchResult(list):
 
 
 def _screen_periods(p, starts, k, sc, prior):
-    """(the grid ``starts`` after k periods of the RK4 screen, the
-    screen): one :func:`screen_flow` per period [(j - 1)T, jT], each from
-    the end states of the one before.
+    """(the grid ``starts`` after k periods of the screen, the screen):
+    one :func:`screen_flow` per period [(j - 1)T, jT], each from the end
+    states of the one before.
 
     A ``prior`` screen with this search's key is continued from its
     latest period j <= k: only periods j + 1..k are flowed, and each jT
@@ -544,14 +489,13 @@ def _screen_periods(p, starts, k, sc, prior):
     of a cold screen.  The screen returned keeps ``prior``'s periods.
     """
     key = (p, sc.u_min, sc.u_max, sc.u_count, sc.y_min, sc.y_max,
-           sc.y_count, sc.screen_steps)
+           sc.y_count)
     ends = dict(prior[1]) if prior is not None and prior[0] == key else {}
     j = max((i for i in ends if i <= k), default=0)
     finals = ends[j] if j else starts
     T = p.period
     for i in range(j + 1, k + 1):
-        finals = ends[i] = screen_flow(p, finals, (i - 1) * T, i * T,
-                                       steps_per_unit=sc.screen_steps)
+        finals = ends[i] = screen_flow(p, finals, (i - 1) * T, i * T)
     return finals, (key, ends)
 
 
@@ -560,10 +504,10 @@ def find_periodic_solutions(p, k, sc=None, base=None):
     shooting on the period map, sorted by initial state (u, then u'),
     as a :class:`SearchResult` that also holds the grid screen.
 
-    The grid screen is :func:`_screen_periods`: one RK4 screen per
-    period.  It continues the screen of ``base`` when ``base`` is the
-    result of a search on the same problem, grid and ``screen_steps``
-    (``max_candidates`` may differ); a plain list screens cold.  For
+    The grid screen is :func:`_screen_periods`: one :func:`screen_flow`
+    per period.  It continues the screen of ``base`` when ``base`` is the
+    result of a search on the same problem and grid (``max_candidates``
+    may differ); a plain list screens cold.  For
     2 <= k <= 7 the 1-periodic records ``base`` also seed every coded
     word; when omitted they come from a k=1 search with at most 20
     candidates, which is handed this search's screen and flows nothing.
@@ -610,7 +554,7 @@ def find_neumann_solutions(p, sc=None):
     T = p.period
     u_grid = np.linspace(sc.u_min, sc.u_max, sc.u_count)
     starts = np.column_stack([u_grid, np.zeros_like(u_grid)])
-    finals = screen_flow(p, starts, 0.0, T, steps_per_unit=sc.screen_steps)
+    finals = screen_flow(p, starts, 0.0, T)
     yT = finals[:, 1]
 
     # brentq returns an x it has evaluated, so the root's residual is

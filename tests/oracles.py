@@ -3,6 +3,9 @@
 - :func:`reference_dop853` is the float DOP853 stepper as a loop over
   the rows of the tableau, the reference of the written-out stages of
   :func:`integrator.dop853`.
+- :func:`reference_rk4_screen` is a fixed-step RK4 grid screen, an
+  integrator independent of DOP853 whose grid picks the adaptive screen
+  of :func:`shooting.screen_flow` must reproduce.
 
 The others run on scipy's ``solve_ivp``, independent of the package's
 own DOP853 steppers:
@@ -150,6 +153,39 @@ def reference_dop853(field, t, t_end, u, y, rtol, atol, dense):
         us.append(u)
         ys.append(y)
     return ts, us, ys, stages
+
+
+def reference_rk4_screen(p, states, t0, t1, steps_per_unit):
+    """End states of the rows ``states`` flowed from t0 to t1 by classical
+    RK4 with max(4, ceil(length * steps_per_unit)) equal steps on each
+    weight piece; every stage calls the extended forcing at its own time
+    for every row.  A row whose |u| + |y| is not finite or exceeds
+    ``BLOWUP_NORM`` after a step reads nan from then on."""
+    u = states[:, 0].astype(float).copy()
+    y = states[:, 1].astype(float).copy()
+    edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
+
+    def deriv(t, u, y):
+        return y, -p.c * y - p.extended(p.a_mu_at(np.full(len(u), t)), u)
+
+    with np.errstate(all="ignore"):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            n = max(4, int(math.ceil((hi - lo) * steps_per_unit)))
+            h = (hi - lo) / n
+            t = lo
+            for _ in range(n):
+                k1u, k1y = deriv(t, u, y)
+                k2u, k2y = deriv(t + h / 2, u + h / 2 * k1u, y + h / 2 * k1y)
+                k3u, k3y = deriv(t + h / 2, u + h / 2 * k2u, y + h / 2 * k2y)
+                k4u, k4y = deriv(t + h, u + h * k3u, y + h * k3y)
+                u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+                y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+                t += h
+                dead = ~np.isfinite(u) | ~np.isfinite(y) | \
+                    (np.abs(u) + np.abs(y) > BLOWUP_NORM)
+                u[dead] = np.nan
+                y[dead] = np.nan
+    return np.column_stack([u, y])
 
 
 def direct_radial_integration(ap, U0):

@@ -1,18 +1,27 @@
 """CLI parsing, dispatch, report emission and exit codes."""
 
 import argparse
+import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import indefinite_bvp
 from indefinite_bvp import bounds, cli, shooting
 from indefinite_bvp.cli import (annulus_from_config, build_parser, main,
                                 parse_nonlinearity, parse_weight,
                                 problem_from_config, load_config)
 from indefinite_bvp.errors import ConfigurationError
 from indefinite_bvp.nonlinearity import g_eval
+from indefinite_bvp.presets import get_preset
 from indefinite_bvp.weight import evaluate
+
+SRC = str(pathlib.Path(indefinite_bvp.__file__).resolve().parents[1])
 
 
 def write_config(tmp_path, text, name="cfg.ini"):
@@ -279,7 +288,6 @@ u_count = 8
 y_min = -0.6
 y_max = 0.6
 y_count = 6
-screen_steps = 400
 max_candidates = 4
 """
 
@@ -293,7 +301,6 @@ boundary = neumann
 [search]
 u_max = 0.5
 u_count = 60
-screen_steps = 400
 """
 
 ANNULUS_INI = """
@@ -433,6 +440,45 @@ def test_removed_search_keys_exit(tmp_path, capsys):
         assert key in err["message"]
 
 
+RETIRED_INI = "[problem]\npreset = fig2\n[search]\nu_count = 7\n" \
+    "screen_steps = %s\n"
+
+
+@pytest.mark.parametrize("value", ["0", "800"])
+def test_retired_screen_steps_key_warns(value, tmp_path, capsys):
+    # configs written for the fixed-step screen still load: screen_steps,
+    # in or out of its old range, is ignored with one warning that names
+    # it, and the other keys are read as before
+    path = write_config(tmp_path, RETIRED_INI % value)
+    with pytest.warns(UserWarning, match="screen_steps") as record:
+        _, sc, _ = problem_from_config(load_config(path))
+    assert len(record) == 1
+    assert sc == dataclasses.replace(get_preset("fig2").search, u_count=7)
+    with pytest.warns(UserWarning, match="screen_steps"):
+        assert main(["eigen", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "eigen"
+    # any other unknown key beside it is still an error
+    path = write_config(tmp_path, RETIRED_INI % value + "screen_step = 1\n",
+                        name="typo.ini")
+    with pytest.warns(UserWarning, match="screen_steps"):
+        assert main(["eigen", "--config", path]) == 2
+    assert "screen_step" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_retired_key_warning_is_shown_by_default(tmp_path):
+    # the warning reaches stderr under Python's default warning filters
+    path = write_config(tmp_path, RETIRED_INI % "400")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONWARNINGS", None)
+    code = ("import sys\nfrom indefinite_bvp import cli\n"
+            "cli.problem_from_config(cli.load_config(sys.argv[1]))\n")
+    out = subprocess.run([sys.executable, "-c", code, path], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=600)
+    assert out.stderr.count("UserWarning") == 1
+    assert "[search] screen_steps is retired and ignored" in out.stderr
+
+
 def test_table_weight_is_not_a_shorthand(tmp_path, capsys):
     path = write_config(tmp_path, "[problem]\nweight = table(0, 1)\n"
                         "period = 1\n")
@@ -485,11 +531,9 @@ def test_bad_value_exit(command, text, key, tmp_path, capsys):
     ("newton_max_iter = 0\n", "newton_max_iter"),
     # an infinite u_max gave an empty list after a geomspace warning
     ("u_max = inf\n", "u_max must be finite"),
-    # the screen ran silently at its floor of 4 steps per piece
-    ("screen_steps = 0\n", "screen_steps"),
     ("y_min = nan\n", "y_min must be finite"),
 ], ids=["u_min", "atol", "u_count", "u_max", "max_candidates",
-        "newton_max_iter", "u_max_inf", "screen_steps", "y_min_nan"])
+        "newton_max_iter", "u_max_inf", "y_min_nan"])
 def test_out_of_range_search_value_exit(text, named, tmp_path, capsys):
     # a [search] value outside its range is a configuration error (exit
     # 2), not a traceback or a numerical failure

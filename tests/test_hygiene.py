@@ -337,16 +337,17 @@ def test_solve_ivp_call_sites():
 
 
 def test_batched_flow_call_sites():
-    # one batched path: the kernel sits behind _batch_flow, which the
-    # Newton rounds and the residual of verify_solution call; a second
-    # caller would be a second batched path.  One polish path: only the
-    # lockstep rounds drive the Newton generator, only _polish_seeds runs
-    # the rounds, so the searches and the continuation polish through it,
-    # and the one gate accepts the roots of every polish and of the
-    # Neumann sweep
+    # one batched kernel: _batch_flow, which the Newton rounds and the
+    # residual of verify_solution call, and the grid screen flow on it; a
+    # third caller would be a third batched path.  One polish path: only
+    # the lockstep rounds drive the Newton generator, only _polish_seeds
+    # runs the rounds, so the searches and the continuation polish
+    # through it, and the one gate accepts the roots of every polish and
+    # of the Neumann sweep
     sources = {f.stem: f.read_text(encoding="utf-8")
                for f in PACKAGE.glob("*.py")}
-    assert callers_of("flow_rows", sources) == ["shooting._batch_flow"]
+    assert callers_of("flow_rows", sources) == [
+        "shooting._batch_flow", "shooting.screen_flow"]
     assert callers_of("_batch_flow", sources) == [
         "shooting._polish_lockstep", "shooting.verify_solution"]
     assert callers_of("_newton_steps", sources) == [

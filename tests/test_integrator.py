@@ -24,7 +24,7 @@ from indefinite_bvp.nonlinearity import NonlinearitySpec
 from indefinite_bvp.presets import get_preset
 from indefinite_bvp.weight import (SignPattern, WeightSpec, a_mu,
                                   detect_sign_pattern)
-from oracles import reference_dop853
+from oracles import reference_dop853, reference_rk4_screen
 from render_dop853_stages import MODULE, render
 
 TWO_PI = 2 * math.pi
@@ -325,58 +325,62 @@ def test_compiled_a_mu_matches_two_part_form(wname):
     assert bits(p.a_mu_at(1.0)) == bits(a_mu(WEIGHTS[wname], 7.3, 1.0))
 
 
-def reference_screen(p, states, t0, t1, steps_per_unit):
-    """The fixed-step RK4 screen written plainly: every stage calls
-    the extended forcing at its own time, for every row."""
-    u = states[:, 0].astype(float).copy()
-    y = states[:, 1].astype(float).copy()
+SCREEN_STATES = np.array([[0.5, 0.0], [-0.2, 0.4], [0.0, -0.3], [0.0, 0.0],
+                          [1e-3, 2.0], [3.0, -1.0], [6e7, 6e7]])
+
+
+def screen_by_pieces(p, states, t0, t1):
+    """The screen written plainly: one flow_rows per weight piece of
+    [t0, t1] at the screen tolerances, on the rows that are finite and
+    whose forcing at the piece start is finite; the others read nan."""
+    out = states.astype(float).copy()
     edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        with quiet_fp():
+            f = p.extended(p.a_mu_at(np.full(len(out), lo)), out[:, 0])
+        out[~np.isfinite(f)] = np.nan
+        live = np.isfinite(out).all(axis=1)
+        m = int(live.sum())
+        out[live] = integrator.flow_rows(
+            p, out[live], [lo] * m, [hi - lo] * m, shooting._SCREEN_RTOL,
+            shooting._SCREEN_ATOL)[0]
+    return out
 
-    def deriv(t, u, y):
-        return y, -p.c * y - p.extended(p.a_mu_at(np.full(len(u), t)), u)
 
-    with np.errstate(all="ignore"):
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n = max(4, int(math.ceil((hi - lo) * steps_per_unit)))
-            h = (hi - lo) / n
-            t = lo
-            for _ in range(n):
-                k1u, k1y = deriv(t, u, y)
-                k2u, k2y = deriv(t + h / 2, u + h / 2 * k1u, y + h / 2 * k1y)
-                k3u, k3y = deriv(t + h / 2, u + h / 2 * k2u, y + h / 2 * k2y)
-                k4u, k4y = deriv(t + h, u + h * k3u, y + h * k3y)
-                u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-                y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-                t += h
-                dead = ~np.isfinite(u) | ~np.isfinite(y) | \
-                    (np.abs(u) + np.abs(y) > integrator.BLOWUP_NORM)
-                u[dead] = np.nan
-                y[dead] = np.nan
-    return np.column_stack([u, y])
+def screen_problem(wname, gname):
+    return ProblemSpec(WEIGHTS[wname], PATTERNS[wname], 7.0, 0.3, GS[gname],
+                       "neumann")
+
+
+@pytest.mark.parametrize("gname", sorted(GS))
+@pytest.mark.parametrize("wname", sorted(WEIGHTS))
+def test_screen_flow_is_flow_rows_by_piece(wname, gname):
+    # the screen is the batched kernel on each weight piece, fed the rows
+    # still finite: bit for bit, for u < 0, u = 0, u > 0 and a row that
+    # starts above the guard and reads nan, whether it escapes in a step
+    # or its field (exp(6e7) in the expression g) is not finite
+    p = screen_problem(wname, gname)
+    want = screen_by_pieces(p, SCREEN_STATES, 0.05, 0.65)
+    got = shooting.screen_flow(p, SCREEN_STATES, 0.05, 0.65)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[-1]).all()
 
 
 @pytest.mark.parametrize("gname", sorted(GS))
 @pytest.mark.parametrize("wname", sorted(WEIGHTS))
 def test_screen_flow_matches_reference_rk4(wname, gname):
-    # the screen evaluates a_mu once per weight piece, at the stage times
-    # of its own step loop; its end states are bit for bit those of the
-    # plain loop, for u < 0, u = 0, u > 0 and a row that blows up
-    p = ProblemSpec(WEIGHTS[wname], PATTERNS[wname], 7.0, 0.3, GS[gname],
-                    "neumann")
-    states = np.array([[0.5, 0.0], [-0.2, 0.4], [0.0, -0.3], [0.0, 0.0],
-                       [1e-3, 2.0], [3.0, -1.0], [6e7, 6e7]])
-    t0, t1 = 0.05, 0.65
-    want = reference_screen(p, states, t0, t1, 60)
-    got = shooting.screen_flow(p, states, t0, t1, steps_per_unit=60)
-    assert got.tobytes() == want.tobytes()
-    assert np.isnan(got[-1]).all()
+    # an independent fixed-step RK4 at 600 steps per unit time reaches
+    # the screen's end states to 3 % and loses the same rows
+    p = screen_problem(wname, gname)
+    want = reference_rk4_screen(p, SCREEN_STATES, 0.05, 0.65, 600)
+    got = shooting.screen_flow(p, SCREEN_STATES, 0.05, 0.65)
+    np.testing.assert_allclose(got, want, rtol=0.03, atol=0.03)
 
 
 def test_screen_calls_an_expression_g_unguarded(monkeypatch):
     # the screen runs inside one floating-point guard, so its forcing
     # calls an expression g without the guard of Expression.__call__
-    p = ProblemSpec(WEIGHTS["sine"], PATTERNS["sine"], 7.0, 0.3,
-                    GS["expression"], "neumann")
+    p = screen_problem("sine", "expression")
     calls = []
     original = Expression.__call__
 
@@ -385,11 +389,46 @@ def test_screen_calls_an_expression_g_unguarded(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(Expression, "__call__", spy)
-    states = np.array([[0.5, 0.0], [-0.2, 0.4], [1e-3, 2.0]])
-    want = reference_screen(p, states, 0.05, 0.65, 60)
-    got = shooting.screen_flow(p, states, 0.05, 0.65, steps_per_unit=60)
+    states = SCREEN_STATES[[0, 1, 4]]
+    want = screen_by_pieces(p, states, 0.05, 0.65)
+    got = shooting.screen_flow(p, states, 0.05, 0.65)
     assert calls == []
     assert got.tobytes() == want.tobytes()
+
+
+def nan_at_small_u_problem():
+    """fig2 with a g that is nan at u = 0.01 alone."""
+    p = fig2_problem()
+    g = NonlinearitySpec.from_callable(lambda s: np.where(
+        np.asarray(s) == 0.01, np.nan, 100.0 * s * np.arctan(s)))
+    return ProblemSpec(p.weight, p.pattern, p.mu, p.c, g, p.boundary)
+
+
+def test_flow_rows_names_the_row_whose_start_field_is_not_finite():
+    # the whole flow fails at its start on row 1, whose field is nan; the
+    # error names that row, not the largest one
+    p = nan_at_small_u_problem()
+    Z = np.array([[0.5, 0.0], [0.01, 0.0], [2.0, 1.0], [0.01, 0.3]])
+    with pytest.raises(DivergenceError, match="row 1 field is not finite") \
+            as exc:
+        integrator.flow_rows(p, Z, [0.1] * 4, [0.3] * 4, 1e-10, 1e-12)
+    assert exc.value.row == 1
+    assert exc.value.last_state == (0.01, 0.0)
+
+
+def test_screen_never_raises():
+    # rows 1 and 3 have a nan field at the start, so the whole flow fails
+    # twice; each named row reads nan and the others are flowed again, to
+    # the bits of a screen of the grid without them
+    p = nan_at_small_u_problem()
+    grid = np.array([[0.5, 0.0], [0.01, 0.0], [0.1, 0.4], [0.01, -0.2],
+                     [0.2, -0.3]])
+    got = shooting.screen_flow(p, grid, 0.0, 1.0)
+    assert np.isnan(got[[1, 3]]).all()
+    rest = [0, 2, 4]
+    assert np.isfinite(got[rest]).all()
+    assert got[rest].tobytes() == \
+        shooting.screen_flow(p, grid[rest], 0.0, 1.0).tobytes()
 
 
 def test_expression_problem_pickles():

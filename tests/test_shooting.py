@@ -26,6 +26,7 @@ from indefinite_bvp.shooting import (SearchConfig, _segment_nodes,
                                      find_periodic_solutions, poincare_map,
                                      verify_solution, winding_number)
 from indefinite_bvp.weight import WeightSpec, k_fold_pattern
+from oracles import reference_rk4_screen
 
 
 def min_sampled_u(rec):
@@ -73,10 +74,9 @@ def test_search_config_validation():
     for bad in (0.0, -1.0, math.nan, SearchConfig().u_min):
         with pytest.raises(DomainError, match="u_max"):
             SearchConfig(u_max=bad)
-    # every count is at least 1: no Newton start, no Newton step or no
-    # screen step would give an empty search rather than an error
-    for key in ("u_count", "y_count", "newton_max_iter", "screen_steps",
-                "max_candidates"):
+    # every count is at least 1: no Newton start or no Newton step would
+    # give an empty search rather than an error
+    for key in ("u_count", "y_count", "newton_max_iter", "max_candidates"):
         for bad in (0, -1):
             with pytest.raises(DomainError, match=key):
                 SearchConfig(**{key: bad})
@@ -307,6 +307,66 @@ def test_search_screens_the_grid_once(monkeypatch):
     assert calls == [sc.u_count * sc.y_count]
 
 
+def _grid(sc):
+    u = np.geomspace(sc.u_min, sc.u_max, sc.u_count)
+    y = np.linspace(sc.y_min, sc.y_max, sc.y_count)
+    uu, yy = np.meshgrid(u, y, indexing="ij")
+    return np.column_stack([uu.ravel(), yy.ravel()])
+
+
+def _by_displacement(starts, finals):
+    """Row indices by ascending displacement, the rows that read nan
+    left out, as the search ranks its candidates."""
+    d = finals - starts
+    mags = np.hypot(d[:, 0], d[:, 1])
+    order = np.argsort(mags, kind="stable")
+    return order[np.isfinite(mags[order])].tolist()
+
+
+@pytest.mark.parametrize("name, ks, counts", [
+    ("fig2", (1, 2), (4, 10, 30)),
+    ("m2", (1,), (20,)),
+    ("m3", (1,), (12,)),
+])
+def test_screen_picks_match_the_rk4_oracle(name, ks, counts):
+    # the adaptive screen ranks the grid as a fixed-step RK4 screen at
+    # 800 (fig2) or 600 steps per unit time does: the same N smallest
+    # displacements in the same order, and on m2 the same 238 rows lost
+    pre = {"fig2": lambda: fig2(mu=7.0), "m2": multiplicity_m2,
+           "m3": multiplicity_m3}[name]()
+    p, sc = pre.problem, pre.search
+    steps = 800 if name == "fig2" else 600
+    starts = _grid(sc)
+    ref = starts
+    for k in ks:
+        ref = reference_rk4_screen(p, ref, (k - 1) * p.period, k * p.period,
+                                   steps)
+        got = shooting._screen_periods(p, starts, k, sc, None)[0]
+        assert (np.isnan(got[:, 0]) == np.isnan(ref[:, 0])).all()
+        want = _by_displacement(starts, ref)
+        for n in counts:
+            assert _by_displacement(starts, got)[:n] == want[:n], (k, n)
+    if name == "m2":
+        assert np.isnan(got[:, 0]).sum() == 238
+
+
+def test_neumann_brackets_match_the_rk4_oracle():
+    # fig1's terminal-slope sign changes on the u grid, from the adaptive
+    # screen and from a fixed-step RK4 screen at 800 steps per unit time
+    pre = fig1()
+    p, sc = pre.problem, pre.search
+    u = np.linspace(sc.u_min, sc.u_max, sc.u_count)
+    starts = np.column_stack([u, np.zeros_like(u)])
+
+    def brackets(finals):
+        yT = finals[:, 1]
+        return np.flatnonzero(yT[:-1] * yT[1:] < 0).tolist()
+
+    want = brackets(reference_rk4_screen(p, starts, 0.0, p.period, 800))
+    assert len(want) == 3
+    assert brackets(shooting.screen_flow(p, starts, 0.0, p.period)) == want
+
+
 def _sine_07():
     # T = 0.7 and friction: a period that is no whole number
     w = WeightSpec.sine(2 * math.pi / 0.7, period=0.7)
@@ -328,7 +388,7 @@ def test_period_chain_matches_the_whole_window(name):
     # of one screen over [0, kT] for every k <= 7: each jT is an edge of
     # the window's pieces
     p = CHAIN_PROBLEMS[name]()
-    sc = SearchConfig(screen_steps=150)
+    sc = SearchConfig()
     starts = np.array([[1e-3, 0.0], [0.03, 0.02], [0.1, -0.05],
                        [0.5, 0.3], [2.0, -1.0], [-0.2, 0.4]])
     last, (_, ends) = shooting._screen_periods(p, starts, 7, sc, None)
@@ -336,8 +396,7 @@ def test_period_chain_matches_the_whole_window(name):
     assert last is ends[7]
     assert np.isfinite(ends[1]).any()
     for k, got in ends.items():
-        want = shooting.screen_flow(p, starts, 0.0, k * p.period,
-                                    steps_per_unit=sc.screen_steps)
+        want = shooting.screen_flow(p, starts, 0.0, k * p.period)
         assert got.tobytes() == want.tobytes(), k
 
 
@@ -422,9 +481,8 @@ def test_interleaved_searches_keep_their_screens(monkeypatch):
 
 
 def test_screen_key(monkeypatch):
-    # the result of a search on another problem (by equality), another
-    # grid field or screen_steps is not continued; max_candidates may
-    # differ
+    # the result of a search on another problem (by equality) or another
+    # grid field is not continued; max_candidates may differ
     windows = _spy_windows(monkeypatch, diverge=True)
     pre = fig2()
     p, sc = pre.problem, replace(pre.search, u_count=4, y_count=3)
@@ -432,8 +490,7 @@ def test_screen_key(monkeypatch):
     hits = {"equal problem": (replace(p), sc),
             "max_candidates": (p, replace(sc, max_candidates=7))}
     misses = {"mu": (replace(p, mu=7.5), sc),
-              "c": (replace(p, c=0.1), sc),
-              "screen_steps": (p, replace(sc, screen_steps=801))}
+              "c": (replace(p, c=0.1), sc)}
     for name, value in (("u_min", 2e-4), ("u_max", 4.0), ("u_count", 5),
                         ("y_min", -4.0), ("y_max", 4.0), ("y_count", 4)):
         misses[name] = (p, replace(sc, **{name: value}))
@@ -704,7 +761,7 @@ def test_coded_multiplicity_continues_the_all_ones_record(monkeypatch):
     w = WeightSpec.from_expression("sin(2*t)*(1+0.3*sin(t))", 2 * math.pi)
     p = ProblemSpec.build(w, 10.0, 0.0, NonlinearitySpec.power(2))
     sc = SearchConfig(u_min=1e-3, u_max=5.0, u_count=32, y_count=24,
-                      screen_steps=600, max_candidates=20)
+                      max_candidates=20)
     base = find_periodic_solutions(p, 1, sc)
     levels = adaptive_levels(base, p)
     codes = {classify_code(replace(b), p, *levels): b for b in base}
