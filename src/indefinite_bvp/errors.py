@@ -40,9 +40,8 @@ class DivergenceError(SolverError):
     last_state : tuple
         State at ``last_time``.
     row : int
-        In a flow of many rows, the row that escaped and was frozen while
-        the others went on.  When the whole flow failed: the first row
-        whose field was not finite at the start, or else the largest row.
+        In a flow of many rows, the caller's index of the row the flow
+        left out; the other rows were flowed without it.
     """
 
     def __init__(self, message, last_time=None, last_state=None, row=None):

@@ -148,8 +148,7 @@ class ProblemSpec:
         u < 0 (and u = -inf) g(+0.0) = +0.0, so it is +-0.0 - u = -u
         exactly.  Only the sign and payload of a nan can differ from the
         two-branch form, and no caller reads them: :func:`flow_rows`
-        raises on a field that is not finite at the start and freezes a
-        row that is not finite at a step end.
+        leaves out every row that is not finite.
         """
         return a * self._g_vec(np.maximum(u, 0.0)) - np.minimum(u, 0.0)
 
@@ -388,28 +387,41 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
     is evaluated once per attempted step, at the row times of its 11
     stages and its end.
 
-    Returns (Y, escaped).  A row whose |u| + |y| is not below
-    ``BLOWUP_NORM`` at a step end is frozen at u = 0, where the extended
-    field and so its stages vanish, and the other rows go on; its row of
-    Y is nan, and ``escaped`` maps it to a DivergenceError with its real
-    time and state at the end of the step.  Raises DivergenceError when
-    the field at the start is not finite (naming the first row whose
-    field is not) or the step size falls below its minimum (with the
-    last accepted state and the largest row), and ValueError for a row
-    that is not finite.
+    Returns (Y, escaped), and no row fails the whole flow: ``escaped``
+    maps each row left out to a DivergenceError naming its index in Z,
+    and its row of Y is nan.  A row whose |u| + |y| is not below
+    ``BLOWUP_NORM`` at a step end is frozen at u = 0, where its stages
+    vanish.  Every row whose state or field is not finite at the start is
+    left out, and one row when the step size falls below its minimum: the
+    first whose attempted step is not finite, or else the one with the
+    largest share of the error norm.  The rest are flowed again, to the
+    bits of a flow of them alone.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z, t0s, lens = (np.asarray(x, dtype=float) for x in (Z, t0s, lens))
+    Y, escaped = np.full(Z.shape, np.nan), {}
+    rows = np.arange(len(Z))
+    while len(rows):
+        out, named = _flow_kept(p, Z[rows], t0s[rows], lens[rows], rtol,
+                                atol, rows)
+        escaped.update(named)
+        if out is not None:
+            Y[rows] = out
+            break
+        rows = np.setdiff1d(rows, list(named))
+    return Y, escaped
+
+
+def _flow_kept(p, Z, t0s, lens, rtol, atol, index):
+    """One integration of the rows Z, row j named ``index[j]``: (Y, the
+    rows that escaped), or (None, the rows :func:`flow_rows` leaves out)."""
     m = len(Z)
     span = float(np.max(lens))
-    t0s = np.asarray(t0s, dtype=float)
-    rate = np.asarray(lens, dtype=float) / span
+    rate = lens / span
     c = p.c
     shrink = 1.0 / math.sqrt(m)
     rtol = max(rtol * shrink, 1e-13)
     atol = atol * shrink
     y = Z.ravel()
-    if not np.isfinite(y).all():
-        raise ValueError("every initial row must be finite")
 
     def field(a, z, out):
         """(u', y') of the rows z, weight values a, into out."""
@@ -418,15 +430,15 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
         np.multiply(-c * v - p.extended(a, z[0::2]), rate, out=out[1::2])
         return out
 
-    def escaped(reason, tau, z, row=None):
-        if row is None:
-            size = np.abs(z[0::2]) + np.abs(z[1::2])
-            row = int(np.argmax(np.where(np.isfinite(size), size, np.inf)))
-        t_row = float(t0s[row] + tau * rate[row])
-        return DivergenceError(
-            "row %d %s near t=%.6g" % (row, reason, t_row),
-            last_time=t_row, last_state=tuple(z[2 * row:2 * row + 2]),
-            row=row)
+    def named(reason, tau, z, mask):
+        errors = {}
+        for row in np.flatnonzero(mask):
+            t_row = float(t0s[row] + tau * rate[row])
+            errors[int(index[row])] = DivergenceError(
+                "row %d %s near t=%.6g" % (index[row], reason, t_row),
+                last_time=t_row, last_state=tuple(z[2 * row:2 * row + 2]),
+                row=int(index[row]))
+        return errors
 
     # K[0] holds the field at the current state; K[_N] the field at the
     # end of the attempted step
@@ -436,9 +448,10 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
     # p.extended calls g unguarded: one guard for the whole flow
     with quiet_fp():
         f = field(p.a_mu_at(t0s + tau * rate), y, K[0])
-        if not np.isfinite(f).all():
-            raise escaped("field is not finite", tau, y,
-                          int(np.argmin(np.isfinite(f))) // 2)
+        ok = (np.isfinite(y) & np.isfinite(f)).reshape(m, 2).all(axis=1)
+        if not ok.all():
+            return None, named("start state or field is not finite", tau,
+                               y, ~ok)
         # scipy's select_initial_step for the 7th-order error estimator
         scale = atol + np.abs(y) * rtol
         d0 = _rms(y / scale)
@@ -458,8 +471,11 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
             rejected = False
             while True:
                 if h_abs < min_step:
-                    raise escaped("step size fell below the minimum", tau,
-                                  y)
+                    share = (np.dot(K.T, _dop.E5) / scale) ** 2
+                    share[~np.isfinite(np.vstack([K, y_new])).all(0)] = np.inf
+                    blamed = np.argmax(share.reshape(m, 2).sum(axis=1))
+                    return None, named("step size fell below the minimum",
+                                       tau, y, np.arange(m) == blamed)
                 t_new = min(tau + h_abs, span)
                 h = t_new - tau
                 h_abs = abs(h)
@@ -486,12 +502,12 @@ def flow_rows(p, Z, t0s, lens, rtol, atol):
             tau, y = t_new, y_new
             size = np.abs(y[0::2]) + np.abs(y[1::2])
             if not np.max(size) < BLOWUP_NORM:
-                for row in np.flatnonzero(~(size < BLOWUP_NORM)):
-                    frozen[int(row)] = escaped("escaped the guard region",
-                                               tau, y, int(row))
-                    y[2 * row:2 * row + 2] = K[0, 2 * row:2 * row + 2] = 0.0
+                escaping = ~(size < BLOWUP_NORM)
+                frozen.update(named("escaped the guard region", tau, y,
+                                    escaping))
+                y.reshape(m, 2)[escaping] = K[0].reshape(m, 2)[escaping] = 0.0
     Y = y.reshape(m, 2)
-    Y[list(frozen)] = np.nan
+    Y[np.isin(index, list(frozen))] = np.nan
     return Y, frozen
 
 

@@ -23,9 +23,9 @@ one per seed, inside :func:`_polish_seeds`, whose roots all pass the one
 gate :func:`_accept`; the continuation polishes each trial mu there as a
 single seed.  Each merged round flows the pending rows of every
 unfinished seed in one batched flow and sends each generator its rows; a
-seed whose polish has ended drops out.  A row that leaves the guard
-region is frozen and named by the flow while the other rows go on, so
-only the seed that owns it sees the failure.
+seed whose polish has ended drops out.  The flow never fails as a
+whole: it leaves out and names each row it cannot flow, so only the
+seed that owns that row sees the failure.
 """
 
 from __future__ import annotations
@@ -120,31 +120,21 @@ _SCREEN_ATOL = 1e-7
 
 def screen_flow(p, states, t0, t1):
     """End states of a batch of initial states flowed from t0 to t1: one
-    :func:`integrator.flow_rows` per weight piece of [t0, t1], on the
-    rows still finite, at ``_SCREEN_RTOL`` and ``_SCREEN_ATOL``.
+    :func:`integrator.flow_rows` per weight piece of [t0, t1], at
+    ``_SCREEN_RTOL`` and ``_SCREEN_ATOL``.
 
     Accuracy is qualitative; this only locates candidate basins for the
-    Newton polish.  A row that escapes reads nan, and a row that reads
-    nan is not flowed again.  When a piece's whole flow fails, the row
-    its DivergenceError names reads nan and the others are flowed again,
-    so the screen never raises.  Each piece steps from its own two edges,
-    so calls over [t0, s] and [s, t1], where s is a breakpoint inside
-    [t0, t1] (every jT is one), give the bits of one call over [t0, t1].
+    Newton polish.  A row the flow leaves out reads nan, so the next
+    piece leaves it out at its start, and the screen never raises.  Each
+    piece steps from its own two edges, so calls over [t0, s] and
+    [s, t1], where s is a breakpoint inside [t0, t1] (every jT is one),
+    give the bits of one call over [t0, t1].
     """
-    out = np.array(states, dtype=float)
+    out = np.asarray(states, dtype=float)
     edges = [t0] + p.breakpoints_between(t0, t1) + [t1]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        live = np.flatnonzero(np.isfinite(out).all(axis=1))
-        while len(live):
-            try:
-                out[live] = flow_rows(p, out[live], np.full(len(live), lo),
-                                      np.full(len(live), hi - lo),
-                                      _SCREEN_RTOL, _SCREEN_ATOL)[0]
-            except DivergenceError as exc:
-                out[live[exc.row]] = np.nan
-                live = np.delete(live, exc.row)
-            else:
-                break
+        out = flow_rows(p, out, [lo] * len(out), [hi - lo] * len(out),
+                        _SCREEN_RTOL, _SCREEN_ATOL)[0]
     return out
 
 
@@ -171,7 +161,7 @@ _LEVEL_GAP = 1.5        # smallest ratio of maxima that splits small/large
 _LEVEL_R_FACTOR = 10.0  # R over the largest hump maximum
 _MAX_MU_STEPS = 200     # continuation steps, accepted or rejected
 _WINDING_MIN_DISP = 1e-9    # displacement that leaves the degree undefined
-_WINDING_MAX_POINTS = 4096  # curve vertices before refinement gives up
+_WINDING_MAX_POINTS = 4096  # vertices refinement adds before it gives up
 
 
 def _g_slope(g, amp):
@@ -212,10 +202,8 @@ def _batch_flow(p, Z, t0s, lens, sc):
     of the Newton rows and of :func:`verify_solution`, on the DOP853
     kernel :func:`integrator.flow_rows`.
 
-    No segment may contain a weight breakpoint.  Returns (Y, escaped)
-    as :func:`integrator.flow_rows` does: ``escaped`` maps each row that
-    left the guard region to its DivergenceError, and that row of Y is
-    nan.  Raises DivergenceError when the whole integration fails.
+    No segment may contain a weight breakpoint.  Returns the (Y, escaped)
+    of :func:`integrator.flow_rows`.
     """
     return flow_rows(p, Z, t0s, lens, sc.rtol, sc.atol)
 
@@ -253,8 +241,8 @@ def _newton_steps(z, sc):
     quadratically near a root without g' or variational equations.
 
     The generator yields the rows of each evaluation and receives their
-    flowed end states, or a thrown DivergenceError when the flow of those
-    rows escapes; :func:`_polish_lockstep` flows them on the segments of
+    flowed end states, or the thrown DivergenceError of a row the flow
+    left out; :func:`_polish_lockstep` flows them on the segments of
     the seed's grid.  It returns (node states with the first row at the
     pattern start, largest per-segment matching defect) or None.
     """
@@ -331,10 +319,10 @@ def _polish_lockstep(p, seeds, sc):
     Each round stacks the pending rows of every unfinished seed, with its
     own segment starts and lengths, into one :func:`_batch_flow` call (a
     merged round) and sends each seed its flowed rows, or throws it the
-    error of its first escaped row.  A seed thus follows its solo polish
-    up to the flow tolerance, a diverging trial fails only its own seed,
-    and a search makes as many batched flows as its longest polish.  When
-    the whole flow fails, every seed of the round gets its error.
+    error of its first row the flow left out.  A seed thus follows its
+    solo polish up to the flow tolerance, a diverging trial fails only
+    its own seed, and a search makes as many batched flows as its longest
+    polish.
     """
     steps, pending, t0s, lens = {}, {}, {}, {}
     for i, (z0, nodes) in enumerate(seeds):
@@ -347,17 +335,13 @@ def _polish_lockstep(p, seeds, sc):
     while pending:
         active = list(pending)
         edges = np.cumsum([0] + [len(pending[i]) for i in active])
-        try:
-            out, escaped = _batch_flow(
-                p, *(np.concatenate([part[i] for i in active])
-                     for part in (pending, t0s, lens)), sc)
-        except DivergenceError as exc:
-            replies = [exc] * len(active)
-        else:
-            replies = [
-                next((escaped[r] for r in sorted(escaped) if lo <= r < hi),
-                     out[lo:hi])
-                for lo, hi in zip(edges[:-1], edges[1:])]
+        out, escaped = _batch_flow(
+            p, *(np.concatenate([part[i] for i in active])
+                 for part in (pending, t0s, lens)), sc)
+        replies = [
+            next((escaped[r] for r in sorted(escaped) if lo <= r < hi),
+                 out[lo:hi])
+            for lo, hi in zip(edges[:-1], edges[1:])]
         for i, reply in zip(active, replies):
             try:
                 pending[i] = (steps[i].throw(reply)
@@ -776,6 +760,7 @@ def _refined_polyline(p, k, pts, sc):
     """(final polyline, displacement-angle increment of each of its
     edges) of the refinement in :func:`winding_number`."""
     cache = {}      # (u, y) -> displacement angle
+    start = len(pts)
 
     def angle(q):
         u, y = float(q[0]), float(q[1])
@@ -807,7 +792,7 @@ def _refined_polyline(p, k, pts, sc):
                 refined.append(0.5 * (q + pts[(i + 1) % n]))
         if len(refined) == n:
             return pts, deltas
-        if len(refined) > _WINDING_MAX_POINTS:
+        if len(refined) - start > _WINDING_MAX_POINTS:
             a = next(q for q, d in zip(pts, deltas) if abs(d) >= math.pi / 2)
             raise DegreeUndefinedError(
                 "curve refinement did not converge: %d vertices, the edge "
@@ -850,8 +835,7 @@ def verify_solution(rec, p, r_star=None, sc=None):
     # residual
     if rec.boundary == "periodic":
         z, nodes = rec.node_states, rec.nodes
-        fz, escaped = _batch_flow(p, z, np.asarray(nodes[:-1]),
-                                  np.diff(nodes), sc)
+        fz, escaped = _batch_flow(p, z, nodes[:-1], np.diff(nodes), sc)
         if escaped:
             raise escaped[min(escaped)]
         res = float(np.max(np.linalg.norm(

@@ -4,7 +4,8 @@ constant has a reader, every dataclass field is read somewhere, no
 module imports or reads another module's private names, the expression
 compiler is the only place that runs generated code, no module has a
 ``global`` statement, no module calls an ODE solver of
-``scipy.integrate`` (the package steps on its own DOP853), no module
+``scipy.integrate`` (the package steps on its own DOP853), no try
+statement wraps a batched flow (it never fails as a whole), no module
 imports scipy (its private ``_ivp`` package included):
 ``scipy.integrate`` is bound only at the top of ``weight`` through
 ``lazy_module``, so it loads when ``quad`` first runs; ``__all__`` lists
@@ -356,6 +357,48 @@ def test_batched_flow_call_sites():
         "shooting._polish_seeds"]
     assert callers_of("_accept", sources) == [
         "shooting._polish_seeds", "shooting.find_neumann_solutions"]
+
+
+def try_statements_calling(names, sources):
+    """``module:line`` of every try statement in ``sources`` (module name
+    -> source) whose body, not its handlers, calls a function named in
+    ``names`` by name or as an attribute."""
+    # ``except*`` parses to ast.TryStar from Python 3.11 on
+    kinds = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    hits = []
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, kinds) and any(
+                    isinstance(n, ast.Call)
+                    and _referenced_name(n.func) in names
+                    for stmt in node.body for n in ast.walk(stmt)):
+                hits.append("%s:%d" % (mod, node.lineno))
+    return sorted(hits)
+
+
+BATCHED_FLOWS = ("flow_rows", "_batch_flow")
+
+
+def test_scan_flags_try_around_batched_flows():
+    sources = {
+        "a": ("def screen(p):\n    while True:\n        try:\n"
+              "            return flow_rows(p)\n"
+              "        except DivergenceError:\n            pass\n"),
+        "b": ("def polish(p):\n    try:\n        ok = 1\n"
+              "    except DivergenceError:\n"
+              "        return shooting._batch_flow(p)\n"),
+        "c": ("try:\n    if p:\n        out = [_batch_flow(q) for q in p]\n"
+              "finally:\n    pass\n"),
+    }
+    assert try_statements_calling(BATCHED_FLOWS, sources) == ["a:3", "c:1"]
+
+
+def test_batched_flows_have_no_whole_flow_failure_path():
+    # flow_rows leaves out and names every row it cannot flow, and never
+    # fails as a whole, so no caller wraps a batched flow in a try
+    sources = {f.stem: f.read_text(encoding="utf-8")
+               for f in PACKAGE.glob("*.py")}
+    assert try_statements_calling(BATCHED_FLOWS, sources) == []
 
 
 def test_one_extremum_routine():

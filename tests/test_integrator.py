@@ -405,15 +405,80 @@ def nan_at_small_u_problem():
 
 
 def test_flow_rows_names_the_row_whose_start_field_is_not_finite():
-    # the whole flow fails at its start on row 1, whose field is nan; the
-    # error names that row, not the largest one
+    # rows 1 and 3 have a nan field at the start: both are left out and
+    # named in ``escaped``, with their start time and state, and the
+    # others end where a flow of them alone ends, bit for bit
     p = nan_at_small_u_problem()
     Z = np.array([[0.5, 0.0], [0.01, 0.0], [2.0, 1.0], [0.01, 0.3]])
-    with pytest.raises(DivergenceError, match="row 1 field is not finite") \
-            as exc:
-        integrator.flow_rows(p, Z, [0.1] * 4, [0.3] * 4, 1e-10, 1e-12)
-    assert exc.value.row == 1
-    assert exc.value.last_state == (0.01, 0.0)
+    Y, escaped = integrator.flow_rows(p, Z, [0.1] * 4, [0.3] * 4, 1e-10,
+                                      1e-12)
+    assert sorted(escaped) == [1, 3]
+    for row in (1, 3):
+        err = escaped[row]
+        assert isinstance(err, DivergenceError) and err.row == row
+        assert "row %d start state or field is not finite" % row in str(err)
+        assert err.last_time == 0.1
+        assert err.last_state == tuple(Z[row])
+    assert np.isnan(Y[[1, 3]]).all()
+    alone, none = integrator.flow_rows(p, Z[[0, 2]], [0.1] * 2, [0.3] * 2,
+                                       1e-10, 1e-12)
+    assert not none
+    assert Y[[0, 2]].tobytes() == alone.tobytes()
+
+
+def test_flow_rows_names_a_row_that_starts_not_finite():
+    # a nan or infinite start state is left out and named, not a
+    # ValueError for the whole flow
+    p = fig2_problem()
+    Z = np.array([[0.1, 0.4], [np.nan, 0.0], [0.3, np.inf]])
+    Y, escaped = integrator.flow_rows(p, Z, [0.0] * 3, [0.5] * 3, 1e-10,
+                                      1e-12)
+    assert sorted(escaped) == [1, 2]
+    for row in (1, 2):
+        assert escaped[row].row == row
+        assert "row %d start state" % row in str(escaped[row])
+    assert np.isnan(Y[1:]).all()
+    alone, _ = integrator.flow_rows(p, Z[:1], [0.0], [0.5], 1e-10, 1e-12)
+    assert Y[0].tobytes() == alone[0].tobytes()
+
+
+def test_flow_rows_leaves_out_the_row_that_collapses_the_step():
+    # rows 0 and 2 reach u = 1.5, where g turns nan, and drive the step
+    # below its minimum near t = 0.169 and t = 0.809.  Each is left out
+    # in turn, not the largest row 1, which ends where a flow of it alone
+    # ends, bit for bit, in the kernel and in the screen
+    p = nan_g_problem()
+    Z = np.array([[1.0, 2.0], [-5.0, 0.0], [0.2, 0.1]])
+    tols = shooting._SCREEN_RTOL, shooting._SCREEN_ATOL
+    alone, none = integrator.flow_rows(p, Z[[1]], [0.0], [1.0], *tols)
+    assert not none
+    Y, escaped = integrator.flow_rows(p, Z, [0.0] * 3, [1.0] * 3, *tols)
+    assert sorted(escaped) == [0, 2]
+    for row, t in ((0, 0.169), (2, 0.809)):
+        err = escaped[row]
+        assert err.row == row
+        assert "row %d step size fell below the minimum" % row in str(err)
+        assert abs(err.last_time - t) < 1e-3
+        assert np.isfinite(err.last_state).all()
+    assert np.isnan(Y[[0, 2]]).all()
+    assert Y[1].tobytes() == alone[0].tobytes()
+    screened = shooting.screen_flow(p, Z, 0.0, 1.0)
+    assert np.isnan(screened[[0, 2]]).all()
+    assert screened[1].tobytes() == alone[0].tobytes()
+
+
+def test_flow_rows_leaves_the_callers_rows_alone():
+    # a flow that leaves out a row at its start, one at a collapsed step
+    # and one that escapes writes nothing into Z and returns a new array
+    p = nan_g_problem()
+    Z = np.array([[1.0, 2.0], [np.nan, 0.0], [-5.0, 0.0], [-2e8, 0.0]])
+    before = Z.copy()
+    Y, escaped = integrator.flow_rows(p, Z, [0.0] * 4, [1.0] * 4, 1e-4,
+                                      1e-7)
+    assert sorted(escaped) == [0, 1, 3]
+    assert "escaped the guard region" in str(escaped[3])
+    assert Z.tobytes() == before.tobytes()
+    assert not np.shares_memory(Y, Z)
 
 
 def test_screen_never_raises():

@@ -959,6 +959,25 @@ def test_lockstep_polish_isolates_a_diverging_seed(fig2_k1, monkeypatch):
     assert rows == [2 * n3] + [n3] * (solo_flows - 1)
 
 
+def test_lockstep_polish_survives_a_seed_whose_start_field_is_not_finite():
+    # fig2 with a g whose exp term is inf at u = 2000: a copy of the k = 1
+    # record whose first node starts there has its rows at that node left
+    # out of the merged flow and returns None, while the seed beside it
+    # polishes to its solo root
+    pre = fig2()
+    g = NonlinearitySpec.from_expression("100*s*atan(s) + s*exp(s - 700)")
+    p, sc = replace(pre.problem, g=g), pre.search
+    rec, = find_periodic_solutions(p, 1, sc)
+    good = (1.01 * rec.node_states, rec.nodes)
+    z = rec.node_states.copy()
+    z[0, 0] = 2000.0
+    solo, = shooting._polish_lockstep(p, [good], sc)
+    assert solo is not None
+    out = shooting._polish_lockstep(p, [good, (z, rec.nodes)], sc)
+    assert out[1] is None and out[0] is not None
+    assert np.max(np.abs(out[0][0] - solo[0])) < 1e-12
+
+
 def test_lockstep_rounds_only_shrink(monkeypatch):
     # m2's base search has diverging trials in its merged rounds; each
     # round is one flow, and a round flows no more rows than the one
@@ -1269,6 +1288,20 @@ def test_winding_errors_name_the_vertex(fig2_k1, monkeypatch):
     with pytest.raises(DegreeUndefinedError,
                        match=r"did not converge: \d+ vertices, .* \(u, y\)"):
         winding_number(p, 1, record_circle(recs[0]), sc)
+
+
+def test_winding_cap_counts_the_vertices_refinement_adds(fig2_k1,
+                                                        monkeypatch):
+    # the cap bounds the vertices refinement adds, not the total, so a
+    # curve that starts at the cap still refines: a 16-vertex circle
+    # around the k = 1 record takes 14 more vertices under a cap of 16
+    p, sc, recs = fig2_k1
+    monkeypatch.setattr(shooting, "_WINDING_MAX_POINTS", 16)
+    z = np.array([recs[0].initial.u, recs[0].initial.y])
+    curve = circle(z, 2e-3 * (1.0 + float(np.hypot(*z))), n=16)
+    assert winding_number(p, 1, curve, sc) == 1
+    pts, _ = shooting._refined_polyline(p, 1, curve, sc)
+    assert len(pts) == 30
 
 
 def test_winding_with_friction(fig2_friction):
