@@ -7,8 +7,8 @@ iterated k times on the grid.  A search returns its screen with its
 records; handed that result as ``base``, a search on the same problem
 and grid continues it, so a k = 2 search after the k = 1 search flows
 only [T, 2T], with the bits of a cold screen.  The grid points with the
-smallest displacement go straight to damped multiple-shooting Newton at
-the search tolerances.
+smallest displacement go straight to damped multiple-shooting Newton,
+whose roots are flowed at the search tolerances.
 Accepted solutions are classified by the binary code of their hump
 maxima and cross-checked by an independent verification pass.
 
@@ -21,11 +21,16 @@ time, use the float DOP853 stepper of :func:`integrator.integrate`.
 Every polish is a lockstep round of :func:`_newton_steps` generators,
 one per seed, inside :func:`_polish_seeds`, whose roots all pass the one
 gate :func:`_accept`; the continuation polishes each trial mu there as a
-single seed.  Each merged round flows the pending rows of every
-unfinished seed in one batched flow and sends each generator its rows; a
-seed whose polish has ended drops out.  The flow never fails as a
-whole: it leaves out and names each row it cannot flow, so only the
-seed that owns that row sees the failure.
+single seed.  Each Newton evaluation asks for a flow tolerance matched
+to the current defect, on a ladder of decades from the screen's rtol
+down to the search tolerance, and a root is returned only from a flow
+at the search tolerance.  Each round flows the pending rows of every
+unfinished seed and sends each generator its rows; the rows at the
+search tolerance share one batched flow, and each seed at a looser
+decade is flowed alone, so its Newton path is its solo path.  A seed
+whose polish has ended drops out.  A flow never fails as a whole: it
+leaves out and names each row it cannot flow, so only the seed that
+owns that row sees the failure.
 """
 
 from __future__ import annotations
@@ -116,6 +121,7 @@ class SolutionRecord:
 
 _SCREEN_RTOL = 1e-4     # tolerances of the screen's batched flows
 _SCREEN_ATOL = 1e-7
+_NEWTON_FORCING = 1e-2  # trial flow rtol over d min(1, d), d the defect
 
 
 def screen_flow(p, states, t0, t1):
@@ -196,10 +202,32 @@ def _segment_nodes(p, k, traj):
     return traj.eval(np.array(nodes[:-1])), nodes
 
 
+def _flow_level(defect, sc):
+    """Decade j of the Newton trial flows from an iterate whose largest
+    segment defect is ``defect``: they run at 10^j times ``sc.rtol`` and
+    ``sc.atol``.  The rtol is ``_NEWTON_FORCING`` d min(1, d), held
+    between ``sc.rtol`` and ``_SCREEN_RTOL`` and rounded down to a
+    decade; j = 0 is the search tolerance.  An unknown defect, inf,
+    gives the loosest decade."""
+    ratio = min(_SCREEN_RTOL, _NEWTON_FORCING * defect * min(1.0, defect)) \
+        / sc.rtol
+    # the small shift keeps an exact decade such as 1e-4 / 1e-10 whole
+    return math.floor(math.log10(max(ratio, 1.0)) + 1e-9)
+
+
+def _level_config(sc, level):
+    """``sc`` with its tolerances loosened by 10^level; ``sc`` itself at
+    level 0."""
+    if not level:
+        return sc
+    return replace(sc, rtol=sc.rtol * 10.0 ** level,
+                   atol=sc.atol * 10.0 ** level)
+
+
 def _batch_flow(p, Z, t0s, lens, sc):
     """Endpoint states of m independent segment flows, row j of Z from
-    t0s[j] over lens[j], at the search tolerances: the one batched flow
-    of the Newton rows and of :func:`verify_solution`, on the DOP853
+    t0s[j] over lens[j], at the tolerances of ``sc``: the one batched
+    flow of the Newton rows and of :func:`verify_solution`, on the DOP853
     kernel :func:`integrator.flow_rows`.
 
     No segment may contain a weight breakpoint.  Returns the (Y, escaped)
@@ -236,27 +264,38 @@ def _newton_steps(z, sc):
     rows share one adaptive step sequence, so the difference quotients
     differentiate the same discrete map that gives F (internal numerical
     differentiation, Bock 1981) and carry O(h) error instead of the
-    integrator's tol/h noise.  Each line-search trial therefore also
-    brings the Jacobian for the next step, and Newton converges
-    quadratically near a root without g' or variational equations.
+    integrator's tol/h noise, at any flow tolerance.  Each line-search
+    trial therefore also brings the Jacobian for the next step, and
+    Newton converges quadratically near a root without g' or variational
+    equations.
 
-    The generator yields the rows of each evaluation and receives their
-    flowed end states, or the thrown DivergenceError of a row the flow
-    left out; :func:`_polish_lockstep` flows them on the segments of
-    the seed's grid.  It returns (node states with the first row at the
-    pattern start, largest per-segment matching defect) or None.
+    The flow tolerance follows the residual (the forcing terms of
+    inexact Newton, Eisenstat & Walker 1996; Deuflhard 2004): the first
+    evaluation flows at the loosest decade of :func:`_flow_level`, and
+    the trials of each step at the decade of the current defect, so
+    steps far from a root take few flow steps.  A root is returned only
+    from an evaluation at the search tolerance: a loose evaluation whose
+    defect is already below ``residual_tol`` is evaluated once more at
+    ``sc.rtol`` and ``sc.atol``, and Newton goes on from there.
+
+    The generator yields (rows, decade) for each evaluation and receives
+    their flowed end states, or the thrown DivergenceError of a row the
+    flow left out; :func:`_polish_lockstep` flows them on the segments
+    of the seed's grid at :func:`_level_config` of that decade.  It
+    returns (node states with the first row at the pattern start,
+    largest per-segment matching defect) or None.
     """
     n = len(z)
     seg = np.arange(n)
     nxt = (seg + 1) % n
 
-    def system(z):
+    def system(z, level):
         # (f, jac) of z from the flowed rows z_j, z_j + h e_u, z_j + h e_y
         hs = _FD_STEP * (1.0 + np.abs(z))           # (n, 2)
         rows = np.repeat(z, 3, axis=0)
         rows[1::3, 0] += hs[:, 0]
         rows[2::3, 1] += hs[:, 1]
-        out = (yield rows).reshape(n, 3, 2)
+        out = (yield rows, level).reshape(n, 3, 2)
         fz = out[:, 0]
         # dfz[j, c] is column c of segment j's flow derivative
         dfz = (out[:, 1:] - fz[:, None, :]) / hs[:, :, None]
@@ -265,22 +304,32 @@ def _newton_steps(z, sc):
         jac[seg, :, nxt, :] -= np.eye(2)
         return fz - z[nxt], jac.reshape(2 * n, 2 * n)
 
+    level = _flow_level(math.inf, sc)
     try:
-        f, jac = yield from system(z)
+        f, jac = yield from system(z, level)
     except DivergenceError:
         return None
     bound = 100.0 * (1.0 + float(np.max(np.abs(z))))
     best = math.inf
     stall = 0
-    for _ in range(sc.newton_max_iter):
-        nf = float(np.linalg.norm(f))
+    for it in range(sc.newton_max_iter + 1):
         # converged when every segment defect is small; the summed norm
         # grows with the node count and would gate on integrator noise
         defect = float(np.max(np.linalg.norm(f, axis=1)))
+        if defect < sc.residual_tol and level:
+            # a loose flow only says the root is near: confirm it at the
+            # search tolerance
+            level = 0
+            try:
+                f, jac = yield from system(z, level)
+            except DivergenceError:
+                return None
+            defect = float(np.max(np.linalg.norm(f, axis=1)))
         if defect < sc.residual_tol:
             return z, defect
-        if float(np.max(np.abs(z))) > bound:
+        if it == sc.newton_max_iter or float(np.max(np.abs(z))) > bound:
             return None
+        nf = float(np.linalg.norm(f))
         if nf < 0.5 * best:
             best, stall = nf, 0
         else:
@@ -291,10 +340,11 @@ def _newton_steps(z, sc):
             step = np.linalg.solve(jac, -f.ravel()).reshape(n, 2)
         except np.linalg.LinAlgError:
             return None
+        level = _flow_level(defect, sc)
         lam = 1.0
         for _ in range(12):
             try:
-                f_new, jac_new = yield from system(z + lam * step)
+                f_new, jac_new = yield from system(z + lam * step, level)
             except DivergenceError:
                 lam *= 0.5
                 continue
@@ -305,10 +355,6 @@ def _newton_steps(z, sc):
             return None
         z = z + lam * step
         f, jac = f_new, jac_new
-    defect = float(np.max(np.linalg.norm(f, axis=1)))
-    if defect < sc.residual_tol:
-        return z, defect
-    return None
 
 
 def _polish_lockstep(p, seeds, sc):
@@ -316,12 +362,16 @@ def _polish_lockstep(p, seeds, sc):
     ``seeds``, in lockstep: [(z, defect) or None] in seed order.  Every
     polish, the continuation's included, goes through here.
 
-    Each round stacks the pending rows of every unfinished seed, with its
-    own segment starts and lengths, into one :func:`_batch_flow` call (a
-    merged round) and sends each seed its flowed rows, or throws it the
-    error of its first row the flow left out.  A seed thus follows its
-    solo polish up to the flow tolerance, a diverging trial fails only
-    its own seed, and a search makes as many batched flows as its longest
+    Each round flows the pending request of every unfinished seed, with
+    its own segment starts and lengths, and then sends each seed its
+    flowed rows, or throws it the error of its first row the flow left
+    out.  The requests at the search tolerance are stacked into one
+    :func:`_batch_flow` call (a merged round); each request at a looser
+    decade is flowed alone, since rows that share a flow share its steps
+    and error norm, and loose rows would couple the Newton paths.  A
+    seed thus follows its solo polish bit for bit up to its first merged
+    flow and to the search tolerance after it, a diverging trial fails
+    only its own seed, and a search makes as many rounds as its longest
     polish.
     """
     steps, pending, t0s, lens = {}, {}, {}, {}
@@ -333,16 +383,23 @@ def _polish_lockstep(p, seeds, sc):
         lens[i] = np.repeat(np.diff(nodes), 3)
     results = [None] * len(seeds)
     while pending:
-        active = list(pending)
-        edges = np.cumsum([0] + [len(pending[i]) for i in active])
-        out, escaped = _batch_flow(
-            p, *(np.concatenate([part[i] for i in active])
-                 for part in (pending, t0s, lens)), sc)
-        replies = [
-            next((escaped[r] for r in sorted(escaped) if lo <= r < hi),
-                 out[lo:hi])
-            for lo, hi in zip(edges[:-1], edges[1:])]
-        for i, reply in zip(active, replies):
+        merged = [i for i in pending if not pending[i][1]]
+        groups = [[i] for i in pending if pending[i][1]]
+        if merged:
+            groups.insert(0, merged)
+        replies = {}
+        for group in groups:
+            rows = [pending[i][0] for i in group]
+            edges = np.cumsum([0] + [len(r) for r in rows])
+            out, escaped = _batch_flow(
+                p, np.concatenate(rows),
+                np.concatenate([t0s[i] for i in group]),
+                np.concatenate([lens[i] for i in group]),
+                _level_config(sc, pending[group[0]][1]))
+            for i, lo, hi in zip(group, edges[:-1], edges[1:]):
+                replies[i] = next((escaped[r] for r in sorted(escaped)
+                                   if lo <= r < hi), out[lo:hi])
+        for i, reply in replies.items():
             try:
                 pending[i] = (steps[i].throw(reply)
                               if isinstance(reply, DivergenceError)

@@ -482,9 +482,9 @@ def test_flow_rows_leaves_the_callers_rows_alone():
 
 
 def test_screen_never_raises():
-    # rows 1 and 3 have a nan field at the start, so the whole flow fails
-    # twice; each named row reads nan and the others are flowed again, to
-    # the bits of a screen of the grid without them
+    # rows 1 and 3 have a nan field at the start, so the flow leaves both
+    # out there, in one pass; each named row reads nan and the others are
+    # flowed again, to the bits of a screen of the grid without them
     p = nan_at_small_u_problem()
     grid = np.array([[0.5, 0.0], [0.01, 0.0], [0.1, 0.4], [0.01, -0.2],
                      [0.2, -0.3]])

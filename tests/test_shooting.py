@@ -888,10 +888,49 @@ def _counting_flows(monkeypatch):
     return rows
 
 
+def _recording_rounds(monkeypatch):
+    """The lockstep rounds from here on, one list per round of the
+    (rows, rtol) of each _batch_flow call in it: a round ends when
+    the lockstep sends its seeds their flowed rows."""
+    rounds, current = [], []
+    flow, newton = shooting._batch_flow, shooting._newton_steps
+
+    def recording(p, Z, t0s, lens, sc):
+        current.append((len(Z), sc.rtol))
+        return flow(p, Z, t0s, lens, sc)
+
+    def tracked(z, sc):
+        steps = newton(z, sc)
+        request = next(steps)
+        while True:
+            try:
+                reply = yield request
+            except DivergenceError as err:
+                reply = err
+            if current:
+                rounds.append(current[:])
+                del current[:]
+            try:
+                request = (steps.throw(reply)
+                           if isinstance(reply, DivergenceError)
+                           else steps.send(reply))
+            except StopIteration as done:
+                return done.value
+
+    monkeypatch.setattr(shooting, "_batch_flow", recording)
+    monkeypatch.setattr(shooting, "_newton_steps", tracked)
+    return rounds
+
+
+def _round_rows(rounds):
+    return [sum(flow[0] for flow in r) for r in rounds]
+
+
 def test_lockstep_polish_matches_solo_polishes(fig2_k1, monkeypatch):
     # the seeds of a fig2 k = 2 search at mu = 7 polished together give
-    # the records of polishing each seed alone, in as many batched flows
-    # as the longest solo polish and with the same rows in all
+    # the records of polishing each seed alone, in as many rounds as the
+    # longest solo polish and with the same rows in all; the requests at
+    # the search tolerance share one flow per round
     p, sc, base = fig2_k1
     sc = replace(sc, max_candidates=4)
     captured = []
@@ -906,23 +945,27 @@ def test_lockstep_polish_matches_solo_polishes(fig2_k1, monkeypatch):
     seeds, = captured
     assert len(seeds) >= 4
 
-    rows = _counting_flows(monkeypatch)
-    solo_calls, solo_rows, solo = [], [], []
+    rounds = _recording_rounds(monkeypatch)
+    solo_rounds, solo_rows, solo = [], [], []
     for z0, nodes in seeds:
-        del rows[:]
+        del rounds[:]
         polished, = shooting._polish_lockstep(p, [(z0, nodes)], sc)
-        solo_calls.append(len(rows))
-        solo_rows.append(sum(rows))
+        assert all(len(r) == 1 for r in rounds)
+        solo_rounds.append(len(rounds))
+        solo_rows.append(sum(_round_rows(rounds)))
         if polished is not None:
             rec = shooting._accept(p, polished[0], nodes, 2, polished[1],
                                    sc, "periodic")
             if rec is not None:
                 solo.append(rec)
     solo = shooting._dedup(solo, sc.u_max)
-    del rows[:]
+    del rounds[:]
     together = shooting._polish_seeds(p, 2, seeds, sc)
-    assert len(rows) == max(solo_calls)
-    assert sum(rows) == sum(solo_rows)
+    assert len(rounds) == max(solo_rounds)
+    assert sum(_round_rows(rounds)) == sum(solo_rows)
+    assert all(sum(rtol == sc.rtol for _, rtol in r) <= 1
+               for r in rounds)
+    assert any(len(r) > 1 for r in rounds)
 
     for recs in (solo, together):
         levels = adaptive_levels(recs, p)
@@ -936,33 +979,36 @@ def test_lockstep_polish_matches_solo_polishes(fig2_k1, monkeypatch):
 
 def test_lockstep_polish_isolates_a_diverging_seed(fig2_k1, monkeypatch):
     # a seed whose flow blows up is polished together with a good seed:
-    # its rows are frozen and named inside the merged flow, it drops out,
-    # and the good seed goes on to its solo root, one flow per round
+    # its rows are frozen and named in its own loose first flow, it drops
+    # out, and the good seed goes on to its solo root
     p, sc, recs = fig2_k1
     rec = recs[0]
     good = (1.01 * rec.node_states, rec.nodes)
     bad = (1e7 * rec.node_states, rec.nodes)
     assert shooting._polish_lockstep(p, [bad], sc) == [None]
-    rows = _counting_flows(monkeypatch)
+    rounds = _recording_rounds(monkeypatch)
     solo, = shooting._polish_lockstep(p, [good], sc)
-    solo_flows = len(rows)
-    del rows[:]
+    solo_flows = len(rounds)
+    del rounds[:]
     out = shooting._polish_lockstep(p, [bad, good], sc)
     assert out[0] is None and out[1] is not None
     z, defect = out[1]
-    # the first round flows the good rows beside the bad ones, so the
-    # good seed matches its solo polish to the flow tolerance, not in bits
-    assert np.max(np.abs(z - solo[0])) < 1e-12 and defect < sc.residual_tol
-    # the merged flow, then the good seed alone: as many flows as its solo
-    # polish, so no request is flowed twice
+    # each seed flows its first request, at the loosest decade, alone, and
+    # the good seed is alone after it, so it follows its solo polish bit
+    # for bit
+    assert z.tobytes() == solo[0].tobytes() and defect == solo[1]
+    assert defect < sc.residual_tol
+    # the first round, then the good seed alone: one round per solo flow,
+    # so no request is flowed twice
     n3 = 3 * (len(rec.nodes) - 1)
-    assert rows == [2 * n3] + [n3] * (solo_flows - 1)
+    assert [[flow[0] for flow in r] for r in rounds] == \
+        [[n3, n3]] + [[n3]] * (solo_flows - 1)
 
 
 def test_lockstep_polish_survives_a_seed_whose_start_field_is_not_finite():
     # fig2 with a g whose exp term is inf at u = 2000: a copy of the k = 1
     # record whose first node starts there has its rows at that node left
-    # out of the merged flow and returns None, while the seed beside it
+    # out of its first flow and returns None, while the seed beside it
     # polishes to its solo root
     pre = fig2()
     g = NonlinearitySpec.from_expression("100*s*atan(s) + s*exp(s - 700)")
@@ -975,18 +1021,71 @@ def test_lockstep_polish_survives_a_seed_whose_start_field_is_not_finite():
     assert solo is not None
     out = shooting._polish_lockstep(p, [good, (z, rec.nodes)], sc)
     assert out[1] is None and out[0] is not None
-    assert np.max(np.abs(out[0][0] - solo[0])) < 1e-12
+    assert out[0][0].tobytes() == solo[0].tobytes()
 
 
 def test_lockstep_rounds_only_shrink(monkeypatch):
-    # m2's base search has diverging trials in its merged rounds; each
-    # round is one flow, and a round flows no more rows than the one
-    # before it, since seeds only ever drop out
+    # m2's base search has diverging trials in its rounds; a round flows
+    # no more rows than the one before it, since seeds only ever drop out
     pre = multiplicity_m2()
-    rows = _counting_flows(monkeypatch)
+    rounds = _recording_rounds(monkeypatch)
     find_periodic_solutions(pre.problem, 1, pre.search)
+    rows = _round_rows(rounds)
     assert len(rows) > 1
     assert all(a >= b for a, b in zip(rows, rows[1:])), rows
+
+
+def _seeds_and_roots(p, sc, k1, k2, monkeypatch):
+    """The seeds of the fig2 k = 1 and k = 2 searches and 1 % perturbations
+    of their records, each polished alone: [(nodes, (z, defect) or None,
+    [(rtol, atol) of each flow])], and the rtols of the k = 1 search."""
+    captured, flows = [], []
+    polish_seeds, flow = shooting._polish_seeds, shooting._batch_flow
+
+    def capture(p, k, seeds, sc):
+        captured.extend(seeds)
+        return polish_seeds(p, k, seeds, sc)
+
+    def recording(p, Z, t0s, lens, sc):
+        flows.append((sc.rtol, sc.atol))
+        return flow(p, Z, t0s, lens, sc)
+
+    monkeypatch.setattr(shooting, "_polish_seeds", capture)
+    monkeypatch.setattr(shooting, "_batch_flow", recording)
+    base = find_periodic_solutions(p, 1, sc)
+    search_rtols = [rtol for rtol, _ in flows]
+    find_periodic_solutions(p, 2, sc, base=base)
+    captured += [(1.01 * r.node_states, r.nodes) for r in k1 + k2]
+    out = []
+    for z0, nodes in captured:
+        del flows[:]
+        polished, = shooting._polish_lockstep(p, [(z0, nodes)], sc)
+        out.append((nodes, polished, flows[:]))
+    return out, search_rtols
+
+
+def test_polish_returns_roots_only_from_search_tolerance_flows(
+        fig2_k1, fig2_k2, monkeypatch):
+    # trial flows are loose far from a root, but every root comes from a
+    # flow at the search tolerances, and a fresh flow of it there
+    # confirms its defect
+    p, sc, k1 = fig2_k1
+    polishes, search_rtols = _seeds_and_roots(p, sc, k1, fig2_k2,
+                                              monkeypatch)
+    roots = [(nodes, polished, flows) for nodes, polished, flows in polishes
+             if polished is not None]
+    assert len(roots) > len(k1) + len(fig2_k2)
+    for nodes, (z, defect), flows in roots:
+        assert flows[-1] == (sc.rtol, sc.atol)
+        fz, escaped = shooting._batch_flow(p, z, nodes[:-1], np.diff(nodes),
+                                           sc)
+        assert not escaped
+        fresh = np.max(np.linalg.norm(fz - np.roll(z, -1, axis=0), axis=1))
+        assert fresh < sc.residual_tol and defect < sc.residual_tol
+    # the schedule is not a no-op: the k = 1 search flows at the loosest
+    # decade, the screen's rtol
+    assert min(search_rtols) == sc.rtol
+    assert max(search_rtols) == pytest.approx(shooting._SCREEN_RTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -1134,9 +1233,9 @@ def expression_weight_problem():
 def merged_request(seeds, sc):
     """Rows, starts and lengths of the first Newton request of each
     (node states, nodes) pair in ``seeds``, merged as in a lockstep
-    round."""
+    round at the search tolerance."""
     return [np.concatenate(part) for part in zip(*(
-        (next(shooting._newton_steps(np.asarray(z, dtype=float), sc)),
+        (next(shooting._newton_steps(np.asarray(z, dtype=float), sc))[0],
          np.repeat(nodes[:-1], 3), np.repeat(np.diff(nodes), 3))
         for z, nodes in seeds))]
 
