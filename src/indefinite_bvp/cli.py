@@ -45,6 +45,7 @@ EXIT_HYPOTHESIS = 3
 EXIT_NUMERICAL = 4
 
 _CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*\((.*)\)\s*$")
+_MAX_WORDS = 10 ** 6    # the most Lyndon words a command lists
 
 
 def _version():
@@ -259,6 +260,17 @@ def _require_at_least(args, flag, least):
                                  % (flag, least, value))
 
 
+def _listable_count(n, k):
+    """``witt_count(n, k)``, or a ConfigurationError naming it above
+    ``_MAX_WORDS``: the words are all listed before the report prints."""
+    count = witt_count(n, k)
+    if count > _MAX_WORDS:
+        raise ConfigurationError("%d Lyndon words of length %d over %d "
+                                 "symbols is above the %d a command lists"
+                                 % (count, k, n, _MAX_WORDS))
+    return count
+
+
 def cmd_bounds(args):
     cp = load_config(args.config)
     p, search, resolved = problem_from_config(cp, args.mu)
@@ -296,12 +308,12 @@ def cmd_subharmonic(args):
         if args.m is None:
             raise ConfigurationError("--enumerate needs --m")
         _require_at_least(args, "m", 1)
-        targets = enumerate_class_representatives(args.m, args.k)
         report = _base_report({}, "subharmonic")
         report["k"] = args.k
         report["m"] = args.m
-        report["class_count"] = int(witt_count(2 ** args.m, args.k))
-        report["classes"] = [t.word_string for t in targets]
+        report["class_count"] = _listable_count(2 ** args.m, args.k)
+        report["classes"] = [t.word_string for t in
+                             enumerate_class_representatives(args.m, args.k)]
         _emit(report, args)
         return EXIT_OK
     if args.config is None:
@@ -321,6 +333,7 @@ def cmd_subharmonic(args):
             raise ConfigurationError("--word %s does not match the weight "
                                      "pattern" % args.word)
     else:
+        _listable_count(2 ** p.pattern.m, args.k)
         targets = enumerate_class_representatives(p.pattern.m, args.k)
     report = _base_report(resolved, "subharmonic")
     report["k"] = args.k
@@ -343,7 +356,8 @@ def cmd_lyndon(args):
     report = _base_report({}, "lyndon")
     report["n"] = args.n
     report["k"] = args.k
-    report["count"] = int(witt_count(args.n, args.k))
+    report["count"] = (_listable_count if args.list else witt_count)(
+        args.n, args.k)
     if args.list:
         report["words"] = ["".join(str(s) for s in w.symbols)
                            for w in lyndon_words(args.n, args.k)]

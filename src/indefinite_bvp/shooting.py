@@ -25,12 +25,10 @@ single seed.  Each Newton evaluation asks for a flow tolerance matched
 to the current defect, on a ladder of decades from the screen's rtol
 down to the search tolerance, and a root is returned only from a flow
 at the search tolerance.  Each round flows the pending rows of every
-unfinished seed and sends each generator its rows; the rows at the
-search tolerance share one batched flow, and each seed at a looser
-decade is flowed alone, so its Newton path is its solo path.  A seed
-whose polish has ended drops out.  A flow never fails as a whole: it
-leaves out and names each row it cannot flow, so only the seed that
-owns that row sees the failure.
+unfinished seed and sends each generator its rows; the rows at one
+decade share one batched flow.  A seed whose polish has ended drops
+out.  A flow never fails as a whole: it leaves out and names each row
+it cannot flow, so only the seed that owns that row sees the failure.
 """
 
 from __future__ import annotations
@@ -215,15 +213,6 @@ def _flow_level(defect, sc):
     return math.floor(math.log10(max(ratio, 1.0)) + 1e-9)
 
 
-def _level_config(sc, level):
-    """``sc`` with its tolerances loosened by 10^level; ``sc`` itself at
-    level 0."""
-    if not level:
-        return sc
-    return replace(sc, rtol=sc.rtol * 10.0 ** level,
-                   atol=sc.atol * 10.0 ** level)
-
-
 def _batch_flow(p, Z, t0s, lens, sc):
     """Endpoint states of m independent segment flows, row j of Z from
     t0s[j] over lens[j], at the tolerances of ``sc``: the one batched
@@ -259,7 +248,7 @@ def _newton_steps(z, sc):
     keeps every segment flow mildly expanding even when the full period
     map is violently stretching (large mu).
 
-    Every evaluation is one batched flow of 3n rows: each z_j together
+    Every evaluation flows 3n rows in one batched flow: each z_j together
     with z_j + h e_u and z_j + h e_y, h = ``_FD_STEP`` * (1 + |z_j|).  All
     rows share one adaptive step sequence, so the difference quotients
     differentiate the same discrete map that gives F (internal numerical
@@ -280,10 +269,10 @@ def _newton_steps(z, sc):
 
     The generator yields (rows, decade) for each evaluation and receives
     their flowed end states, or the thrown DivergenceError of a row the
-    flow left out; :func:`_polish_lockstep` flows them on the segments
-    of the seed's grid at :func:`_level_config` of that decade.  It
-    returns (node states with the first row at the pattern start,
-    largest per-segment matching defect) or None.
+    flow left out; :func:`_polish_lockstep` flows them with the rows of
+    every seed at that decade, at 10^decade times ``sc.rtol`` and
+    ``sc.atol``.  It returns (node states with the first row at the
+    pattern start, largest per-segment matching defect) or None.
     """
     n = len(z)
     seg = np.arange(n)
@@ -365,14 +354,12 @@ def _polish_lockstep(p, seeds, sc):
     Each round flows the pending request of every unfinished seed, with
     its own segment starts and lengths, and then sends each seed its
     flowed rows, or throws it the error of its first row the flow left
-    out.  The requests at the search tolerance are stacked into one
-    :func:`_batch_flow` call (a merged round); each request at a looser
-    decade is flowed alone, since rows that share a flow share its steps
-    and error norm, and loose rows would couple the Newton paths.  A
-    seed thus follows its solo polish bit for bit up to its first merged
-    flow and to the search tolerance after it, a diverging trial fails
-    only its own seed, and a search makes as many rounds as its longest
-    polish.
+    out.  The requests at one decade are stacked, in seed order, into
+    one :func:`_batch_flow` call, so a round makes one flow per distinct
+    decade among its requests.  Rows that share a flow share its steps
+    and error norm, so a seed's Newton path may differ from its solo
+    path within the flow tolerance; a diverging trial still fails only
+    its own seed.
     """
     steps, pending, t0s, lens = {}, {}, {}, {}
     for i, (z0, nodes) in enumerate(seeds):
@@ -383,19 +370,17 @@ def _polish_lockstep(p, seeds, sc):
         lens[i] = np.repeat(np.diff(nodes), 3)
     results = [None] * len(seeds)
     while pending:
-        merged = [i for i in pending if not pending[i][1]]
-        groups = [[i] for i in pending if pending[i][1]]
-        if merged:
-            groups.insert(0, merged)
         replies = {}
-        for group in groups:
+        for level in sorted({level for _, level in pending.values()}):
+            group = [i for i in pending if pending[i][1] == level]
             rows = [pending[i][0] for i in group]
             edges = np.cumsum([0] + [len(r) for r in rows])
+            scale = 10.0 ** level
             out, escaped = _batch_flow(
                 p, np.concatenate(rows),
                 np.concatenate([t0s[i] for i in group]),
                 np.concatenate([lens[i] for i in group]),
-                _level_config(sc, pending[group[0]][1]))
+                replace(sc, rtol=sc.rtol * scale, atol=sc.atol * scale))
             for i, lo, hi in zip(group, edges[:-1], edges[1:]):
                 replies[i] = next((escaped[r] for r in sorted(escaped)
                                    if lo <= r < hi), out[lo:hi])
@@ -587,8 +572,9 @@ def find_periodic_solutions(p, k, sc=None, base=None):
 
 
 def find_neumann_solutions(p, sc=None):
-    """Positive solutions with u'(0) = u'(T) = 0 by a 1D sweep in the
-    initial displacement, bracketing sign changes of the terminal slope."""
+    """Positive solutions with u'(0) = u'(T) = 0 by a 1D sweep over a
+    linear grid of initial displacements (the periodic grid is geometric
+    in u), bracketing sign changes of the terminal slope."""
     if p.boundary != "neumann":
         raise DomainError("problem is not in neumann mode")
     sc = sc or SearchConfig()

@@ -116,6 +116,53 @@ def test_subharmonic_enumerate(capsys):
     assert rep["classes"] == ["001", "011"]
 
 
+def _refuse_listing(monkeypatch):
+    """Make every way the CLI lists Lyndon words, or searches, fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed or searched past the cap")
+
+    for name in ("lyndon_words", "enumerate_class_representatives",
+                 "coded_records"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["lyndon", "--n", "2", "--k", "30", "--list"], 35790267),
+    (["subharmonic", "--enumerate", "--m", "20", "--k", "3"],
+     (2 ** 60 - 2 ** 20) // 3),
+    (["subharmonic", "--k", "30"], 35790267),
+], ids=["lyndon", "enumerate", "config"])
+def test_word_lists_are_capped(argv, count, tmp_path, capsys, monkeypatch):
+    # a command that lists Lyndon words counts them first and refuses a
+    # count above the cap with exit 2, before it lists or searches
+    _refuse_listing(monkeypatch)
+    if "--enumerate" not in argv and argv[0] != "lyndon":
+        argv = argv + ["--config", write_config(
+            tmp_path, "[problem]\npreset = fig2\n")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "%d Lyndon words" % count in err["message"]
+
+
+def test_word_cap_is_inclusive(monkeypatch, capsys):
+    # the 18 binary Lyndon words of length 7 are listed under a cap of
+    # 18 and refused under 17; a count alone is never capped
+    monkeypatch.setattr(cli, "_MAX_WORDS", 18)
+    assert main(["lyndon", "--n", "2", "--k", "7", "--list"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["words"]) == 18
+    monkeypatch.setattr(cli, "_MAX_WORDS", 17)
+    assert main(["lyndon", "--n", "2", "--k", "7", "--list"]) == 2
+    assert "18 Lyndon words" in json.loads(capsys.readouterr().err)["message"]
+    assert main(["lyndon", "--n", "2", "--k", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 18
+
+
+def test_word_cap_lists_m3_k7():
+    # the cap sits above the largest coded census, m = 3 and k = 7
+    assert cli._MAX_WORDS >= cli.witt_count(2 ** 3, 7) == 299592
+
+
 def test_config_error_exit(capsys):
     assert main(["bounds", "--config", "/nonexistent.ini"]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -889,10 +889,11 @@ def _counting_flows(monkeypatch):
 
 
 def _recording_rounds(monkeypatch):
-    """The lockstep rounds from here on, one list per round of the
-    (rows, rtol) of each _batch_flow call in it: a round ends when
+    """The lockstep rounds from here on: (rounds, requests), one list per
+    round of the (rows, rtol) of each _batch_flow call in it and of the
+    (rows, decade) of each Newton request it flows.  A round ends when
     the lockstep sends its seeds their flowed rows."""
-    rounds, current = [], []
+    rounds, current, requests, asked = [], [], [], []
     flow, newton = shooting._batch_flow, shooting._newton_steps
 
     def recording(p, Z, t0s, lens, sc):
@@ -903,13 +904,15 @@ def _recording_rounds(monkeypatch):
         steps = newton(z, sc)
         request = next(steps)
         while True:
+            asked.append((len(request[0]), request[1]))
             try:
                 reply = yield request
             except DivergenceError as err:
                 reply = err
             if current:
                 rounds.append(current[:])
-                del current[:]
+                requests.append(asked[:])
+                del current[:], asked[:]
             try:
                 request = (steps.throw(reply)
                            if isinstance(reply, DivergenceError)
@@ -919,18 +922,41 @@ def _recording_rounds(monkeypatch):
 
     monkeypatch.setattr(shooting, "_batch_flow", recording)
     monkeypatch.setattr(shooting, "_newton_steps", tracked)
-    return rounds
+    return rounds, requests
 
 
 def _round_rows(rounds):
     return [sum(flow[0] for flow in r) for r in rounds]
 
 
+def test_lockstep_rounds_flow_one_per_decade(monkeypatch):
+    # in every round of the fig2 k = 1 and k = 2 searches the flows have
+    # distinct decades, and each flows the rows of every request at its
+    # decade: their rows sum to the round's requests.  Some round flows
+    # several decades, and some loose flow stacks several seeds.
+    pre = fig2()
+    p, sc = pre.problem, pre.search
+    rounds, requests = _recording_rounds(monkeypatch)
+    find_periodic_solutions(p, 2, sc,
+                            base=find_periodic_solutions(p, 1, sc))
+    assert len(rounds) == len(requests) > 1
+    for flows, asked in zip(rounds, requests):
+        want = {}
+        for rows, level in asked:
+            rtol = sc.rtol * 10.0 ** level
+            want[rtol] = want.get(rtol, 0) + rows
+        assert sorted(flows) == sorted((n, rtol)
+                                       for rtol, n in want.items())
+    assert any(len(flows) > 1 for flows in rounds)
+    assert any(rtol > sc.rtol and rows > min(n for n, _ in asked)
+               for flows, asked in zip(rounds, requests)
+               for rows, rtol in flows)
+
+
 def test_lockstep_polish_matches_solo_polishes(fig2_k1, monkeypatch):
     # the seeds of a fig2 k = 2 search at mu = 7 polished together give
-    # the records of polishing each seed alone, in as many rounds as the
-    # longest solo polish and with the same rows in all; the requests at
-    # the search tolerance share one flow per round
+    # the records of polishing each seed alone: rows that share a flow
+    # share its steps, so a root moves only within the flow tolerance
     p, sc, base = fig2_k1
     sc = replace(sc, max_candidates=4)
     captured = []
@@ -945,64 +971,45 @@ def test_lockstep_polish_matches_solo_polishes(fig2_k1, monkeypatch):
     seeds, = captured
     assert len(seeds) >= 4
 
-    rounds = _recording_rounds(monkeypatch)
-    solo_rounds, solo_rows, solo = [], [], []
-    for z0, nodes in seeds:
-        del rounds[:]
-        polished, = shooting._polish_lockstep(p, [(z0, nodes)], sc)
-        assert all(len(r) == 1 for r in rounds)
-        solo_rounds.append(len(rounds))
-        solo_rows.append(sum(_round_rows(rounds)))
-        if polished is not None:
-            rec = shooting._accept(p, polished[0], nodes, 2, polished[1],
-                                   sc, "periodic")
-            if rec is not None:
-                solo.append(rec)
-    solo = shooting._dedup(solo, sc.u_max)
-    del rounds[:]
-    together = shooting._polish_seeds(p, 2, seeds, sc)
-    assert len(rounds) == max(solo_rounds)
-    assert sum(_round_rows(rounds)) == sum(solo_rows)
-    assert all(sum(rtol == sc.rtol for _, rtol in r) <= 1
-               for r in rounds)
-    assert any(len(r) > 1 for r in rounds)
+    solo = [shooting._polish_lockstep(p, [seed], sc)[0] for seed in seeds]
+    together = shooting._polish_lockstep(p, seeds, sc)
+    nontrivial = [(a, b) for a, b in zip(together, solo) if b is not None
+                  and np.max(np.abs(b[0])) > shooting._TRIVIAL_TOL]
+    assert len(nontrivial) >= 3
+    for a, b in nontrivial:
+        assert a is not None
+        assert np.max(np.abs(a[0] - b[0])) < 1e-10
 
-    for recs in (solo, together):
-        levels = adaptive_levels(recs, p)
-        for rec in recs:
-            classify_code(rec, p, *levels)
-    assert [r.code for r in together] == [r.code for r in solo]
-    assert sorted(r.code_string for r in together) == ["01", "10", "11"]
-    for a, b in zip(together, solo):
-        assert np.max(np.abs(a.node_states - b.node_states)) < 1e-10
+    recs = shooting._polish_seeds(p, 2, seeds, sc)
+    levels = adaptive_levels(recs, p)
+    for rec in recs:
+        classify_code(rec, p, *levels)
+    assert sorted(r.code_string for r in recs) == ["01", "10", "11"]
 
 
 def test_lockstep_polish_isolates_a_diverging_seed(fig2_k1, monkeypatch):
     # a seed whose flow blows up is polished together with a good seed:
-    # its rows are frozen and named in its own loose first flow, it drops
-    # out, and the good seed goes on to its solo root
+    # both first requests, at the loosest decade, share one flow; the bad
+    # seed's rows are frozen and named there, it drops out, and the good
+    # seed goes on to its solo root
     p, sc, recs = fig2_k1
     rec = recs[0]
     good = (1.01 * rec.node_states, rec.nodes)
     bad = (1e7 * rec.node_states, rec.nodes)
     assert shooting._polish_lockstep(p, [bad], sc) == [None]
-    rounds = _recording_rounds(monkeypatch)
     solo, = shooting._polish_lockstep(p, [good], sc)
-    solo_flows = len(rounds)
-    del rounds[:]
+    rounds, _ = _recording_rounds(monkeypatch)
     out = shooting._polish_lockstep(p, [bad, good], sc)
     assert out[0] is None and out[1] is not None
     z, defect = out[1]
-    # each seed flows its first request, at the loosest decade, alone, and
-    # the good seed is alone after it, so it follows its solo polish bit
-    # for bit
-    assert z.tobytes() == solo[0].tobytes() and defect == solo[1]
+    assert np.max(np.abs(z - solo[0])) < 1e-12
     assert defect < sc.residual_tol
-    # the first round, then the good seed alone: one round per solo flow,
-    # so no request is flowed twice
+    # one flow of both seeds, then the good seed alone: no request is
+    # flowed twice
     n3 = 3 * (len(rec.nodes) - 1)
-    assert [[flow[0] for flow in r] for r in rounds] == \
-        [[n3, n3]] + [[n3]] * (solo_flows - 1)
+    loosest = sc.rtol * 10.0 ** shooting._flow_level(math.inf, sc)
+    assert rounds[0] == [(2 * n3, loosest)]
+    assert all(r == [(n3, r[0][1])] for r in rounds[1:])
 
 
 def test_lockstep_polish_survives_a_seed_whose_start_field_is_not_finite():
@@ -1021,18 +1028,42 @@ def test_lockstep_polish_survives_a_seed_whose_start_field_is_not_finite():
     assert solo is not None
     out = shooting._polish_lockstep(p, [good, (z, rec.nodes)], sc)
     assert out[1] is None and out[0] is not None
-    assert out[0][0].tobytes() == solo[0].tobytes()
+    assert np.max(np.abs(out[0][0] - solo[0])) < 1e-12
 
 
 def test_lockstep_rounds_only_shrink(monkeypatch):
     # m2's base search has diverging trials in its rounds; a round flows
     # no more rows than the one before it, since seeds only ever drop out
     pre = multiplicity_m2()
-    rounds = _recording_rounds(monkeypatch)
+    rounds, _ = _recording_rounds(monkeypatch)
     find_periodic_solutions(pre.problem, 1, pre.search)
     rows = _round_rows(rounds)
     assert len(rows) > 1
     assert all(a >= b for a, b in zip(rows, rows[1:])), rows
+
+
+@pytest.mark.parametrize("preset", [fig2, multiplicity_m2])
+def test_lockstep_polish_does_not_depend_on_seed_order(preset, monkeypatch):
+    # the seeds of a k = 2 search polished in reverse order give the
+    # records of the forward order
+    pre = preset()
+    p, sc = pre.problem, replace(pre.search, max_candidates=8)
+    captured = []
+    polish_seeds = shooting._polish_seeds
+
+    def capture(p, k, seeds, sc):
+        if k == 2:
+            captured.append(seeds)
+        return polish_seeds(p, k, seeds, sc)
+
+    monkeypatch.setattr(shooting, "_polish_seeds", capture)
+    forward = find_periodic_solutions(p, 2, sc)
+    seeds, = captured
+    backward = shooting._polish_seeds(p, 2, seeds[::-1], sc)
+    assert len(forward) == len(backward) > 0
+    for a, b in zip(forward, backward):
+        assert np.max(np.abs(a.node_states - b.node_states)) < 1e-10
+        assert a.nodes == b.nodes
 
 
 def _seeds_and_roots(p, sc, k1, k2, monkeypatch):
@@ -1086,6 +1117,65 @@ def test_polish_returns_roots_only_from_search_tolerance_flows(
     # decade, the screen's rtol
     assert min(search_rtols) == sc.rtol
     assert max(search_rtols) == pytest.approx(shooting._SCREEN_RTOL)
+
+
+def _drive_newton(flow, z0, sc):
+    """(result, requests) of :func:`shooting._newton_steps` on the one
+    node state z0, each request's rows sent ``flow(rows, decade)``, or
+    thrown the DivergenceError it raises."""
+    steps = shooting._newton_steps(np.array([z0], dtype=float), sc)
+    requests = 0
+    try:
+        rows, level = next(steps)
+        while True:
+            requests += 1
+            try:
+                out = flow(rows, level)
+            except DivergenceError as err:
+                rows, level = steps.throw(err)
+            else:
+                rows, level = steps.send(out)
+    except StopIteration as done:
+        return done.value, requests
+
+
+def _u_map(phi, y=lambda u: np.zeros_like(u)):
+    """Synthetic flowed rows: each row (u, y) ends at (phi(u), y(u))."""
+    return lambda rows, level: np.column_stack([phi(rows[:, 0]),
+                                                y(rows[:, 0])])
+
+
+def _fails_to_confirm(rows, level):
+    # identity at the loose decades, a row left out at the search's
+    if not level:
+        raise DivergenceError("left out at the search tolerance")
+    return rows.copy()
+
+
+NEWTON_EXITS = {
+    # name: (flow, z0, newton_max_iter, requests until it gives up)
+    "singular": (_u_map(lambda u: u, lambda u: np.full_like(u, 5.0)),
+                 (0.0, 0.0), 30, 1),
+    "line_search": (_u_map(lambda u: u + u ** 2 + 1.0), (1e-3, 0.0), 30,
+                    13),
+    "max_iter": (_u_map(lambda u: u + (u - 1.0) ** 3), (3.0, 0.0), 3, 4),
+    "bound": (_u_map(lambda u: u + np.exp(-u / 50.0)), (1.0, 0.0), 30, 5),
+    "stall": (_u_map(lambda u: u + np.sign(u - 1.0)
+                     * np.abs(u - 1.0) ** (1.0 / 40.0)), (2.0, 0.0), 30, 61),
+    "confirm": (_fails_to_confirm, (1.0, 0.5), 30, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_EXITS))
+def test_newton_gives_up(case):
+    # each way Newton gives up on one node, driven with synthetic flowed
+    # rows: a singular Jacobian, twelve halvings with no decrease, the
+    # iteration cap, an iterate beyond 100 (1 + |z0|), ten steps without
+    # halving the residual, and a root whose confirming flow at the
+    # search tolerance fails; the request count names the exit
+    flow, z0, max_iter, requests = NEWTON_EXITS[case]
+    sc = replace(SearchConfig(), newton_max_iter=max_iter)
+    assert _drive_newton(flow, z0, sc) == (None, requests)
 
 
 # ---------------------------------------------------------------------------
